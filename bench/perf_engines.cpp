@@ -2,8 +2,10 @@
 // simulation, signal probability, fault simulation, PODEM, SAT equivalence
 // and the two TrojanZero algorithms.
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <random>
@@ -545,6 +547,40 @@ void BM_Campaign(benchmark::State& state, bool shared) {
 }
 BENCHMARK_CAPTURE(BM_Campaign, cold, false)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_Campaign, shared, true)->Unit(benchmark::kMillisecond);
+
+// The campaign driver itself: run_campaign on a 2-circuit Pth × order grid
+// (c432+c499 × pth {0.99, 0.995} × order {p, l} × counter_bits {2, 3} = 16
+// jobs on 2 suites and 8 salvage entries) at 1 and 4 job-level threads,
+// checkpoint file included. Unlike BM_Campaign's serial loop, this sees the
+// artifact sharing, the suite/salvage build locks and the entry lifetimes
+// as the driver schedules them.
+void BM_CampaignDriver(benchmark::State& state) {
+  tz::CampaignGrid grid;
+  grid.circuits = {"c432", "c499"};
+  grid.counter_bits = {2, 3};
+  grid.pths = {0.99, 0.995};
+  grid.orders = {'p', 'l'};
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("tz_bm_campaign_driver_" + std::to_string(::getpid()));
+  tz::CampaignOptions opt;
+  opt.out_dir = dir.string();
+  opt.threads = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::filesystem::remove_all(dir);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(tz::run_campaign(grid, opt));
+  }
+  std::filesystem::remove_all(dir);
+  state.SetItemsProcessed(state.iterations() * grid.expand().size());
+}
+BENCHMARK(BM_CampaignDriver)
+    ->ArgName("threads")
+    ->Arg(1)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

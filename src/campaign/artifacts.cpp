@@ -14,6 +14,10 @@ void append_number(std::string& out, double v) {
   out.append(buf, res.ptr);
 }
 
+std::string suite_key(const std::string& circuit, const TestGenOptions& opt) {
+  return circuit + "|" + testgen_fingerprint(opt);
+}
+
 }  // namespace
 
 std::string testgen_fingerprint(const TestGenOptions& opt) {
@@ -37,19 +41,63 @@ std::string testgen_fingerprint(const TestGenOptions& opt) {
   return fp;
 }
 
+ArtifactKeys artifact_keys(const std::string& circuit,
+                           const TestGenOptions& testgen,
+                           const SalvageOptions& salvage) {
+  ArtifactKeys keys;
+  keys.circuit = circuit;
+  keys.suite = suite_key(circuit, testgen);
+  // Every SalvageOptions field that changes Algorithm 1's result; threads
+  // does not (the scan is bit-identical at every thread count).
+  keys.salvage = keys.suite + "|pth=";
+  append_number(keys.salvage, salvage.pth);
+  keys.salvage +=
+      salvage.order == SalvageOptions::Order::ByLeakage ? ",ord=l" : ",ord=p";
+  keys.salvage += salvage.include_outputs ? ",out=1" : ",out=0";
+  return keys;
+}
+
 ArtifactStore::ArtifactStore() : pm_(CellLibrary::tsmc65_like()) {}
 
+template <class T>
+ArtifactStore::Entry<T>& ArtifactStore::slot(Tier<T>& tier,
+                                             const std::string& key) {
+  std::unique_ptr<Entry<T>>& s = tier[key];
+  if (!s) s = std::make_unique<Entry<T>>();
+  return *s;
+}
+
+template <class T, class Build>
+const T& ArtifactStore::build_once(Entry<T>& entry, Build&& build) {
+  MutexLock lk(entry.build_mu);
+  if (!entry.built) {
+    build(entry.art);
+    entry.built = true;
+  }
+  return entry.art;
+}
+
+template <class T>
+std::unique_ptr<ArtifactStore::Entry<T>> ArtifactStore::unref(
+    Tier<T>& tier, const std::string& key) {
+  const auto it = tier.find(key);
+  // A counted entry always has pending > 0: it is erased when it hits zero.
+  if (it == tier.end() || !it->second->counted ||
+      --it->second->pending != 0) {
+    return nullptr;
+  }
+  std::unique_ptr<Entry<T>> freed = std::move(it->second);
+  tier.erase(it);
+  return freed;
+}
+
 const CircuitArtifacts& ArtifactStore::get_circuit(const std::string& name) {
-  CircuitEntry* entry = nullptr;
+  Entry<CircuitArtifacts>* entry = nullptr;
   {
     MutexLock lk(mu_);
-    std::unique_ptr<CircuitEntry>& slot = circuits_[name];
-    if (!slot) slot = std::make_unique<CircuitEntry>();
-    entry = slot.get();
+    entry = &slot(circuits_, name);
   }
-  MutexLock build(entry->build_mu);
-  if (!entry->built) {
-    CircuitArtifacts& art = entry->art;
+  return build_once(*entry, [&](CircuitArtifacts& art) {
     art.name = name;
     // The shared netlist must be byte-for-byte what the legacy cold path
     // uses (suite generation and power analysis are order-sensitive), so it
@@ -60,9 +108,7 @@ const CircuitArtifacts& ArtifactStore::get_circuit(const std::string& name) {
     art.netlist = make_benchmark(name);
     art.compacted = art.netlist.compact();
     art.golden_totals = pm_.analyze(art.netlist).totals;
-    entry->built = true;
-  }
-  return entry->art;
+  });
 }
 
 const SuiteArtifacts& ArtifactStore::get_suite(const std::string& circuit,
@@ -71,17 +117,12 @@ const SuiteArtifacts& ArtifactStore::get_suite(const std::string& circuit,
   // suite entries use different mutexes, and get_circuit is idempotent).
   const CircuitArtifacts& cart = get_circuit(circuit);
 
-  const std::string key = circuit + "|" + testgen_fingerprint(opt);
-  SuiteEntry* entry = nullptr;
+  Entry<SuiteArtifacts>* entry = nullptr;
   {
     MutexLock lk(mu_);
-    std::unique_ptr<SuiteEntry>& slot = suites_[key];
-    if (!slot) slot = std::make_unique<SuiteEntry>();
-    entry = slot.get();
+    entry = &slot(suites_, suite_key(circuit, opt));
   }
-  MutexLock build(entry->build_mu);
-  if (!entry->built) {
-    SuiteArtifacts& art = entry->art;
+  return build_once(*entry, [&](SuiteArtifacts& art) {
     art.circuit = &cart;
     art.suite = make_defender_suite(cart.netlist, opt);
     if (!art.suite.algorithms.empty()) {
@@ -89,26 +130,71 @@ const SuiteArtifacts& ArtifactStore::get_suite(const std::string& circuit,
     }
     // The shared oracle: compiled plan + fused golden rows, built once, on
     // the compacted twin so its slot-major caches line up node-for-node
-    // with the `original_->compact()` every job's salvage performs.
-    // Sequential circuits (DFFs) get no oracle — the flow's functional_test
-    // fallback has nothing to share.
+    // with the `original_->compact()` every salvage performs. Sequential
+    // circuits (DFFs) get no oracle — the flow's functional_test fallback
+    // has nothing to share.
     auto oracle = std::make_unique<SuiteOracle>(cart.compacted, art.suite);
     if (!oracle->sequential()) art.oracle = std::move(oracle);
-    entry->built = true;
+  });
+}
+
+const SalvageResult& ArtifactStore::get_salvage(const std::string& circuit,
+                                                const TestGenOptions& testgen,
+                                                const SalvageOptions& opt) {
+  const SuiteArtifacts& sart = get_suite(circuit, testgen);
+
+  Entry<SalvageResult>* entry = nullptr;
+  {
+    MutexLock lk(mu_);
+    entry = &slot(salvages_, artifact_keys(circuit, testgen, opt).salvage);
   }
-  return entry->art;
+  return build_once(*entry, [&](SalvageResult& art) {
+    // Algorithm 1 exactly as a job with these artifacts runs it: the same
+    // netlist, suite, power model and oracle seed.
+    const FlowSharedInputs shared{
+        .salvage_oracle = sart.oracle.get(),
+        .golden_totals = &sart.circuit->golden_totals};
+    FlowEngine engine(sart.circuit->netlist, sart.suite, pm_);
+    engine.set_shared(&shared);
+    art = engine.salvage(opt);
+  });
 }
 
 SharedArtifacts ArtifactStore::get_job_inputs(const std::string& circuit,
-                                              const TestGenOptions& testgen) {
+                                              const TestGenOptions& testgen,
+                                              const SalvageOptions& salvage) {
   SharedArtifacts out;
   const SuiteArtifacts& suite = get_suite(circuit, testgen);
   out.circuit = suite.circuit;
   out.defender = &suite;
   out.pm = &pm_;
+  out.salvage = &get_salvage(circuit, testgen, salvage);
   out.shared.salvage_oracle = suite.oracle.get();
   out.shared.golden_totals = &suite.circuit->golden_totals;
   return out;
+}
+
+void ArtifactStore::retain(const ArtifactKeys& keys) {
+  MutexLock lk(mu_);
+  Entry<CircuitArtifacts>& c = slot(circuits_, keys.circuit);
+  Entry<SuiteArtifacts>& s = slot(suites_, keys.suite);
+  Entry<SalvageResult>& v = slot(salvages_, keys.salvage);
+  ++c.pending;
+  ++s.pending;
+  ++v.pending;
+  c.counted = s.counted = v.counted = true;
+}
+
+void ArtifactStore::release(const ArtifactKeys& keys) {
+  // Freed entries are destroyed after the lock drops, in reverse declaration
+  // order: salvage, then suite, then the circuit the suite points into.
+  std::unique_ptr<Entry<CircuitArtifacts>> circuit;
+  std::unique_ptr<Entry<SuiteArtifacts>> suite;
+  std::unique_ptr<Entry<SalvageResult>> salvage;
+  MutexLock lk(mu_);
+  circuit = unref(circuits_, keys.circuit);
+  suite = unref(suites_, keys.suite);
+  salvage = unref(salvages_, keys.salvage);
 }
 
 std::size_t ArtifactStore::circuit_count() const {
@@ -119,6 +205,11 @@ std::size_t ArtifactStore::circuit_count() const {
 std::size_t ArtifactStore::suite_count() const {
   MutexLock lk(mu_);
   return suites_.size();
+}
+
+std::size_t ArtifactStore::salvage_count() const {
+  MutexLock lk(mu_);
+  return salvages_.size();
 }
 
 }  // namespace tz

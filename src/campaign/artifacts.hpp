@@ -1,12 +1,13 @@
 // Campaign artifact layer: build-once, share-everywhere flow inputs.
 //
-// A campaign is a (circuit × HT descriptor × seed × defender config) sweep —
-// thousands of jobs, but only a handful of distinct circuits and a modest
-// number of distinct (circuit, defender config, seed) suites. Before this
-// layer every job re-ran make_benchmark, re-analyzed power, regenerated the
-// ATPG suite and re-simulated it into SuiteOracle's row cache from scratch;
-// all of that is a pure function of the job's key, so the ArtifactStore
-// memoizes it at two tiers:
+// A campaign is a (circuit × HT descriptor × seed × defender config × Pth ×
+// order) sweep — thousands of jobs, but only a handful of distinct circuits,
+// a modest number of distinct (circuit, defender config, seed) suites and few
+// distinct salvage inputs. Before this layer every job re-ran make_benchmark,
+// re-analyzed power, regenerated the ATPG suite, re-simulated it into
+// SuiteOracle's row cache and re-ran Algorithm 1 from scratch; all of that is
+// a pure function of the job's key, so the ArtifactStore memoizes it at three
+// tiers:
 //
 //  - Circuit tier (keyed by make_benchmark name): the synthesis-clean
 //    netlist exactly as make_benchmark emits it (order-sensitive consumers —
@@ -16,16 +17,29 @@
 //
 //  - Suite tier (keyed by circuit + a TestGenOptions fingerprint): the
 //    defender suite and a fully built SuiteOracle on the circuit's netlist —
-//    the compiled EvalPlan and the fused golden simulation rows. Jobs clone
-//    the oracle copy-on-write (SuiteOracle's seeded constructor deep-copies
-//    the plan and rows; the shared entry is never mutated).
+//    the compiled EvalPlan and the fused golden simulation rows. Salvage
+//    clones the oracle copy-on-write (SuiteOracle's seeded constructor
+//    deep-copies the plan and rows; the shared entry is never mutated).
 //
-// Thread safety: any number of jobs may call get_circuit / get_suite
-// concurrently. The store uses one mutex for the maps plus a per-entry
-// build mutex, so two different keys build in parallel while two racing
-// requests for the same key build it exactly once. Handed-out references
-// stay valid for the life of the store (entries are never evicted; a
-// campaign's working set is its distinct keys, which is small by design).
+//  - Salvage tier (keyed by suite key + Pth + visit order + include_outputs):
+//    Algorithm 1's SalvageResult, N' plus its records, built once through
+//    FlowEngine::salvage on the suite tier. The HT shape only enters
+//    Algorithm 2, so jobs that differ in counter bits or trigger width share
+//    one entry and go straight to insertion. Thread counts are not part of
+//    the key: salvage is bit-identical at every thread count.
+//
+// Thread safety: any number of jobs may call the get_* lookups concurrently.
+// The store uses one mutex for the maps plus a per-entry build mutex, so two
+// different keys build in parallel while two racing requests for the same key
+// build it exactly once.
+//
+// Lifetimes are job-counted. A driver that knows its job list retain()s each
+// job's three entries before fan-out, and every job release()s them when it
+// ends, by return or by throw; an entry is freed as soon as its count drops
+// to zero, so a campaign holds only the entries its in-flight and upcoming
+// jobs still need. An entry that was never retained (a store used without a
+// job list) lives, and its handed-out references stay valid, as long as the
+// store. A retained entry may be used only by the jobs it was retained for.
 #pragma once
 
 #include <cstdint>
@@ -35,6 +49,7 @@
 
 #include "atpg/test_set.hpp"
 #include "core/flow_engine.hpp"
+#include "core/salvage.hpp"
 #include "netlist/netlist.hpp"
 #include "tech/power_model.hpp"
 #include "util/thread_safety.hpp"
@@ -69,7 +84,16 @@ struct SharedArtifacts {
   const CircuitArtifacts* circuit = nullptr;
   const SuiteArtifacts* defender = nullptr;
   const PowerModel* pm = nullptr;  ///< The store's shared model.
-  FlowSharedInputs shared;  ///< Points into the two entries above.
+  /// Algorithm 1's shared result (tier 3). Null: the job runs salvage itself.
+  const SalvageResult* salvage = nullptr;
+  FlowSharedInputs shared;  ///< Points into the circuit and suite entries.
+};
+
+/// The store keys of one job's three entries — what retain/release count.
+struct ArtifactKeys {
+  std::string circuit;  ///< Tier 1: the make_benchmark name.
+  std::string suite;    ///< Tier 2: circuit + testgen fingerprint.
+  std::string salvage;  ///< Tier 3: suite key + salvage options.
 };
 
 class ArtifactStore {
@@ -94,37 +118,71 @@ class ArtifactStore {
   const SuiteArtifacts& get_suite(const std::string& circuit,
                                   const TestGenOptions& opt);
 
-  /// Convenience: both tiers + a wired FlowSharedInputs.
-  SharedArtifacts get_job_inputs(const std::string& circuit,
-                                 const TestGenOptions& testgen);
+  /// Tier-3 lookup: runs FlowEngine::salvage(`opt`) once on the tier-2
+  /// inputs for this circuit/defender and returns the shared result —
+  /// bit-identical to the salvage a job would run itself. `opt.threads`
+  /// steers the one build and is not part of the key.
+  const SalvageResult& get_salvage(const std::string& circuit,
+                                   const TestGenOptions& testgen,
+                                   const SalvageOptions& opt);
 
-  /// Number of built entries (observability + tests).
+  /// Convenience: all three tiers + a wired FlowSharedInputs.
+  SharedArtifacts get_job_inputs(const std::string& circuit,
+                                 const TestGenOptions& testgen,
+                                 const SalvageOptions& salvage);
+
+  /// Registers one pending job on each of its three entries (creating them
+  /// unbuilt when absent). Call for every job before any of them runs.
+  void retain(const ArtifactKeys& keys);
+
+  /// One retained job ended: drops its count on each entry and frees every
+  /// entry whose count reaches zero. No-op for an entry never retained.
+  void release(const ArtifactKeys& keys);
+
+  /// Number of live entries per tier (observability + tests).
   std::size_t circuit_count() const;
   std::size_t suite_count() const;
+  std::size_t salvage_count() const;
 
  private:
-  struct CircuitEntry {
+  template <class T>
+  struct Entry {
     Mutex build_mu;
     bool built TZ_GUARDED_BY(build_mu) = false;
-    CircuitArtifacts art;
+    T art;
+    // Job-counted lifetime, guarded by the store's mu_: `counted` once
+    // retained, then freed when `pending` drops back to zero.
+    std::size_t pending = 0;
+    bool counted = false;
   };
-  struct SuiteEntry {
-    Mutex build_mu;
-    bool built TZ_GUARDED_BY(build_mu) = false;
-    SuiteArtifacts art;
-  };
+  /// Node-stable map: references into entries survive later insertions.
+  template <class T>
+  using Tier = std::map<std::string, std::unique_ptr<Entry<T>>>;
+
+  /// The entry for `key`, created unbuilt when absent. Caller holds mu_.
+  template <class T>
+  static Entry<T>& slot(Tier<T>& tier, const std::string& key);
+  /// Runs `build` on the entry's artifact exactly once across threads.
+  template <class T, class Build>
+  static const T& build_once(Entry<T>& entry, Build&& build);
+  /// Drops one count; returns the entry to free at zero. Caller holds mu_.
+  template <class T>
+  static std::unique_ptr<Entry<T>> unref(Tier<T>& tier, const std::string& key);
 
   PowerModel pm_;
   mutable Mutex mu_;
-  /// node-stable maps: references into entries survive later insertions.
-  std::map<std::string, std::unique_ptr<CircuitEntry>> circuits_
-      TZ_GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<SuiteEntry>> suites_
-      TZ_GUARDED_BY(mu_);
+  Tier<CircuitArtifacts> circuits_ TZ_GUARDED_BY(mu_);
+  Tier<SuiteArtifacts> suites_ TZ_GUARDED_BY(mu_);
+  Tier<SalvageResult> salvages_ TZ_GUARDED_BY(mu_);
 };
 
 /// Stable fingerprint of every TestGenOptions field that changes the
-/// generated suite — the tier-2 cache key and part of the job id.
+/// generated suite — part of the tier-2 cache key and of the job id.
 std::string testgen_fingerprint(const TestGenOptions& opt);
+
+/// The three store keys of a job on `circuit` with these resolved options.
+ArtifactKeys artifact_keys(const std::string& circuit,
+                           const TestGenOptions& testgen,
+                           const SalvageOptions& salvage);
 
 }  // namespace tz

@@ -3,6 +3,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <ostream>
 #include <stdexcept>
 #include <unordered_map>
@@ -260,6 +261,36 @@ void build_assignment(const std::vector<JobSpec>& jobs,
   }
 }
 
+/// Registers one pending job's artifact entries with `store` (call for every
+/// job before fan-out) and returns its keys. A spec whose keys cannot be
+/// computed (an unknown defender) stays unregistered: it throws the same
+/// error inside its own job, before touching any entry, and becomes an error
+/// row there.
+std::optional<ArtifactKeys> retain_job(ArtifactStore& store,
+                                       const JobSpec& spec) {
+  try {
+    ArtifactKeys keys = spec.artifact_keys();
+    store.retain(keys);
+    return keys;
+  } catch (const std::exception&) {
+    return std::nullopt;
+  }
+}
+
+/// run_flow_job, then release the job's registered entries — also when the
+/// job throws.
+FlowResult run_retained_job(const JobSpec& spec, ArtifactStore& store,
+                            const std::optional<ArtifactKeys>& keys) {
+  struct Release {
+    ArtifactStore& store;
+    const std::optional<ArtifactKeys>& keys;
+    ~Release() {
+      if (keys) store.release(*keys);
+    }
+  } release{store, keys};
+  return run_flow_job(spec, store);
+}
+
 }  // namespace
 
 // ------------------------------------------------------------------- run
@@ -334,6 +365,9 @@ CampaignRunStats run_campaign(const CampaignGrid& grid,
   if (pending.empty()) return stats;
 
   ArtifactStore store;
+  std::vector<std::optional<ArtifactKeys>> keys;
+  keys.reserve(pending.size());
+  for (const std::size_t i : pending) keys.push_back(retain_job(store, jobs[i]));
   Mutex io_mu;
   ThreadPool pool(opt.threads);
   pool.parallel_for(
@@ -345,7 +379,7 @@ CampaignRunStats run_campaign(const CampaignGrid& grid,
         row.set("spec", spec.to_json());
         bool failed = false;
         try {
-          const FlowResult r = run_flow_job(spec, store);
+          const FlowResult r = run_retained_job(spec, store, keys[k]);
           row.set("result", flow_result_to_json(r));
         } catch (const std::exception& e) {
           row.set("error", std::string(e.what()));
@@ -487,12 +521,21 @@ bool campaign_status(const CampaignGrid& grid, const std::string& dir,
 
 std::vector<FlowResult> run_campaign_in_memory(const CampaignGrid& grid,
                                                std::size_t threads) {
+  ArtifactStore store;
+  return run_campaign_in_memory(grid, threads, store);
+}
+
+std::vector<FlowResult> run_campaign_in_memory(const CampaignGrid& grid,
+                                               std::size_t threads,
+                                               ArtifactStore& store) {
   const std::vector<JobSpec> jobs = grid.expand();
   std::vector<FlowResult> results(jobs.size());
-  ArtifactStore store;
+  std::vector<std::optional<ArtifactKeys>> keys;
+  keys.reserve(jobs.size());
+  for (const JobSpec& j : jobs) keys.push_back(retain_job(store, j));
   ThreadPool pool(threads);
   pool.parallel_for(jobs.size(), [&](std::size_t i, std::size_t /*worker*/) {
-    const FlowResult r = run_flow_job(jobs[i], store);
+    const FlowResult r = run_retained_job(jobs[i], store, keys[i]);
     // Round-trip through the wire format: the benches print exactly what a
     // merged campaign artifact reproduces.
     results[i] = flow_result_from_json(Json::parse(flow_result_to_json(r).dump()));

@@ -99,7 +99,8 @@ std::string shard_file(const std::string& dir, std::size_t index,
 /// Run this process's shard of the campaign: expand, skip checkpointed
 /// jobs, fan the rest out on the thread pool, append one JSONL row per job.
 /// A job that throws is recorded as an error row (and counted in `failed`)
-/// rather than aborting the shard.
+/// rather than aborting the shard. The pending jobs' artifact entries are
+/// retained before fan-out, so each is freed when its last job ends.
 CampaignRunStats run_campaign(const CampaignGrid& grid,
                               const CampaignOptions& opt);
 
@@ -126,6 +127,13 @@ bool campaign_status(const CampaignGrid& grid, const std::string& dir,
 /// and return the results in canonical grid order.
 std::vector<FlowResult> run_campaign_in_memory(const CampaignGrid& grid,
                                                std::size_t threads = 0);
+
+/// The same on a caller's store. Every job's entries are retained before
+/// fan-out and released as the job ends, so once every job has run, the
+/// entries this grid retained are gone from the store.
+std::vector<FlowResult> run_campaign_in_memory(const CampaignGrid& grid,
+                                               std::size_t threads,
+                                               ArtifactStore& store);
 
 /// Parse a merged campaign artifact back into (spec, result) rows in
 /// artifact order. Error rows come back with a default FlowResult and the

@@ -54,18 +54,25 @@ struct JobSpec {
   /// resolved thresholds, per-job threads).
   FlowOptions flow_options() const;
 
+  /// The three ArtifactStore entries run_flow_job(spec, store) uses — what
+  /// a driver retains before fan-out. Throws like testgen().
+  ArtifactKeys artifact_keys() const;
+
   Json to_json() const;       ///< Resolved fields, canonical member order.
   static JobSpec from_json(const Json& j);
 };
 
 /// Run one flow job against shared artifacts. Pure: reads `arts` const-only
-/// (the oracle seed is deep-copied by the engine), stamps FlowResult::meta
-/// (circuit, seed, gate counts, engine modes, wall time) and never touches
-/// global state. Bit-identical to the legacy run_trojanzero_flow for the
-/// same resolved options.
+/// (the oracle seed is deep-copied by the engine; a shared salvage result is
+/// copied into the FlowResult and feeds insertion directly), stamps
+/// FlowResult::meta (circuit, seed, gate counts, engine modes, wall time)
+/// and never touches global state. Bit-identical to the legacy
+/// run_trojanzero_flow for the same resolved options.
 FlowResult run_flow_job(const JobSpec& spec, const SharedArtifacts& arts);
 
-/// Convenience: resolve the spec's artifacts from `store`, then run.
+/// Convenience: resolve the spec's artifacts (all three tiers) from
+/// `store`, then run. The job's wall_ms includes that acquisition, so the
+/// job that builds a suite or salvage entry is charged for it.
 FlowResult run_flow_job(const JobSpec& spec, ArtifactStore& store);
 
 /// FlowResult wire format. Netlists are not serialized (see file comment);

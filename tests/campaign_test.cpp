@@ -1,6 +1,7 @@
 // Campaign engine tests (src/campaign/): the deterministic JSON wire
 // format, JobSpec identity/resolution, the artifact layer's shared-vs-cold
-// bit-identity, grid expansion + sharding, the checkpoint/resume/merge
+// bit-identity, salvage-tier sharing and job-counted entry lifetimes, grid
+// expansion + sharding, the checkpoint/resume/merge
 // byte-identity contract across shard and thread counts (including a
 // simulated mid-shard kill with a torn trailing line), the CampaignChecker
 // corruption tests (one per Camp* CheckId), and the cgroup CPU-quota
@@ -35,13 +36,6 @@ fs::path scratch_dir(const std::string& name) {
   fs::remove_all(dir);
   fs::create_directories(dir);
   return dir;
-}
-
-std::string read_file(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
 }
 
 // The small multi-circuit grid the scheduler tests sweep: two circuits so
@@ -173,22 +167,85 @@ TEST(CampaignArtifacts, StoreBuildsOnceAndSharesAcrossJobs) {
   EXPECT_EQ(store.suite_count(), 2u);
 }
 
+TEST(CampaignArtifacts, SalvageTierSharedAcrossHtShapes) {
+  // Algorithm 1 sees N, the suite, Pth and the visit order; the HT shape
+  // only enters Algorithm 2, and threads never change a result.
+  ArtifactStore store;
+  JobSpec a;
+  a.circuit = "c432";
+  JobSpec b = a;
+  b.counter_bits = 2;
+  b.trigger_width = 4;
+  b.threads = 2;
+  EXPECT_EQ(a.artifact_keys().salvage, b.artifact_keys().salvage);
+  run_flow_job(a, store);
+  run_flow_job(b, store);
+  EXPECT_EQ(store.suite_count(), 1u);
+  EXPECT_EQ(store.salvage_count(), 1u);
+  JobSpec c = a;
+  c.pth = 0.995;
+  run_flow_job(c, store);
+  EXPECT_EQ(store.salvage_count(), 2u);
+  JobSpec d = a;
+  d.order = 'l';
+  run_flow_job(d, store);
+  EXPECT_EQ(store.salvage_count(), 3u);
+  EXPECT_EQ(store.suite_count(), 1u);
+}
+
+TEST(CampaignArtifacts, RetainedEntriesLiveUntilTheirLastJob) {
+  ArtifactStore store;
+  JobSpec a;
+  a.circuit = "c17";
+  JobSpec b = a;
+  b.trigger_width = 3;  // same three entries
+  const ArtifactKeys ka = a.artifact_keys();
+  const ArtifactKeys kb = b.artifact_keys();
+  store.retain(ka);
+  store.retain(kb);
+  run_flow_job(a, store);
+  store.release(ka);
+  EXPECT_EQ(store.salvage_count(), 1u);  // b is still pending
+  run_flow_job(b, store);
+  store.release(kb);
+  EXPECT_EQ(store.circuit_count(), 0u);
+  EXPECT_EQ(store.suite_count(), 0u);
+  EXPECT_EQ(store.salvage_count(), 0u);
+
+  // Entries never retained live as long as the store.
+  run_flow_job(a, store);
+  store.release(ka);
+  EXPECT_EQ(store.circuit_count(), 1u);
+  EXPECT_EQ(store.suite_count(), 1u);
+  EXPECT_EQ(store.salvage_count(), 1u);
+}
+
 TEST(CampaignArtifacts, SharedJobBitIdenticalToColdFlow) {
   // The core artifact-layer contract: a job run against the shared store
-  // (seeded oracle, cached suite/netlist/power) produces byte-for-byte the
-  // same wire row as the legacy cold path with the same resolved options.
+  // (seeded oracle, cached suite/netlist/power, shared salvage) produces
+  // byte-for-byte the same wire row as the legacy cold path with the same
+  // resolved options — also for a second HT shape on the warm salvage entry.
   for (const char* name : {"c17", "c432"}) {
-    JobSpec s;
-    s.circuit = name;
-    ArtifactStore store;
-    run_flow_job(s, store);  // warm the store so the second run shares
-    FlowResult shared = run_flow_job(s, store);
-    FlowResult cold = run_trojanzero_flow(name, s.flow_options());
-    shared.meta.wall_ms = 0.0;
-    cold.meta.wall_ms = 0.0;
-    EXPECT_EQ(flow_result_to_json(shared).dump(),
-              flow_result_to_json(cold).dump())
-        << name;
+    for (const char order : {'p', 'l'}) {
+      JobSpec s;
+      s.circuit = name;
+      s.order = order;
+      JobSpec other = s;
+      other.counter_bits = 2;
+      other.trigger_width = 3;
+      ArtifactStore store;
+      run_flow_job(s, store);  // warm the store so the next runs share
+      for (const JobSpec& job : {s, other}) {
+        FlowResult shared = run_flow_job(job, store);
+        FlowResult cold = run_trojanzero_flow(name, job.flow_options());
+        shared.meta.wall_ms = 0.0;
+        cold.meta.wall_ms = 0.0;
+        EXPECT_EQ(flow_result_to_json(shared).dump(),
+                  flow_result_to_json(cold).dump())
+            << job.id();
+      }
+      EXPECT_EQ(store.salvage_count(), 1u) << name << " " << order;
+    }
   }
 }
 
@@ -409,6 +466,38 @@ TEST(CampaignDriver, InMemoryCampaignMatchesCheckpointedRows) {
     EXPECT_EQ(flow_result_to_json(a).dump(),
               flow_result_to_json(rows[i].result).dump());
   }
+}
+
+TEST(CampaignDriver, RetainedEntriesFreedWhenTheirJobsEnd) {
+  // Four workers share 4 suites and 8 salvage entries across 16 jobs; every
+  // entry is retained before fan-out and freed with its last job.
+  CampaignGrid grid = small_grid();
+  grid.counter_bits = {2, 3};
+  grid.orders = {'p', 'l'};
+  ArtifactStore store;
+  const std::vector<FlowResult> four = run_campaign_in_memory(grid, 4, store);
+  EXPECT_EQ(store.circuit_count(), 0u);
+  EXPECT_EQ(store.suite_count(), 0u);
+  EXPECT_EQ(store.salvage_count(), 0u);
+
+  const std::vector<FlowResult> one = run_campaign_in_memory(grid, 1);
+  ASSERT_EQ(four.size(), one.size());
+  for (std::size_t i = 0; i < one.size(); ++i) {
+    FlowResult a = four[i];
+    FlowResult b = one[i];
+    a.meta.wall_ms = 0.0;
+    b.meta.wall_ms = 0.0;
+    EXPECT_EQ(flow_result_to_json(a).dump(), flow_result_to_json(b).dump())
+        << i;
+  }
+
+  // A job that throws inside its build still releases its entries.
+  CampaignGrid bad = grid;
+  bad.circuits = {"c17", "no_such_circuit"};
+  EXPECT_THROW(run_campaign_in_memory(bad, 4, store), std::exception);
+  EXPECT_EQ(store.circuit_count(), 0u);
+  EXPECT_EQ(store.suite_count(), 0u);
+  EXPECT_EQ(store.salvage_count(), 0u);
 }
 
 // ------------------------------------------- CampaignChecker corruption
