@@ -81,8 +81,8 @@ template <class T>
 std::unique_ptr<ArtifactStore::Entry<T>> ArtifactStore::unref(
     Tier<T>& tier, const std::string& key) {
   const auto it = tier.find(key);
-  // A counted entry always has pending > 0: it is erased when it hits zero.
-  if (it == tier.end() || !it->second->counted ||
+  // pending == 0: never retained (a retained entry is erased at zero).
+  if (it == tier.end() || it->second->pending == 0 ||
       --it->second->pending != 0) {
     return nullptr;
   }
@@ -182,7 +182,6 @@ void ArtifactStore::retain(const ArtifactKeys& keys) {
   ++c.pending;
   ++s.pending;
   ++v.pending;
-  c.counted = s.counted = v.counted = true;
 }
 
 void ArtifactStore::release(const ArtifactKeys& keys) {

@@ -150,10 +150,10 @@ class ArtifactStore {
     Mutex build_mu;
     bool built TZ_GUARDED_BY(build_mu) = false;
     T art;
-    // Job-counted lifetime, guarded by the store's mu_: `counted` once
-    // retained, then freed when `pending` drops back to zero.
+    /// Retained jobs yet to release it, guarded by the store's mu_. The
+    /// entry is freed when a release brings this back to zero; 0 from the
+    /// start means never retained, so the entry lives as long as the store.
     std::size_t pending = 0;
-    bool counted = false;
   };
   /// Node-stable map: references into entries survive later insertions.
   template <class T>
