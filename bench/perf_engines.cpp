@@ -389,7 +389,9 @@ struct FlowFixture {
   tz::SalvageResult salvage;
 };
 
-const FlowFixture& flow_fixture(const std::string& name) {
+// `pth` = 0 takes the Table I threshold, which only the ISCAS-class
+// circuits carry.
+const FlowFixture& flow_fixture(const std::string& name, double pth = 0.0) {
   static std::map<std::string, FlowFixture> cache;
   auto it = cache.find(name);
   if (it == cache.end()) {
@@ -397,26 +399,35 @@ const FlowFixture& flow_fixture(const std::string& name) {
     f.nl = tz::make_benchmark(name);
     f.suite =
         tz::make_defender_suite(f.nl, tz::FlowOptions::atpg_only_defender());
-    f.sopt.pth = tz::spec_for(name).pth;
+    f.sopt.pth = pth > 0.0 ? pth : tz::spec_for(name).pth;
     f.salvage = tz::salvage_power_area(f.nl, f.suite, f.pm, f.sopt);
     it = cache.emplace(name, std::move(f)).first;
   }
   return it->second;
 }
 
-void BM_SalvageFlow(benchmark::State& state, const std::string& name) {
-  const FlowFixture& f = flow_fixture(name);
+void BM_SalvageFlow(benchmark::State& state, const std::string& name,
+                    double pth, std::size_t threads) {
+  const FlowFixture& f = flow_fixture(name, pth);
+  tz::SalvageOptions sopt = f.sopt;
+  sopt.threads = threads;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        tz::salvage_power_area(f.nl, f.suite, f.pm, f.sopt));
+    benchmark::DoNotOptimize(tz::salvage_power_area(f.nl, f.suite, f.pm, sopt));
   }
 }
-BENCHMARK_CAPTURE(BM_SalvageFlow, c880, "c880")
+BENCHMARK_CAPTURE(BM_SalvageFlow, c880, "c880", 0.0, 0)
     ->Unit(benchmark::kMillisecond);
 // >2k-gate array-multiplier stress: dense arithmetic where the defender's
 // coverage leaves almost nothing salvageable — the oracle still has to judge
 // every candidate cone.
-BENCHMARK_CAPTURE(BM_SalvageFlow, c6288, "c6288")
+BENCHMARK_CAPTURE(BM_SalvageFlow, c6288, "c6288", 0.0, 0)
+    ->Unit(benchmark::kMillisecond);
+// The commit-heavy case (ht-sweep's first circuit at its lowest threshold):
+// ~21.5k gates and thousands of accepted ties, so the per-commit cost of the
+// tie sweep and plan patch shows; c6288 accepts none. One thread, as in a
+// campaign job: with most candidates accepted, a parallel screen discards
+// nearly every batch.
+BENCHMARK_CAPTURE(BM_SalvageFlow, wallace48, "wallace48", 0.99, 1)
     ->Unit(benchmark::kMillisecond);
 
 // Same salvage with the tz::verify flow-boundary checks forced on: every
@@ -441,23 +452,31 @@ BENCHMARK_CAPTURE(BM_SalvageFlowChecked, c880, "c880")
     ->Unit(benchmark::kMillisecond);
 
 void BM_InsertTrojan(benchmark::State& state, const std::string& name,
-                     tz::InsertionOptions iopt) {
-  const FlowFixture& f = flow_fixture(name);
+                     double pth, tz::InsertionOptions iopt) {
+  const FlowFixture& f = flow_fixture(name, pth);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         tz::insert_trojan(f.nl, f.salvage, f.suite, f.pm, iopt));
   }
 }
-BENCHMARK_CAPTURE(BM_InsertTrojan, c880, "c880",
+BENCHMARK_CAPTURE(BM_InsertTrojan, c880, "c880", 0.0,
                   tz::InsertionOptions{.library = {tz::counter_trojan(3),
                                                   tz::counter_trojan(2)}})
     ->Unit(benchmark::kMillisecond);
 // The multiplier's signal probabilities hug 0.5, so the rare-net cut is
 // relaxed to give the trigger search a real pool to walk.
-BENCHMARK_CAPTURE(BM_InsertTrojan, c6288, "c6288",
+BENCHMARK_CAPTURE(BM_InsertTrojan, c6288, "c6288", 0.0,
                   tz::InsertionOptions{.library = {tz::counter_trojan(5),
                                                   tz::counter_trojan(3)},
                                        .rare_p1 = 0.25})
+    ->Unit(benchmark::kMillisecond);
+// Insertion into wallace48's salvaged slack, where dummy balancing may
+// commit up to max_dummy_gates (256) gates, each judged on the tracker's
+// totals.
+BENCHMARK_CAPTURE(BM_InsertTrojan, wallace48, "wallace48", 0.99,
+                  tz::InsertionOptions{.library = {tz::counter_trojan(3),
+                                                  tz::counter_trojan(2)},
+                                       .threads = 1})
     ->Unit(benchmark::kMillisecond);
 
 // Parallel per-victim screening scan on the multiplier stress: the suite

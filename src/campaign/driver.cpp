@@ -1,5 +1,6 @@
 #include "campaign/driver.hpp"
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -197,57 +198,58 @@ std::string shard_file(const std::string& dir, std::size_t index,
 namespace {
 
 struct ShardFileContent {
-  std::vector<std::string> row_ids;    ///< "" = unparseable row.
-  std::vector<std::string> row_texts;  ///< Raw line per parseable row.
+  std::vector<std::string> row_ids;  ///< "" = unparseable row.
   std::size_t good_bytes = 0;  ///< Prefix length covering intact lines.
   bool torn_tail = false;      ///< Last line incomplete/unparseable.
 };
 
-/// Parse one shard checkpoint. Every intact row contributes its id; a
+/// Stream one shard checkpoint line by line, parsing each row once. Every
+/// intact row contributes its id and is handed to `on_row(id, row)`; a
 /// malformed or truncated final line sets torn_tail (a killed writer can
 /// leave at most one partial row — per-row flush keeps the prefix intact).
 /// A malformed line in the middle is recorded with the "" sentinel so the
 /// checker can indict the file.
-ShardFileContent read_shard_file(const std::string& path) {
+template <class OnRow>
+ShardFileContent read_shard_file(const std::string& path, OnRow&& on_row) {
   ShardFileContent out;
   std::ifstream in(path, std::ios::binary);
   if (!in) return out;
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
+  std::string line;
   std::size_t pos = 0;
-  while (pos < text.size()) {
-    const std::size_t nl = text.find('\n', pos);
-    const bool complete = nl != std::string::npos;
-    const std::string_view line(text.data() + pos,
-                                (complete ? nl : text.size()) - pos);
-    const std::size_t line_end = complete ? nl + 1 : text.size();
-    bool parsed = false;
+  while (std::getline(in, line)) {
+    const bool complete = !in.eof();
+    const std::size_t line_end = pos + line.size() + (complete ? 1 : 0);
+    const bool last =
+        !complete || in.peek() == std::ifstream::traits_type::eof();
+    std::optional<Json> row;
     std::string id;
     if (!line.empty()) {
       try {
-        const Json row = Json::parse(line);
-        id = row.get("id").as_string();
-        parsed = true;
+        row = Json::parse(line);
+        id = row->get("id").as_string();
       } catch (const std::exception&) {
-        parsed = false;
+        row.reset();
       }
     }
-    if (parsed && complete) {
-      out.row_ids.push_back(id);
-      out.row_texts.emplace_back(line);
+    if (row && complete) {
+      on_row(id, *row);
+      out.row_ids.push_back(std::move(id));
       out.good_bytes = line_end;
-    } else if (!complete || line_end == text.size()) {
+    } else if (last) {
       // Trailing partial/garbled line: the torn tail resume truncates.
       out.torn_tail = true;
     } else {
       // Mid-file garbage is not a torn tail — surface it to the checker.
       out.row_ids.emplace_back();
-      out.row_texts.emplace_back();
       out.good_bytes = line_end;
     }
     pos = line_end;
   }
   return out;
+}
+
+ShardFileContent read_shard_file(const std::string& path) {
+  return read_shard_file(path, [](const std::string&, Json&) {});
 }
 
 void build_assignment(const std::vector<JobSpec>& jobs,
@@ -409,51 +411,69 @@ std::string merge_campaign(const CampaignGrid& grid, const std::string& dir,
   std::vector<std::size_t> assign;
   build_assignment(jobs, shard_count, ids, assign);
 
+  // One canonical row per job id ("" = not seen yet); the first row of an id
+  // recorded twice wins, and the checker below flags the duplicate.
+  std::unordered_map<std::string_view, std::size_t> slot_of;
+  slot_of.reserve(ids.size());
+  std::vector<std::size_t> job_slot(ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    job_slot[i] = slot_of.emplace(ids[i], slot_of.size()).first->second;
+  }
+  std::vector<std::string> slots(slot_of.size());
   std::vector<std::vector<std::string>> shard_row_ids(shard_count);
-  std::unordered_map<std::string, std::string> row_by_id;
-  row_by_id.reserve(jobs.size());
   for (std::size_t s = 0; s < shard_count; ++s) {
     const std::string path = shard_file(dir, s, shard_count);
     if (!fs::exists(path)) {
       throw std::runtime_error("merge: missing shard file " + path);
     }
-    ShardFileContent content = read_shard_file(path);
+    ShardFileContent content =
+        read_shard_file(path, [&](const std::string& id, Json& row) {
+          const auto it = slot_of.find(id);
+          if (it == slot_of.end() || !slots[it->second].empty()) return;
+          // Canonicalize: zero the volatile wall-time so merged bytes do
+          // not depend on how fast this particular run was.
+          if (Json* res = row.find("result")) {
+            if (Json* meta = res->find("meta")) {
+              if (Json* wall = meta->find("wall_ms")) *wall = Json(0.0);
+            }
+          }
+          slots[it->second] = row.dump();
+        });
     if (content.torn_tail) {
       // A torn tail means that shard's campaign is still incomplete (or was
       // killed); report it as an unparseable row for the checker.
       content.row_ids.emplace_back();
     }
-    for (std::size_t r = 0; r < content.row_texts.size(); ++r) {
-      if (content.row_ids[r].empty()) continue;
-      // Canonicalize: re-parse and zero the volatile wall-time so merged
-      // bytes do not depend on how fast this particular run was.
-      Json row = Json::parse(content.row_texts[r]);
-      if (Json* res = row.find("result")) {
-        if (Json* meta = res->find("meta")) {
-          if (Json* wall = meta->find("wall_ms")) *wall = Json(0.0);
-        }
-      }
-      row_by_id.emplace(content.row_ids[r], row.dump());
-    }
     shard_row_ids[s] = std::move(content.row_ids);
   }
 
-  // Canonical artifact: header + rows in grid-expansion order.
-  std::string text;
+  // Canonical artifact: header + rows in grid-expansion order, built in one
+  // exact allocation while each row is freed as soon as it is copied.
   Json header = Json(JsonObject{});
   header.set("campaign", grid.to_json());
   header.set("jobs", jobs.size());
-  text += header.dump();
+  const std::string head = header.dump();
+  std::size_t bytes = head.size() + 1;
+  for (const std::size_t k : job_slot) {
+    if (!slots[k].empty()) bytes += slots[k].size() + 1;
+  }
+  std::string text;
+  text.reserve(bytes);
+  text += head;
   text.push_back('\n');
 
+  // A grid that expands an id twice fails the partition check below; its
+  // row is kept for every expansion so the merged-duplicate finding stays.
+  const bool unique_ids = slots.size() == ids.size();
   std::vector<std::string> merged_ids;
   merged_ids.reserve(jobs.size());
-  for (const std::string& id : ids) {
-    const auto it = row_by_id.find(id);
-    if (it == row_by_id.end()) continue;  // flagged below
-    merged_ids.push_back(id);
-    text += it->second;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    std::string& row = slots[job_slot[i]];
+    if (row.empty()) continue;  // flagged below
+    merged_ids.push_back(ids[i]);
+    text += row;
     text.push_back('\n');
+    if (unique_ids) std::string().swap(row);
   }
 
   // The merge always enforces the campaign invariants — an artifact with
@@ -545,6 +565,8 @@ std::vector<FlowResult> run_campaign_in_memory(const CampaignGrid& grid,
 
 std::vector<CampaignRow> parse_campaign_artifact(std::string_view text) {
   std::vector<CampaignRow> rows;
+  rows.reserve(static_cast<std::size_t>(
+      std::count(text.begin(), text.end(), '\n')));
   std::size_t pos = 0;
   bool first = true;
   while (pos < text.size()) {

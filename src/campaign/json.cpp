@@ -158,6 +158,8 @@ std::string Json::dump() const {
   std::string out;
   out.reserve(64);
   dump_to(out);
+  // Callers keep dumps (checkpoint and merged rows): drop the growth slack.
+  out.shrink_to_fit();
   return out;
 }
 

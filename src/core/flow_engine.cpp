@@ -454,9 +454,11 @@ SalvageResult FlowEngine::salvage(const SalvageOptions& opt) {
   // TZ_CHECK boundary checks: NetlistChecker after every commit/rollback,
   // PlanChecker (with the patched-vs-recompiled equivalence diff) whenever
   // the oracle holds a compiled plan. Captured once — the gate must not
-  // flip mid-flow.
+  // flip mid-flow. Salvage adds no dummies, so the netlist is held to the
+  // strict lint: a gate left unread means the cone sweep missed it, or the
+  // input broke tie_to_constant's no-unread-gate precondition.
   const bool chk = check_enabled();
-  const NetlistCheckOptions nopt{.allow_unread_gates = true};
+  const NetlistCheckOptions nopt{.allow_unread_gates = false};
 
   // Fold one accepted (invisible) candidate into the cache and the netlist.
   const auto accept = [&](const Candidate& c) {
@@ -637,8 +639,10 @@ std::size_t balance_with_dummies(Netlist& nl, PowerTracker& tracker,
       {GateType::Buf, false}, {GateType::Xor, false}, {GateType::Not, false},
   };
   std::vector<NodeId> fresh;
+  // totals() re-sums every row; after the first iteration the committed
+  // trial's totals are the same doubles, so they are carried over.
+  PowerReport now = tracker.totals();
   while (added < opt.max_dummy_gates) {
-    const PowerReport now = tracker.totals();
     const double dp = threshold.total_uw() - now.total_uw();
     const double dl = threshold.leakage_uw - now.leakage_uw;
     const double da = threshold.area_ge - now.area_ge;
@@ -663,8 +667,10 @@ std::size_t balance_with_dummies(Netlist& nl, PowerTracker& tracker,
         fresh.push_back(id);  // the dummy, plus the tie cell if just created
       }
       tracker.resync(fresh, {{src}});
-      if (caps_ok(tracker.totals(), threshold)) {
+      const PowerReport trial = tracker.totals();
+      if (caps_ok(trial, threshold)) {
         tracker.commit();
+        now = trial;
         placed = true;
         break;
       }

@@ -20,6 +20,28 @@ TrojanDesc counter_trojan(int bits, int trigger_width) {
   return {"counter-" + std::to_string(bits) + "bit", bits, trigger_width};
 }
 
+namespace {
+
+/// True when a path of combinational edges leads from `from` to `to`. DFF
+/// inputs end the search: a DFF output is a source within one cycle.
+bool drives_combinationally(const Netlist& nl, NodeId from, NodeId to) {
+  std::vector<char> seen(nl.raw_size(), 0);
+  std::vector<NodeId> stack{from};
+  while (!stack.empty()) {
+    const NodeId id = stack.back();
+    stack.pop_back();
+    if (id == to) return true;
+    for (NodeId r : nl.node(id).fanout) {
+      if (seen[r] || is_sequential(nl.node(r).type)) continue;
+      seen[r] = 1;
+      stack.push_back(r);
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
 InsertedHT build_trojan(Netlist& nl, const TrojanDesc& desc,
                         std::span<const NodeId> rare_nets, NodeId victim) {
   if (!nl.is_alive(victim) || nl.node(victim).fanout.empty()) {
@@ -97,7 +119,15 @@ InsertedHT build_trojan(Netlist& nl, const TrojanDesc& desc,
   // Transfer a primary-output marking of the victim to the payload.
   if (nl.is_output(victim)) nl.swap_output(victim, mux);
   ht.payload_mux = mux;
-  nl.check();
+  // Every new gate was arity-checked by add_gate, so the one defect the
+  // build can introduce is a combinational loop. A loop must run through
+  // the MUX's fire input, and with a counter that input comes from DFFs,
+  // which cut it; a combinational trigger closes one exactly when the MUX
+  // reaches trigger_in.
+  if (desc.counter_bits == 0 && drives_combinationally(nl, mux, ht.trigger_in)) {
+    throw std::runtime_error("build_trojan: payload '" + nl.node(victim).name +
+                             "' feeds its own trigger (combinational loop)");
+  }
   return ht;
 }
 

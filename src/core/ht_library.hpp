@@ -41,6 +41,9 @@ struct InsertedHT {
 /// Embed `desc` into `nl`: trigger from `rare_nets` (first trigger_width
 /// used), payload on `victim` (its readers are rewired to the MUX).
 /// The victim must be a live non-output node with at least one reader.
+/// Throws std::runtime_error, with the HT left in `nl`, when a combinational
+/// trigger taps the victim's fanout cone (the payload would close a loop);
+/// the check walks that cone only, not the whole netlist.
 InsertedHT build_trojan(Netlist& nl, const TrojanDesc& desc,
                         std::span<const NodeId> rare_nets, NodeId victim);
 

@@ -4,6 +4,9 @@
 #include <array>
 #include <cctype>
 #include <cstdint>
+#include <functional>
+#include <numeric>
+#include <queue>
 #include <span>
 #include <stdexcept>
 
@@ -258,19 +261,52 @@ void Netlist::restore_node(NodeId id) {
 }
 
 std::size_t Netlist::sweep_dead_gates(std::vector<NodeId>* removed_log) {
+  std::vector<NodeId> all(nodes_.size());
+  std::iota(all.begin(), all.end(), NodeId{0});
+  return sweep_dead_cone(all, removed_log);
+}
+
+std::size_t Netlist::sweep_dead_cone(std::span<const NodeId> seeds,
+                                     std::vector<NodeId>* removed_log) {
+  // Each pass visits its candidates in ascending id order, like one pass of
+  // a scan over every node. A fanin that loses its last reader lies ahead of
+  // the cursor (visited later in this pass) or behind it (next pass);
+  // queueing it accordingly reproduces the scan's removal set and order
+  // while touching only the dead cone.
+  std::vector<NodeId> pass(seeds.begin(), seeds.end());
+  std::vector<NodeId> next_pass;
+  std::priority_queue<NodeId, std::vector<NodeId>, std::greater<>> ahead;
   std::size_t removed = 0;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (NodeId i = 0; i < nodes_.size(); ++i) {
-      Node& n = nodes_[i];
-      if (n.dead || n.fanout.empty() == false) continue;
-      if (n.type == GateType::Input || is_output(i)) continue;
-      remove_node(i);
-      if (removed_log) removed_log->push_back(i);
-      ++removed;
-      changed = true;
+  while (!pass.empty()) {
+    if (!std::is_sorted(pass.begin(), pass.end())) {
+      std::sort(pass.begin(), pass.end());
     }
+    std::size_t i = 0;
+    while (i < pass.size() || !ahead.empty()) {
+      NodeId id;
+      if (!ahead.empty() && (i == pass.size() || ahead.top() < pass[i])) {
+        id = ahead.top();
+        ahead.pop();
+      } else {
+        id = pass[i++];
+      }
+      const Node& n = nodes_[id];
+      if (n.dead || !n.fanout.empty()) continue;
+      if (n.type == GateType::Input || is_output(id)) continue;
+      remove_node(id);
+      if (removed_log) removed_log->push_back(id);
+      ++removed;
+      for (NodeId f : n.fanin) {
+        if (!nodes_[f].fanout.empty()) continue;
+        if (f > id) {
+          ahead.push(f);
+        } else {
+          next_pass.push_back(f);
+        }
+      }
+    }
+    pass.swap(next_pass);
+    next_pass.clear();
   }
   return removed;
 }

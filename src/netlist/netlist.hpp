@@ -107,12 +107,20 @@ class Netlist {
   /// of removals, restore in reverse removal order.
   void restore_node(NodeId id);
 
-  /// Remove gates with no live readers that are not outputs, transitively.
-  /// Returns the number of gates removed. PIs and tie cells are never removed
-  /// (PIs are part of the interface; orphaned ties are swept). When `removed`
+  /// Remove nodes with no live readers that are not outputs, transitively.
+  /// Returns the number of nodes removed. PIs are never removed (they are
+  /// part of the interface); orphaned tie cells and DFFs are. When `removed`
   /// is given, the ids are appended in removal order (the order restore_node
-  /// undoes when walked backwards).
+  /// undoes when walked backwards). One O(V) scan plus O(log V) per removal.
   std::size_t sweep_dead_gates(std::vector<NodeId>* removed = nullptr);
+
+  /// sweep_dead_gates restricted to `seeds` and the fanin cone they free:
+  /// only seeds and nodes whose last reader the sweep removes are examined,
+  /// at O(cone log cone). The removal set and order equal sweep_dead_gates'
+  /// when the seeds cover every node the last edit left unread and the
+  /// netlist had no other unread node (PIs and outputs aside).
+  std::size_t sweep_dead_cone(std::span<const NodeId> seeds,
+                              std::vector<NodeId>* removed = nullptr);
 
   /// Get-or-create a tie cell of the given constant value.
   NodeId const_node(bool value);

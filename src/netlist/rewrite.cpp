@@ -35,8 +35,10 @@ TieResult tie_to_constant(Netlist& nl, NodeId target, bool value,
     undo->removed.push_back(target);
   }
   nl.rewire_and_remove(target, res.tie);
+  // The tombstone keeps its fanin: exactly the nodes the tie may orphan.
   res.gates_removed =
-      1 + nl.sweep_dead_gates(undo ? &undo->removed : nullptr);
+      1 + nl.sweep_dead_cone(nl.node(target).fanin,
+                             undo ? &undo->removed : nullptr);
   return res;
 }
 

@@ -41,6 +41,12 @@ struct TieUndo {
 /// logic 0/1"), then sweep the gates whose outputs are no longer read.
 /// `target` must be a combinational gate. When `undo` is given, the rewrite
 /// is recorded so undo_tie can revert it exactly.
+///
+/// The sweep walks only the target's dead fanin cone (Netlist::
+/// sweep_dead_cone), so a tie costs O(cone), not O(netlist). Precondition:
+/// no gate is unread before the tie (make_benchmark netlists are swept at
+/// generation, and each tie keeps it so); a gate left unread elsewhere is
+/// not removed.
 TieResult tie_to_constant(Netlist& nl, NodeId target, bool value,
                           TieUndo* undo = nullptr);
 

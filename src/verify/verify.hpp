@@ -120,9 +120,9 @@ struct VerifyReport {
 
 struct NetlistCheckOptions {
   /// Accept live combinational gates whose output is unread (skip NetOrphan).
-  /// The flows legitimately hold such gates mid-surgery (dummy balancing
-  /// gates are unread by design), so FlowEngine's boundary checks allow
-  /// them; the tz_check lint is strict by default.
+  /// Insertion legitimately holds such gates (dummy balancing gates are
+  /// unread by design), so its boundary checks allow them; salvage adds
+  /// none and stays strict, like the tz_check lint by default.
   bool allow_unread_gates = false;
 };
 

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -450,6 +451,67 @@ TEST(CampaignDriver, MergeOfIncompleteCampaignFailsTheChecker) {
       missing |= v.id == CheckId::CampMergeMissing;
     }
     EXPECT_TRUE(missing);
+  }
+}
+
+TEST(CampaignDriver, MergeReportsDamagedShardRows) {
+  // The merge streams the shard file; each kind of damage must still reach
+  // the checker as the finding it names.
+  CampaignGrid grid;
+  grid.name = "damage";
+  grid.circuits = {"c17"};
+  grid.seeds = {0, 11};
+  const fs::path dir = scratch_dir("damage");
+  CampaignOptions opt;
+  opt.out_dir = dir.string();
+  opt.threads = 1;
+  run_campaign(grid, opt);
+  const std::string path = shard_file(dir.string(), 0, 1);
+  std::string clean;
+  {
+    std::ifstream in(path, std::ios::binary);
+    clean.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  const std::size_t first_end = clean.find('\n') + 1;
+  const std::string first_row = clean.substr(0, first_end);
+  const std::string first_id = grid.expand()[0].id();
+  ASSERT_EQ(first_row.find("{\"id\":\"" + first_id + "\""), 0u);
+  const std::string unparseable = "shard 0 has an unparseable row";
+
+  const struct {
+    const char* what;
+    std::string text;
+    bool torn;  ///< Resume would truncate the last line.
+    std::vector<std::string> findings;
+  } cases[] = {
+      {"torn tail", clean + "{\"id\":\"torn", true, {unparseable}},
+      {"garbled last line", clean + "junk\n", true, {unparseable}},
+      {"mid-file garbage", first_row + "junk\n" + clean.substr(first_end),
+       false, {unparseable}},
+      {"duplicate row", clean + first_row, false,
+       {"row '" + first_id + "' recorded more than once"}},
+  };
+  for (const auto& c : cases) {
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << c.text;
+    }
+    std::ostringstream status;
+    campaign_status(grid, dir.string(), 1, status);
+    EXPECT_EQ(status.str().find("torn tail") != std::string::npos, c.torn)
+        << c.what;
+    try {
+      merge_campaign(grid, dir.string(), 1);
+      ADD_FAILURE() << c.what << ": merge must throw";
+    } catch (const VerifyError& e) {
+      std::vector<std::string> got;
+      for (const auto& v : e.report().violations) {
+        EXPECT_EQ(v.id, CheckId::CampShardRows) << c.what;
+        got.push_back(v.message);
+      }
+      EXPECT_EQ(got, c.findings) << c.what;
+    }
   }
 }
 

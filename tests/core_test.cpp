@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <random>
+#include <stdexcept>
+#include <vector>
 
 #include "core/insertion.hpp"
 #include "core/ht_library.hpp"
@@ -153,6 +156,60 @@ TEST(BuildTrojan, RejectsBadVictims) {
   EXPECT_ANY_THROW(build_trojan(nl, counter_trojan(0, 2), rare, nl.inputs()[0]));
   EXPECT_THROW(build_trojan(nl, counter_trojan(2, 5), rare, victim),
                std::invalid_argument);  // pool too small
+}
+
+TEST(BuildTrojan, LocalLoopCheckAgreesWithFullCheck) {
+  // build_trojan rejects a loop by walking the payload's fanout cone; the
+  // verdict must equal a whole-netlist Netlist::check() of the built HT.
+  // Half the trigger taps are drawn from the victim's own fanout cone so
+  // combinational triggers close real loops.
+  for (const char* name : {"c880", "rand1k"}) {
+    const Netlist base = make_benchmark(name);
+    const std::vector<NodeId> locations = payload_locations(base, 64);
+    std::vector<NodeId> gates;
+    for (NodeId id : base.live_nodes()) {
+      const GateType t = base.node(id).type;
+      if (is_combinational(t) && !is_const(t)) gates.push_back(id);
+    }
+    std::mt19937_64 rng(17);
+    int loops = 0, clean = 0;
+    for (int trial = 0; trial < 120; ++trial) {
+      const NodeId victim = locations[rng() % locations.size()];
+      const int bits = trial % 3;  // 0 = combinational trigger
+      const int width = 1 + static_cast<int>(rng() % 3);
+      const std::vector<char> down = downstream_mask(base, victim);
+      std::vector<NodeId> downstream;
+      for (NodeId id : gates) {
+        if (down[id] && id != victim) downstream.push_back(id);
+      }
+      std::vector<NodeId> taps;
+      for (int k = 0; k < width; ++k) {
+        const bool inside = !downstream.empty() && (rng() & 1) != 0;
+        taps.push_back(inside ? downstream[rng() % downstream.size()]
+                              : gates[rng() % gates.size()]);
+      }
+      Netlist nl = base;
+      bool rejected = false;
+      try {
+        build_trojan(nl, counter_trojan(bits, width), taps, victim);
+      } catch (const std::runtime_error&) {
+        rejected = true;
+      }
+      bool cyclic = false;
+      try {
+        nl.check();
+      } catch (const std::runtime_error&) {
+        cyclic = true;
+      }
+      EXPECT_EQ(rejected, cyclic) << name << " trial " << trial;
+      if (bits > 0) {
+        EXPECT_FALSE(rejected) << name << " trial " << trial;
+      }
+      ++(rejected ? loops : clean);
+    }
+    EXPECT_GT(loops, 0) << name;
+    EXPECT_GT(clean, 0) << name;
+  }
 }
 
 TEST(AddDummyGate, UnconnectedOutput) {

@@ -681,5 +681,28 @@ TEST(VerifyFlow, C880CommitsAreChecked) {
   EXPECT_TRUE(NetlistChecker::run(r.modified).ok());
 }
 
+TEST(VerifyFlow, SalvageCommitRejectsUnreadGate) {
+  // Salvage holds its netlist to the strict lint: tie_to_constant sweeps
+  // only the tied gate's dead cone, so an input that already carries an
+  // unread gate breaks its precondition and fails at the first commit.
+  Netlist original = make_benchmark("c880");
+  const DefenderSuite suite =
+      make_defender_suite(original, FlowOptions::atpg_only_defender());
+  original.add_gate(GateType::And, "unread",
+                    {original.inputs()[0], original.inputs()[1]});
+  const PowerModel pm(CellLibrary::tsmc65_like());
+  SalvageOptions sopt;
+  sopt.pth = spec_for("c880").pth;
+  CheckGuard on(1);
+  FlowEngine engine(original, suite, pm);
+  try {
+    engine.salvage(sopt);
+    FAIL() << "expected VerifyError";
+  } catch (const VerifyError& e) {
+    EXPECT_EQ(e.phase(), "salvage commit");
+    EXPECT_TRUE(e.report().has(CheckId::NetOrphan));
+  }
+}
+
 }  // namespace
 }  // namespace tz
