@@ -2,9 +2,11 @@
 // simulation, signal probability, fault simulation, PODEM, SAT equivalence
 // and the two TrojanZero algorithms.
 #include <benchmark/benchmark.h>
+#include <malloc.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -405,6 +407,48 @@ const FlowFixture& flow_fixture(const std::string& name, double pth = 0.0) {
   }
   return it->second;
 }
+
+/// Heap bytes in use (small-chunk arenas plus mmapped blocks).
+std::size_t heap_in_use() {
+  const struct mallinfo2 mi = mallinfo2();
+  return mi.uordblks + mi.hblkhd;
+}
+
+// The two netlist copies every campaign job pays: a deep copy (the salvage
+// work netlist's source, N'' from N') and compact(). copy_ms and compact_ms
+// split the iteration time; bytes_per_node is the heap one copy holds,
+// divided by its node count.
+void BM_NetlistCopy(benchmark::State& state, const std::string& name) {
+  const tz::Netlist nl = tz::make_benchmark(name);
+  double bytes = 0.0;
+  {
+    const std::size_t before = heap_in_use();
+    const tz::Netlist copy = nl;
+    bytes = static_cast<double>(heap_in_use() - before + sizeof(tz::Netlist));
+    benchmark::DoNotOptimize(copy.raw_size());
+  }
+  double copy_s = 0.0, compact_s = 0.0;
+  for (auto _ : state) {
+    const auto t0 = std::chrono::steady_clock::now();
+    tz::Netlist copy = nl;
+    benchmark::DoNotOptimize(copy.raw_size());
+    const auto t1 = std::chrono::steady_clock::now();
+    tz::Netlist dense = copy.compact();
+    benchmark::DoNotOptimize(dense.raw_size());
+    const auto t2 = std::chrono::steady_clock::now();
+    copy_s += std::chrono::duration<double>(t1 - t0).count();
+    compact_s += std::chrono::duration<double>(t2 - t1).count();
+  }
+  const double n = static_cast<double>(std::max<benchmark::IterationCount>(
+      state.iterations(), 1));
+  state.counters["copy_ms"] = 1e3 * copy_s / n;
+  state.counters["compact_ms"] = 1e3 * compact_s / n;
+  state.counters["bytes_per_node"] = bytes / static_cast<double>(nl.raw_size());
+}
+BENCHMARK_CAPTURE(BM_NetlistCopy, wallace48, "wallace48")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_NetlistCopy, rand5k, "rand5k")
+    ->Unit(benchmark::kMillisecond);
 
 void BM_SalvageFlow(benchmark::State& state, const std::string& name,
                     double pth, std::size_t threads) {

@@ -59,7 +59,7 @@ namespace tz {
 /// Per-circuit shared artifacts (tier 1).
 struct CircuitArtifacts {
   std::string name;
-  Netlist netlist;    ///< Exactly make_benchmark(name); jobs copy this as N.
+  Netlist netlist;    ///< Exactly make_benchmark(name); jobs read it as N.
   /// netlist.compact() — id-identical to the work netlist each job's
   /// salvage derives, the basis for the shared oracle's caches.
   Netlist compacted;

@@ -52,12 +52,27 @@ SalvageOptions salvage_options(const FlowOptions& options) {
   return sopt;
 }
 
+/// Algorithm 1's statistics without N' (what a job built on a shared
+/// salvage entry reports).
+SalvageResult salvage_stats(const SalvageResult& s) {
+  SalvageResult out;
+  out.candidates = s.candidates;
+  out.accepted = s.accepted;
+  out.rejected = s.rejected;
+  out.expendable_gates = s.expendable_gates;
+  out.power_before = s.power_before;
+  out.power_after = s.power_after;
+  return out;
+}
+
 /// The complete flow (Fig. 2) over either cold inputs (arts == nullptr:
 /// build netlist, suite and power model in place — the legacy
 /// run_trojanzero_flow behaviour) or a shared artifact bundle. Results are
 /// bit-identical between the two paths: the artifacts cache pure functions
 /// of the same inputs, and the oracle-seed clone carries the exact rows a
-/// fresh build would recompute. `t0` starts FlowMeta::wall_ms.
+/// fresh build would recompute. The cold path returns N, the suite and N'
+/// it built; the shared path reads the store's N, suite and N' in place and
+/// returns only their statistics next to N''. `t0` starts FlowMeta::wall_ms.
 FlowResult run_flow_common(const std::string& benchmark_name,
                            const FlowOptions& options,
                            const SharedArtifacts* arts, Clock::time_point t0) {
@@ -67,37 +82,40 @@ FlowResult run_flow_common(const std::string& benchmark_name,
   std::optional<PowerModel> own_pm;
   const PowerModel* pm = nullptr;
   if (arts != nullptr) {
-    r.original = arts->circuit->netlist;
     pm = arts->pm;
   } else {
     r.original = make_benchmark(benchmark_name);
     own_pm.emplace(CellLibrary::tsmc65_like());
     pm = &*own_pm;
   }
+  const Netlist& original = arts != nullptr ? arts->circuit->netlist
+                                            : r.original;
   if (check_enabled()) {
     // Gate the flow on a clean input: a generator/parser defect is reported
     // here, not attributed to the first salvage commit downstream.
-    verify_or_throw(r.original, nullptr, "flow input");
+    verify_or_throw(original, nullptr, "flow input");
   }
 
   // Phase (a): defender test patterns + HT-free thresholds.
   if (arts != nullptr) {
-    r.suite = arts->defender->suite;
     r.atpg_coverage = arts->defender->atpg_coverage;
     r.p_n = arts->circuit->golden_totals;
   } else {
-    r.suite = make_defender_suite(r.original, options.testgen);
+    r.suite = make_defender_suite(original, options.testgen);
     r.atpg_coverage = r.suite.algorithms.front().coverage.coverage();
-    r.p_n = pm->analyze(r.original).totals;
+    r.p_n = pm->analyze(original).totals;
   }
+  const DefenderSuite& suite =
+      arts != nullptr ? arts->defender->suite : r.suite;
 
-  FlowEngine engine(r.original, r.suite, *pm);
+  FlowEngine engine(original, suite, *pm);
   if (arts != nullptr) engine.set_shared(&arts->shared);
 
   // Phase (b): Algorithm 1 — already run once for every job on the same
   // salvage-tier key when the store handed one in.
+  const SalvageResult* salvaged = &r.salvage;
   if (arts != nullptr && arts->salvage != nullptr) {
-    r.salvage = *arts->salvage;
+    salvaged = arts->salvage;
   } else {
     try {
       r.salvage = engine.salvage(salvage_options(options));
@@ -105,7 +123,7 @@ FlowResult run_flow_common(const std::string& benchmark_name,
       report_and_rethrow(e);
     }
   }
-  r.p_np = r.salvage.power_after;
+  r.p_np = salvaged->power_after;
 
   // Phase (c): Algorithm 2. The library starts with the Table I counter for
   // this circuit and falls back to smaller HTs when the salvaged budget
@@ -119,18 +137,22 @@ FlowResult run_flow_common(const std::string& benchmark_name,
   }
   if (iopt.threads == 0) iopt.threads = options.threads;
   try {
-    r.insertion = engine.insert(r.salvage, iopt);
+    r.insertion = engine.insert(*salvaged, iopt);
   } catch (const VerifyError& e) {
     report_and_rethrow(e);
   }
   r.p_npp = r.insertion.power;
+  if (arts != nullptr) {
+    // N' stays with its owner: the store's entry, or this job's own salvage.
+    r.salvage = salvage_stats(*salvaged);
+  }
 
   // Pft over the defender's total pattern count — only when an HT was
   // actually placed; a failed insertion reports zero exposure instead of a
   // row fabricated from a default-constructed descriptor.
   if (r.insertion.success) {
     std::size_t test_len = 0;
-    for (const DefenderTestSet& ts : r.suite.algorithms) {
+    for (const DefenderTestSet& ts : suite.algorithms) {
       test_len += ts.patterns.num_patterns();
     }
     r.pft = analytic_pft(r.insertion.trigger_p1, test_len, 0);
@@ -142,10 +164,10 @@ FlowResult run_flow_common(const std::string& benchmark_name,
   // the fields the wire format keeps; printers read nothing else.
   r.meta.circuit = benchmark_name;
   r.meta.seed = options.testgen.seed;
-  r.meta.gates = r.original.gate_count();
-  r.meta.inputs = r.original.inputs().size();
-  r.meta.outputs = r.original.outputs().size();
-  for (const DefenderTestSet& ts : r.suite.algorithms) {
+  r.meta.gates = original.gate_count();
+  r.meta.inputs = original.inputs().size();
+  r.meta.outputs = original.outputs().size();
+  for (const DefenderTestSet& ts : suite.algorithms) {
     r.meta.suite_patterns.push_back(ts.patterns.num_patterns());
   }
   r.meta.eval_plan = eval_plan_enabled();

@@ -8,8 +8,11 @@
 // and TZ_EVAL_PLAN / TZ_FAULT_MODE setting that the engine stack already
 // guarantees bit-identity for.
 //
+// A job reads N, the suite and N' from its shared artifacts in place; its
+// FlowResult carries their statistics and N'' but no copy of them.
+//
 // FlowResult rows travel as JSON (flow_result_to_json / _from_json): every
-// scalar and record field round-trips; the two Netlist members (original,
+// scalar and record field round-trips; the Netlist members (original,
 // salvage.modified, insertion.infected) are intentionally NOT serialized —
 // a deserialized result carries empty netlists plus the FlowMeta stamp, and
 // the report printers read only serialized fields, so a row loaded from a
@@ -63,11 +66,14 @@ struct JobSpec {
 };
 
 /// Run one flow job against shared artifacts. Pure: reads `arts` const-only
-/// (the oracle seed is deep-copied by the engine; a shared salvage result is
-/// copied into the FlowResult and feeds insertion directly), stamps
-/// FlowResult::meta (circuit, seed, gate counts, engine modes, wall time)
-/// and never touches global state. Bit-identical to the legacy
-/// run_trojanzero_flow for the same resolved options.
+/// (the oracle seed is deep-copied by the engine; N, the suite and a shared
+/// salvage result are read in place and feed the engine and insertion by
+/// reference), stamps FlowResult::meta (circuit, seed, gate counts, engine
+/// modes, wall time) and never touches global state. The result holds
+/// Algorithm 1's statistics and N'' but not N, the suite or N' (not even
+/// an N' the job salvaged itself when `arts.salvage` is null). Its wire
+/// row is bit-identical to the legacy run_trojanzero_flow's for the same
+/// resolved options.
 FlowResult run_flow_job(const JobSpec& spec, const SharedArtifacts& arts);
 
 /// Convenience: resolve the spec's artifacts (all three tiers) from

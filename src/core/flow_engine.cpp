@@ -775,7 +775,7 @@ InsertionResult FlowEngine::insert(const SalvageResult& salvaged,
     }
 
     const std::size_t size_before = work.raw_size();
-    const std::vector<NodeId> readers = work.node(victim).fanout;
+    const IdList readers = work.node(victim).fanout;
     InsertedHT ht;
     try {
       ht = build_trojan(work, desc, vpool, victim);

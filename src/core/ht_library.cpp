@@ -108,7 +108,7 @@ InsertedHT build_trojan(Netlist& nl, const TrojanDesc& desc,
   }
 
   // Payload: S' = MUX(fire, S, ~S); rewire S's original readers to S'.
-  const std::vector<NodeId> readers = nl.node(victim).fanout;
+  const IdList readers = nl.node(victim).fanout;
   const NodeId inv = add(GateType::Not, "ht_inv", {victim});
   const NodeId mux = add(GateType::Mux, "ht_payload", {ht.fire, victim, inv});
   for (NodeId r : readers) {

@@ -64,13 +64,18 @@ struct FlowMeta {
   }
 };
 
-/// Everything one Table I row needs.
+/// Everything one Table I row needs. The cold run_trojanzero_flow builds and
+/// owns N, the suite and N', and returns them here. A job on shared campaign
+/// artifacts (run_flow_job) reads the store's N, suite and N' in place, so
+/// its result holds no copy of them: `original`, `suite` and
+/// `salvage.modified` stay empty, while the statistics, the FlowMeta stamp
+/// and N'' are filled.
 struct FlowResult {
   std::string benchmark;
   FlowMeta meta;       ///< Provenance + engine-mode stamp (serialized).
-  Netlist original;    ///< N.
-  DefenderSuite suite;
-  SalvageResult salvage;      ///< Holds N' and Algorithm 1 stats.
+  Netlist original;    ///< N (cold flow only).
+  DefenderSuite suite; ///< The defender suite (cold flow only).
+  SalvageResult salvage;      ///< Algorithm 1 stats; N' on the cold flow only.
   InsertionResult insertion;  ///< Holds N'' and Algorithm 2 stats.
   PowerReport p_n, p_np, p_npp;
   /// P[counter saturates during the defender's pattern stream] — payload

@@ -80,15 +80,71 @@ Arity arity_of(GateType t) {
   return {0, 0};
 }
 
+namespace {
+
+std::size_t name_hash(std::string_view name) {
+  return std::hash<std::string_view>{}(name);
+}
+
+}  // namespace
+
+std::size_t Netlist::name_slot(std::string_view name) const {
+  const std::size_t mask = by_name_.size() - 1;
+  std::size_t s = name_hash(name) & mask;
+  for (std::size_t probes = 0; probes < by_name_.size(); ++probes) {
+    const NodeId id = by_name_[s];
+    if (id == kNoNode || (id < nodes_.size() && nodes_[id].name == name)) {
+      return s;
+    }
+    s = (s + 1) & mask;
+  }
+  return by_name_.size();
+}
+
+void Netlist::reserve_names(std::size_t nodes) {
+  std::size_t slots = by_name_.empty() ? 16 : by_name_.size();
+  while (slots < 2 * nodes) slots *= 2;
+  if (slots == by_name_.size()) return;
+  std::vector<NodeId> old(slots, kNoNode);
+  old.swap(by_name_);
+  for (const NodeId id : old) {
+    if (id != kNoNode) by_name_[name_slot(nodes_[id].name)] = id;
+  }
+}
+
+void Netlist::index_name(NodeId id) {
+  reserve_names(live_count_ + 1);
+  by_name_[name_slot(nodes_[id].name)] = id;
+}
+
+void Netlist::unindex_name(NodeId id) {
+  const std::size_t mask = by_name_.size() - 1;
+  std::size_t hole = name_slot(nodes_[id].name);
+  // Backward shift: pull each later entry of the cluster into the hole
+  // unless the hole lies before its home slot, so every remaining name
+  // stays reachable from its home without tombstones.
+  for (std::size_t j = (hole + 1) & mask; by_name_[j] != kNoNode;
+       j = (j + 1) & mask) {
+    const NodeId moved = by_name_[j];
+    const std::size_t home = name_hash(nodes_[moved].name) & mask;
+    if (((j - home) & mask) >= ((j - hole) & mask)) {
+      by_name_[hole] = moved;
+      hole = j;
+    }
+  }
+  by_name_[hole] = kNoNode;
+}
+
 NodeId Netlist::new_node(GateType type, const std::string& name) {
   if (name.empty()) throw std::runtime_error("netlist: empty node name");
-  if (by_name_.contains(name)) {
+  if (find(name) != kNoNode) {
     throw std::runtime_error("netlist: duplicate node name '" + name + "'");
   }
   const NodeId id = static_cast<NodeId>(nodes_.size());
-  nodes_.push_back(Node{.type = type, .name = name, .fanin = {}, .fanout = {},
-                        .dead = false});
-  by_name_.emplace(name, id);
+  Node& n = nodes_.emplace_back();
+  n.name = name;
+  n.type = type;
+  index_name(id);
   ++live_count_;
   return id;
 }
@@ -159,16 +215,19 @@ std::size_t Netlist::gate_count() const {
 }
 
 NodeId Netlist::find(const std::string& name) const {
-  auto it = by_name_.find(name);
-  if (it == by_name_.end() || nodes_[it->second].dead) return kNoNode;
-  return it->second;
+  if (by_name_.empty()) return kNoNode;
+  const std::size_t s = name_slot(name);
+  if (s == by_name_.size()) return kNoNode;
+  const NodeId id = by_name_[s];
+  if (id == kNoNode || nodes_[id].dead) return kNoNode;
+  return id;
 }
 
 std::string Netlist::unique_name(const std::string& base) const {
-  if (!by_name_.contains(base)) return base;
+  if (find(base) == kNoNode) return base;
   int k = 1;
   std::string name = base + "_1";
-  while (by_name_.contains(name)) name = base + "_" + std::to_string(++k);
+  while (find(name) != kNoNode) name = base + "_" + std::to_string(++k);
   return name;
 }
 
@@ -217,9 +276,9 @@ void Netlist::remove_node(NodeId id) {
   }
   // The fanin list stays in the tombstone so restore_node can undo the
   // removal; every traversal already skips dead nodes.
+  unindex_name(id);
   n.dead = true;
   --live_count_;
-  by_name_.erase(n.name);
   if (n.type == GateType::Dff) {
     dffs_.erase(std::remove(dffs_.begin(), dffs_.end(), id), dffs_.end());
   }
@@ -240,7 +299,7 @@ void Netlist::restore_node(NodeId id) {
     throw std::runtime_error("netlist: restore_node on live or invalid node");
   }
   Node& n = nodes_[id];
-  if (by_name_.contains(n.name)) {
+  if (find(n.name) != kNoNode) {
     throw std::runtime_error("netlist: restore_node name '" + n.name +
                              "' was retaken");
   }
@@ -252,8 +311,8 @@ void Netlist::restore_node(NodeId id) {
   }
   for (NodeId f : n.fanin) nodes_[f].fanout.push_back(id);
   n.dead = false;
+  index_name(id);
   ++live_count_;
-  by_name_.emplace(n.name, id);
   if (n.type == GateType::Dff) dffs_.push_back(id);
   if (n.type == GateType::Input) inputs_.push_back(id);
   if (n.type == GateType::Const0 && const0_ == kNoNode) const0_ = id;
@@ -315,11 +374,7 @@ NodeId Netlist::const_node(bool value) {
   NodeId& slot = value ? const1_ : const0_;
   if (slot != kNoNode && is_alive(slot)) return slot;
   const GateType t = value ? GateType::Const1 : GateType::Const0;
-  std::string base = value ? "tie1" : "tie0";
-  std::string name = base;
-  int k = 0;
-  while (by_name_.contains(name)) name = base + "_" + std::to_string(++k);
-  slot = add_gate(t, name, {});
+  slot = add_gate(t, unique_name(value ? "tie1" : "tie0"), {});
   return slot;
 }
 
@@ -415,6 +470,8 @@ std::vector<NodeId> Netlist::fanin_cone(std::span<const NodeId> roots) const {
 
 Netlist Netlist::compact() const {
   Netlist out(name_);
+  out.nodes_.reserve(live_count_);
+  out.reserve_names(live_count_);
   std::vector<NodeId> remap(nodes_.size(), kNoNode);
   // Insertion order respects construction order, and fanin nodes always have
   // smaller ids than their readers except through DFF q-edges; add sources
@@ -430,11 +487,11 @@ Netlist Netlist::compact() const {
     remap[id] = out.new_node(GateType::Dff, nodes_[id].name);
     out.dffs_.push_back(remap[id]);
   }
+  std::vector<NodeId> fi;
   for (NodeId id : order) {
     const Node& n = nodes_[id];
     if (n.type == GateType::Input || n.type == GateType::Dff) continue;
-    std::vector<NodeId> fi;
-    fi.reserve(n.fanin.size());
+    fi.clear();
     for (NodeId f : n.fanin) fi.push_back(remap[f]);
     remap[id] = out.add_gate(n.type, n.name, fi);
   }

@@ -8,10 +8,14 @@
 // ATPG, SAT encoding, power/area models and the TrojanZero transformations.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
+#include <iterator>
 #include <span>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "netlist/gate_type.hpp"
@@ -21,15 +25,143 @@ namespace tz {
 using NodeId = std::uint32_t;
 inline constexpr NodeId kNoNode = static_cast<NodeId>(-1);
 
+/// Ordered NodeId list in 16 bytes: up to two ids inline, a heap buffer
+/// beyond. Most gates read one or two nets and most nets have one or two
+/// readers, so a netlist copy allocates nothing for them. Contiguous, with
+/// pointer iterators, so it reads like the std::vector it replaces and
+/// converts to std::span<const NodeId>.
+class IdList {
+ public:
+  using value_type = NodeId;
+  using size_type = std::size_t;
+  using iterator = NodeId*;
+  using const_iterator = const NodeId*;
+
+  IdList() = default;
+  IdList(std::initializer_list<NodeId> ids) { assign(ids.begin(), ids.end()); }
+  IdList(const IdList& o) { assign(o.begin(), o.end()); }
+  IdList(IdList&& o) noexcept { take(o); }
+  IdList& operator=(const IdList& o) {
+    if (this != &o) assign(o.begin(), o.end());
+    return *this;
+  }
+  IdList& operator=(IdList&& o) noexcept {
+    if (this != &o) {
+      free_heap();
+      take(o);
+    }
+    return *this;
+  }
+  ~IdList() { free_heap(); }
+
+  NodeId* data() { return on_heap() ? heap_ : inline_; }
+  const NodeId* data() const { return on_heap() ? heap_ : inline_; }
+  iterator begin() { return data(); }
+  iterator end() { return data() + size_; }
+  const_iterator begin() const { return data(); }
+  const_iterator end() const { return data() + size_; }
+  size_type size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  /// Ids storable without reallocating: kInline until the first spill.
+  size_type capacity() const { return cap_; }
+  NodeId& operator[](size_type i) { return data()[i]; }
+  const NodeId& operator[](size_type i) const { return data()[i]; }
+  const NodeId& front() const { return data()[0]; }
+  const NodeId& back() const { return data()[size_ - 1]; }
+
+  void reserve(size_type n) {
+    if (n > cap_) regrow(n);
+  }
+  void push_back(NodeId id) {
+    if (size_ == cap_) regrow(2 * static_cast<size_type>(cap_));
+    data()[size_++] = id;
+  }
+  void pop_back() { --size_; }
+  /// Keeps the capacity, like std::vector::clear.
+  void clear() { size_ = 0; }
+  void resize(size_type n, NodeId fill = 0) {
+    reserve(n);
+    if (n > size_) std::fill(data() + size_, data() + n, fill);
+    size_ = static_cast<std::uint32_t>(n);
+  }
+  template <class It>
+  void assign(It first, It last) {
+    const auto n = static_cast<size_type>(std::distance(first, last));
+    size_ = 0;
+    reserve(n);
+    std::copy(first, last, data());
+    size_ = static_cast<std::uint32_t>(n);
+  }
+  iterator insert(const_iterator pos, NodeId id) {
+    const size_type at = static_cast<size_type>(pos - begin());
+    push_back(id);
+    std::rotate(begin() + at, end() - 1, end());
+    return begin() + at;
+  }
+  iterator erase(const_iterator pos) { return erase(pos, pos + 1); }
+  iterator erase(const_iterator first, const_iterator last) {
+    NodeId* f = begin() + (first - begin());
+    NodeId* tail = std::copy(begin() + (last - begin()), end(), f);
+    size_ = static_cast<std::uint32_t>(tail - begin());
+    return f;
+  }
+
+  friend bool operator==(const IdList& a, const IdList& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+
+  static constexpr size_type kInline = 2;
+
+ private:
+  bool on_heap() const { return cap_ > kInline; }
+  void free_heap() {
+    if (on_heap()) delete[] heap_;
+  }
+  void take(IdList& o) {
+    size_ = o.size_;
+    cap_ = o.cap_;
+    if (o.on_heap()) {
+      heap_ = o.heap_;
+    } else {
+      inline_[0] = o.inline_[0];
+      inline_[1] = o.inline_[1];
+    }
+    o.size_ = 0;
+    o.cap_ = kInline;
+  }
+  /// Move the ids into a heap buffer of max(n, 4) slots.
+  void regrow(size_type n) {
+    n = std::max<size_type>(n, 4);
+    NodeId* buf = new NodeId[n];
+    std::copy(begin(), end(), buf);
+    free_heap();
+    heap_ = buf;
+    cap_ = static_cast<std::uint32_t>(n);
+  }
+
+  union {
+    NodeId inline_[kInline] = {kNoNode, kNoNode};
+    NodeId* heap_;
+  };
+  std::uint32_t size_ = 0;
+  std::uint32_t cap_ = kInline;
+};
+
+static_assert(sizeof(IdList) == 16);
+
 /// One cell instance. `fanin` is ordered (matters for MUX); `fanout` is the
 /// set of nodes that read this node's output, maintained by Netlist.
 struct Node {
-  GateType type = GateType::Input;
   std::string name;
-  std::vector<NodeId> fanin;
-  std::vector<NodeId> fanout;
+  IdList fanin;
+  IdList fanout;
+  GateType type = GateType::Input;
   bool dead = false;  ///< Tombstone; slot is ignored by all traversals.
 };
+
+// Netlists hold one Node per cell ever created; a copy of a 20k-gate
+// netlist is dominated by this array.
+static_assert(sizeof(Node) <= 80, "Node layout regressed");
 
 class Netlist {
  public:
@@ -165,6 +297,23 @@ class Netlist {
   NodeId new_node(GateType type, const std::string& name);
   void link_fanin(NodeId id, std::span<const NodeId> fanin);
 
+
+  // Name index: open addressing with linear probing over a power-of-two
+  // slot array of NodeIds (kNoNode = empty), keyed by each node's own
+  // `name`, at most half full. Invariant: it holds exactly the live nodes,
+  // each reachable by probing from its name's hash; removal backward-shifts
+  // the rest of the cluster, so there are no tombstones.
+
+  /// The slot holding `name`, else the empty slot that ends its probe;
+  /// by_name_.size() when neither exists (only in a corrupted table).
+  std::size_t name_slot(std::string_view name) const;
+  /// Grow the table, if needed, to hold `nodes` live names.
+  void reserve_names(std::size_t nodes);
+  /// Index the live node `id` (its name must be absent).
+  void index_name(NodeId id);
+  /// Drop node `id`'s entry and backward-shift its cluster.
+  void unindex_name(NodeId id);
+
   /// tz::verify needs the raw containers (by_name_, role lists) to audit the
   /// bookkeeping the public API maintains; the test peer corrupts them.
   friend class NetlistChecker;
@@ -175,7 +324,7 @@ class Netlist {
   std::vector<NodeId> inputs_;
   std::vector<NodeId> outputs_;
   std::vector<NodeId> dffs_;
-  std::unordered_map<std::string, NodeId> by_name_;
+  std::vector<NodeId> by_name_;  ///< Name index slots; see name_slot.
   std::size_t live_count_ = 0;
   NodeId const0_ = kNoNode;
   NodeId const1_ = kNoNode;

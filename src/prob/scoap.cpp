@@ -2,19 +2,20 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 
 namespace tz {
 namespace {
 
 using U = std::uint32_t;
 
-U min_of(const std::vector<NodeId>& xs, const std::vector<U>& v) {
+U min_of(std::span<const NodeId> xs, const std::vector<U>& v) {
   U m = kScoapInf;
   for (NodeId x : xs) m = std::min(m, v[x]);
   return m;
 }
 
-U sum_of(const std::vector<NodeId>& xs, const std::vector<U>& v) {
+U sum_of(std::span<const NodeId> xs, const std::vector<U>& v) {
   U s = 0;
   for (NodeId x : xs) s = Scoap::sat_add(s, v[x]);
   return s;

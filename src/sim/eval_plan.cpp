@@ -248,7 +248,7 @@ void EvalPlan::refresh_outputs(const Netlist& nl) {
 }
 
 void EvalPlan::refresh_fanins(SlotId s, const Netlist& nl) {
-  const std::vector<NodeId>& fanin = nl.node(node_of_[s]).fanin;
+  const IdList& fanin = nl.node(node_of_[s]).fanin;
   const std::uint32_t off = fanin_offset_[s];
   if (fanin.size() != fanin_offset_[s + 1] - off) {
     throw std::logic_error("EvalPlan::refresh_fanins: arity changed");

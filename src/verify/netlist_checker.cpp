@@ -6,7 +6,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <string_view>
+#include <vector>
 
 #include "verify/verify.hpp"
 
@@ -74,32 +75,48 @@ void check_fanin_edges(const Netlist& nl, VerifyReport& r) {
   }
 }
 
-void check_name_index(const Netlist& nl,
-                      const std::unordered_map<std::string, NodeId>& by_name,
-                      VerifyReport& r) {
+/// Audits the flat name index in both directions: every live node is found
+/// at its own id by probing its name, and every occupied slot holds a live
+/// node that probing its name reaches (a lost, stale, duplicate or displaced
+/// entry fails one of the two). `probe` is Netlist::name_slot.
+template <class Probe>
+void check_name_index(const Netlist& nl, const std::vector<NodeId>& slots,
+                      const Probe& probe, VerifyReport& r) {
+  if ((slots.size() & (slots.size() - 1)) != 0) {
+    r.add(CheckId::NetDuplicateName,
+          "name index has " + std::to_string(slots.size()) +
+              " slots (not a power of two)");
+    return;
+  }
   for (NodeId i = 0; i < nl.raw_size(); ++i) {
     const Node& n = nl.node(i);
     if (n.dead) continue;
-    auto it = by_name.find(n.name);
-    if (it == by_name.end()) {
+    const std::size_t s = probe(n.name);
+    const NodeId found = s < slots.size() ? slots[s] : kNoNode;
+    if (found == kNoNode) {
       r.add(CheckId::NetDuplicateName,
             "live node " + node_label(nl, i) + " missing from name index", i);
-    } else if (it->second != i) {
+    } else if (found != i) {
       r.add(CheckId::NetDuplicateName,
             "name " + node_label(nl, i) + " indexed to node " +
-                std::to_string(it->second) + " (duplicate or stale entry)",
+                std::to_string(found) + " (duplicate or stale entry)",
             i);
     }
   }
-  for (const auto& [name, id] : by_name) {
+  for (std::size_t s = 0; s < slots.size(); ++s) {
+    const NodeId id = slots[s];
+    if (id == kNoNode) continue;
     if (!nl.is_alive(id)) {
       r.add(CheckId::NetDuplicateName,
-            "name index entry '" + name + "' points at dead/invalid node",
+            "name index slot " + std::to_string(s) +
+                " points at dead/invalid node " + std::to_string(id),
             id < nl.raw_size() ? id : kNoNode);
-    } else if (nl.node(id).name != name) {
+    } else if (probe(nl.node(id).name) != s) {
       r.add(CheckId::NetDuplicateName,
-            "name index entry '" + name + "' points at node named " +
-                node_label(nl, id),
+            "name index slot " + std::to_string(s) + " holds " +
+                node_label(nl, id) +
+                ", which probing its name does not reach (duplicate or "
+                "displaced entry)",
             id);
     }
   }
@@ -232,7 +249,9 @@ VerifyReport NetlistChecker::run(const Netlist& nl,
                                  const NetlistCheckOptions& opt) {
   VerifyReport r;
   check_fanin_edges(nl, r);
-  check_name_index(nl, nl.by_name_, r);
+  check_name_index(
+      nl, nl.by_name_,
+      [&nl](std::string_view name) { return nl.name_slot(name); }, r);
   check_role_list(nl, r, CheckId::NetInputList, nl.inputs(), GateType::Input,
                   "input");
   check_role_list(nl, r, CheckId::NetDffList, nl.dffs(), GateType::Dff,

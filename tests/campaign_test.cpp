@@ -23,6 +23,7 @@
 #include "campaign/json.hpp"
 #include "core/report.hpp"
 #include "gen/iscas.hpp"
+#include "netlist/bench_io.hpp"
 #include "util/thread_pool.hpp"
 #include "verify/verify.hpp"
 
@@ -248,6 +249,40 @@ TEST(CampaignArtifacts, SharedJobBitIdenticalToColdFlow) {
       EXPECT_EQ(store.salvage_count(), 1u) << name << " " << order;
     }
   }
+}
+
+TEST(CampaignArtifacts, SharedJobResultHoldsNoArtifactCopies) {
+  // A job on the store reads N, the suite and N' in place: its result keeps
+  // their statistics and N'' only. The cold flow owns its inputs and still
+  // returns all of them.
+  JobSpec s;
+  s.circuit = "c432";
+  ArtifactStore store;
+  FlowResult shared = run_flow_job(s, store);
+  const FlowResult cold = run_trojanzero_flow("c432", s.flow_options());
+  EXPECT_EQ(shared.original.raw_size(), 0u);
+  EXPECT_TRUE(shared.suite.algorithms.empty());
+  EXPECT_EQ(shared.salvage.modified.raw_size(), 0u);
+  ASSERT_TRUE(shared.insertion.success);
+  EXPECT_EQ(write_bench_string(shared.insertion.infected),
+            write_bench_string(cold.insertion.infected));
+  EXPECT_EQ(cold.original.gate_count(), shared.meta.gates);
+  EXPECT_FALSE(cold.suite.algorithms.empty());
+  EXPECT_GT(cold.salvage.modified.live_count(), 0u);
+
+  // A bundle without a shared salvage entry: the job runs Algorithm 1
+  // itself, and its own N' is left out of the result as well.
+  const FlowOptions opt = s.flow_options();
+  SalvageOptions sopt;
+  sopt.pth = opt.pth;
+  sopt.order = opt.order;
+  SharedArtifacts arts = store.get_job_inputs("c432", opt.testgen, sopt);
+  arts.salvage = nullptr;
+  FlowResult own = run_flow_job(s, arts);
+  EXPECT_EQ(own.salvage.modified.raw_size(), 0u);
+  own.meta.wall_ms = 0.0;
+  shared.meta.wall_ms = 0.0;
+  EXPECT_EQ(flow_result_to_json(own).dump(), flow_result_to_json(shared).dump());
 }
 
 TEST(CampaignArtifacts, FingerprintSeparatesSuiteConfigs) {

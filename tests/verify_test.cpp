@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "atpg/fault_sim_backend.hpp"
@@ -33,8 +32,9 @@ struct NetlistTestPeer {
   static std::vector<NodeId>& inputs(Netlist& nl) { return nl.inputs_; }
   static std::vector<NodeId>& outputs(Netlist& nl) { return nl.outputs_; }
   static std::vector<NodeId>& dffs(Netlist& nl) { return nl.dffs_; }
-  static std::unordered_map<std::string, NodeId>& by_name(Netlist& nl) {
-    return nl.by_name_;
+  static std::vector<NodeId>& by_name(Netlist& nl) { return nl.by_name_; }
+  static std::size_t name_slot(const Netlist& nl, const std::string& name) {
+    return nl.name_slot(name);
   }
   static std::size_t& live_count(Netlist& nl) { return nl.live_count_; }
 };
@@ -92,7 +92,7 @@ struct CheckGuard {
   CheckGuard& operator=(const CheckGuard&) = delete;
 };
 
-void erase_one(std::vector<NodeId>& v, NodeId x) {
+void erase_one(IdList& v, NodeId x) {
   const auto it = std::find(v.begin(), v.end(), x);
   ASSERT_NE(it, v.end());
   v.erase(it);
@@ -142,15 +142,22 @@ TEST(NetlistCheckerCorrupt, DanglingFanin) {
 
 TEST(NetlistCheckerCorrupt, DuplicateName) {
   Netlist nl = two_gate();
-  NetlistTestPeer::by_name(nl).erase("g");  // live node lost from the index
+  // Lost entry: g's slot emptied without the backward shift, so probing "g"
+  // stops at the hole.
+  NetlistTestPeer::by_name(nl)[NetlistTestPeer::name_slot(nl, "g")] = kNoNode;
   const VerifyReport r = NetlistChecker::run(nl);
   EXPECT_TRUE(r.has(CheckId::NetDuplicateName)) << r.format();
+}
 
-  Netlist nl2 = two_gate();
-  // Stale entry: the name maps to a different node than the one carrying it.
-  NetlistTestPeer::by_name(nl2)["g"] = nl2.find("h");
-  const VerifyReport r2 = NetlistChecker::run(nl2);
-  EXPECT_TRUE(r2.has(CheckId::NetDuplicateName)) << r2.format();
+TEST(NetlistCheckerCorrupt, NameSlotHoldsAnotherNode) {
+  Netlist nl = two_gate();
+  const NodeId h = nl.find("h");
+  // g's slot now holds h: probing "g" no longer finds g, and of h's two
+  // slots only the first on its probe path is reachable.
+  NetlistTestPeer::by_name(nl)[NetlistTestPeer::name_slot(nl, "g")] = h;
+  const VerifyReport r = NetlistChecker::run(nl);
+  EXPECT_TRUE(r.has(CheckId::NetDuplicateName)) << r.format();
+  EXPECT_EQ(r.count(CheckId::NetDuplicateName), 2u) << r.format();
 }
 
 TEST(NetlistCheckerCorrupt, BadArity) {
