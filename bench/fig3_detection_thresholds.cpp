@@ -8,10 +8,8 @@
 //
 // The detector-threshold half runs directly on the golden netlist. The
 // TrojanZero half sources its FlowResult from the campaign engine ("fig3"
-// grid, JSON round-tripped) by default, or from a direct
-// run_trojanzero_flow call with `--legacy`; CI diffs the two outputs.
+// grid, JSON round-tripped).
 #include <cmath>
-#include <cstring>
 #include <iomanip>
 #include <iostream>
 
@@ -21,9 +19,8 @@
 #include "detect/power_trace.hpp"
 #include "detect/statistical_learning.hpp"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace tz;
-  const bool legacy = argc > 1 && std::strcmp(argv[1], "--legacy") == 0;
   const Netlist golden = make_benchmark("c499");
   const PowerModel pm(CellLibrary::tsmc65_like());
   std::cout << std::fixed << std::setprecision(3);
@@ -43,8 +40,7 @@ int main(int argc, char** argv) {
 
   std::cout << "\n--- TrojanZero leaves no overhead to find ---\n";
   const FlowResult r =
-      legacy ? run_trojanzero_flow("c499")
-             : run_campaign_in_memory(CampaignGrid::preset("fig3")).front();
+      run_campaign_in_memory(CampaignGrid::preset("fig3")).front();
   if (r.insertion.success) {
     const double d_dyn = 100.0 * (r.p_npp.dynamic_uw - r.p_n.dynamic_uw) /
                          r.p_n.dynamic_uw;

@@ -2,10 +2,8 @@
 // (N), modified (N') and TZ-infected (N'') circuits across the benchmarks,
 // plus the paper's three observations (X, Y, Z).
 //
-// Default mode sources the rows from the campaign engine ("fig7" grid via
-// run_campaign_in_memory, JSON round-tripped); `--legacy` keeps the original
-// direct run_trojanzero_flow loop. CI diffs the two outputs.
-#include <cstring>
+// The rows come from the campaign engine ("fig7" grid via
+// run_campaign_in_memory, JSON round-tripped).
 #include <iomanip>
 #include <iostream>
 #include <vector>
@@ -13,20 +11,13 @@
 #include "campaign/driver.hpp"
 #include "core/report.hpp"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace tz;
-  const bool legacy = argc > 1 && std::strcmp(argv[1], "--legacy") == 0;
   std::cout << "=== Fig. 7: N vs N' vs N'' (per benchmark) ===\n";
   std::cout << std::fixed << std::setprecision(2);
 
-  std::vector<FlowResult> results;
-  if (legacy) {
-    for (const BenchmarkSpec& spec : iscas85_specs()) {
-      results.push_back(run_trojanzero_flow(spec.name));
-    }
-  } else {
-    results = run_campaign_in_memory(CampaignGrid::preset("fig7"));
-  }
+  const std::vector<FlowResult> results =
+      run_campaign_in_memory(CampaignGrid::preset("fig7"));
 
   double worst_leak_margin = 1e9, worst_dyn_margin = 1e9, worst_area_margin = 1e9;
   std::string leak_at, dyn_at, area_at;

@@ -23,7 +23,6 @@
 #include "gen/iscas.hpp"
 #include "prob/signal_prob.hpp"
 #include "sat/equivalence.hpp"
-#include "sat/legacy_solver.hpp"
 #include "sat/miter.hpp"
 #include "sim/eval_plan.hpp"
 #include "sim/simulator.hpp"
@@ -263,41 +262,32 @@ void BM_AtpgFlow(benchmark::State& state) {
 }
 BENCHMARK(BM_AtpgFlow)->Unit(benchmark::kMillisecond);
 
-// Same-run A/B between the retired monolithic SAT core (kept verbatim under
-// sat::legacy) and the arena CDCL solver driving the incremental cone-sliced
-// miter, both proving the c880 self-miter UNSAT. The `search` row keeps the
-// comparison honest: structural matching and the simulation pre-pass are
-// disabled, so every output pair is proved by actual CDCL search over the
-// same Tseitin structure the legacy monolithic miter solves in one shot —
-// the win measured is the solver core (watched literals with blockers,
-// dedicated binary lists, VSIDS heap, first-UIP + minimization, restarts,
-// LBD-kept learnts) plus the per-output slicing, not the shortcuts. The
-// `production` row is the default check_equivalence configuration with all
-// accelerations on.
-void BM_SatEquivalence(benchmark::State& state, int mode) {
+// The arena CDCL solver driving the incremental cone-sliced miter, proving
+// the c880 self-miter UNSAT. The `search` row disables structural matching
+// and the simulation pre-pass, so every output pair is proved by actual CDCL
+// search over the Tseitin structure — it measures the solver core (watched
+// literals with blockers, dedicated binary lists, VSIDS heap, first-UIP +
+// minimization, restarts, LBD-kept learnts) plus the per-output slicing, not
+// the shortcuts. The `production` row is the default check_equivalence
+// configuration with all accelerations on.
+void BM_SatEquivalence(benchmark::State& state, bool accelerated) {
   const tz::Netlist& nl = circuit("c880");
   for (auto _ : state) {
-    if (mode == 0) {
-      benchmark::DoNotOptimize(tz::sat::legacy::check_equivalence(nl, nl));
-    } else {
-      tz::sat::MiterOptions opts;
-      opts.prepass = mode == 2;
-      opts.structural_match = mode == 2;
-      tz::sat::IncrementalMiter miter(nl, nl, opts);
-      benchmark::DoNotOptimize(miter.check());
-    }
+    tz::sat::MiterOptions opts;
+    opts.prepass = accelerated;
+    opts.structural_match = accelerated;
+    tz::sat::IncrementalMiter miter(nl, nl, opts);
+    benchmark::DoNotOptimize(miter.check());
   }
   state.SetLabel("self-miter UNSAT");
 }
-BENCHMARK_CAPTURE(BM_SatEquivalence, legacy, 0)
+BENCHMARK_CAPTURE(BM_SatEquivalence, search, false)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_SatEquivalence, search, 1)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_SatEquivalence, production, 2)
+BENCHMARK_CAPTURE(BM_SatEquivalence, production, true)
     ->Unit(benchmark::kMillisecond);
 
-// Equivalence checking at 100k-gate scale, the regime the monolithic miter
-// could not touch (its one-shot CNF over two full copies never returns).
+// Equivalence checking at 100k-gate scale, a regime a monolithic one-shot
+// miter cannot touch (its CNF over two full copies never returns).
 //
 // `rewritten_unsat` is the salvage-shaped UNSAT case: rand100k against a
 // copy with 32 local DeMorgan rewrites (And(a,b) -> Nor(~a,~b)) spread

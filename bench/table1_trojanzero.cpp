@@ -6,12 +6,10 @@
 // check are the *relationships*: P(N') < P(N'') <= P(N), A(N'') ~= A(N),
 // non-empty candidate/expendable sets, and rare trigger exposure.
 //
-// By default the rows come from the campaign engine (the "table1" grid run
-// through run_campaign_in_memory, which round-trips every result through the
-// JSON wire format — so this output is exactly what a merged campaign
-// artifact reproduces). `--legacy` runs the original per-circuit
-// run_trojanzero_flow loop instead; CI diffs the two modes byte-for-byte.
-#include <cstring>
+// The rows come from the campaign engine (the "table1" grid run through
+// run_campaign_in_memory, which round-trips every result through the JSON
+// wire format — so this output is exactly what a merged campaign artifact
+// reproduces).
 #include <iostream>
 #include <vector>
 
@@ -39,21 +37,14 @@ void print_row(std::ostream& os, const tz::FlowResult& r,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const bool legacy = argc > 1 && std::strcmp(argv[1], "--legacy") == 0;
+int main() {
   std::cout << "=== Table I: TrojanZero analysis (measured vs paper) ===\n";
-  if (legacy) {
-    for (const tz::BenchmarkSpec& spec : tz::iscas85_specs()) {
-      print_row(std::cout, tz::run_trojanzero_flow(spec.name), spec);
-    }
-  } else {
-    // Grid order == iscas85_specs() order, so results line up with specs.
-    const std::vector<tz::FlowResult> results =
-        tz::run_campaign_in_memory(tz::CampaignGrid::preset("table1"));
-    std::size_t i = 0;
-    for (const tz::BenchmarkSpec& spec : tz::iscas85_specs()) {
-      print_row(std::cout, results[i++], spec);
-    }
+  // Grid order == iscas85_specs() order, so results line up with specs.
+  const std::vector<tz::FlowResult> results =
+      tz::run_campaign_in_memory(tz::CampaignGrid::preset("table1"));
+  std::size_t i = 0;
+  for (const tz::BenchmarkSpec& spec : tz::iscas85_specs()) {
+    print_row(std::cout, results[i++], spec);
   }
   std::cout << "\nColumns: C = candidate gates at Pth, Eg = gates salvaged,\n"
                "P/A triples = HT-free / modified / TZ-infected, Pft = trigger\n"

@@ -14,7 +14,7 @@ namespace tz {
 namespace {
 
 /// TZ_FAULT_MODE: "event"/"1" and "packed"/"2" force a backend, anything
-/// else (including unset) means Auto — same read-once shape as TZ_EVAL_PLAN.
+/// else (including unset) means Auto. Read once per process.
 int read_env_fault_mode() {
   if (const char* env = std::getenv("TZ_FAULT_MODE")) {
     const std::string_view v(env);
@@ -52,51 +52,26 @@ void set_fault_sim_mode(int mode) {
                               std::memory_order_relaxed);
 }
 
-FaultSimContext::FaultSimContext(const Netlist& nl)
-    : nl_(&nl), sim_(nl), plan_(sim_.plan()) {
+FaultSimContext::FaultSimContext(const Netlist& nl) : nl_(&nl), sim_(nl) {
   rebuild_static();
 }
 
 void FaultSimContext::rebuild_static() {
-  const std::size_t n = index_count();
+  // Reachability is one reverse sweep over the fanout CSR, which already
+  // excludes DFF readers — they block a single pass exactly as they do in
+  // BitSimulator::run.
+  const EvalPlan& p = plan();
+  const std::size_t n = p.num_slots();
   po_reach_.assign(n, 0);
   rank_.resize(n);
-  if (plan_) {
-    // Slot order is the topological order, so the worklist rank is the slot
-    // id itself and reachability is one reverse sweep over the fanout CSR
-    // (which already excludes DFF readers — they block a single pass exactly
-    // as they do in BitSimulator::run).
-    std::iota(rank_.begin(), rank_.end(), 0);
-    for (SlotId po : plan_->output_slots()) po_reach_[po] = 1;
-    for (SlotId s = static_cast<SlotId>(n); s-- > 0;) {
-      if (po_reach_[s]) continue;
-      for (SlotId reader : plan_->fanout(s)) {
-        if (po_reach_[reader]) {
-          po_reach_[s] = 1;
-          break;
-        }
-      }
-    }
-  } else {
-    const std::vector<NodeId>& order = sim_.order();
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      rank_[order[i]] = static_cast<std::uint32_t>(i);
-    }
-    // Static reachability: a fault effect at node x is observable only if
-    // some combinational path leads from x to a primary output; DFFs block a
-    // single-pass propagation exactly as they do in BitSimulator::run.
-    // Reverse topological order guarantees every combinational reader is
-    // resolved before the node itself.
-    for (NodeId po : nl_->outputs()) po_reach_[po] = 1;
-    for (auto it = order.rbegin(); it != order.rend(); ++it) {
-      const NodeId id = *it;
-      if (po_reach_[id]) continue;
-      for (NodeId reader : nl_->node(id).fanout) {
-        if (nl_->is_alive(reader) && nl_->node(reader).type != GateType::Dff &&
-            po_reach_[reader]) {
-          po_reach_[id] = 1;
-          break;
-        }
+  std::iota(rank_.begin(), rank_.end(), 0);
+  for (SlotId po : p.output_slots()) po_reach_[po] = 1;
+  for (SlotId s = static_cast<SlotId>(n); s-- > 0;) {
+    if (po_reach_[s]) continue;
+    for (SlotId reader : p.fanout(s)) {
+      if (po_reach_[reader]) {
+        po_reach_[s] = 1;
+        break;
       }
     }
   }
@@ -117,8 +92,6 @@ void FaultSimContext::set_patterns(const PatternSet& patterns) {
 
 void FaultSimContext::resync_structure() {
   sim_ = BitSimulator(*nl_);
-  plan_ = sim_.plan();
-  private_plan_.reset();
   rebuild_static();
   good_ = NodeValues();
   words_ = 0;
@@ -129,18 +102,12 @@ void FaultSimContext::resync_structure() {
   ++pattern_epoch_;
 }
 
-const EvalPlan& FaultSimContext::packed_plan() {
-  if (plan_) return *plan_;
-  if (!private_plan_) private_plan_ = std::make_unique<EvalPlan>(*nl_);
-  return *private_plan_;
-}
-
 double FaultSimContext::mean_cone_size() {
   if (mean_cone_ >= 0.0) return mean_cone_;
   // Sample the fanout-cone size from a handful of evenly spaced PO-reachable
   // sites: a bounded BFS over the same edges the event engine walks, giving
   // the Auto selector a static density estimate without simulating anything.
-  const std::size_t n = index_count();
+  const std::size_t n = plan().num_slots();
   std::vector<std::uint32_t> reachable;
   reachable.reserve(n);
   for (std::uint32_t ix = 0; ix < n; ++ix) {
@@ -167,22 +134,10 @@ double FaultSimContext::mean_cone_size() {
       const std::uint32_t ix = frontier.back();
       frontier.pop_back();
       ++cone;
-      if (plan_) {
-        for (SlotId reader : plan_->fanout(ix)) {
-          if (stamp[reader] != epoch) {
-            stamp[reader] = epoch;
-            frontier.push_back(reader);
-          }
-        }
-      } else {
-        for (NodeId reader : nl_->node(ix).fanout) {
-          if (!nl_->is_alive(reader)) continue;
-          const GateType t = nl_->node(reader).type;
-          if (t == GateType::Dff || t == GateType::Input) continue;
-          if (stamp[reader] != epoch) {
-            stamp[reader] = epoch;
-            frontier.push_back(reader);
-          }
+      for (SlotId reader : plan().fanout(ix)) {
+        if (stamp[reader] != epoch) {
+          stamp[reader] = epoch;
+          frontier.push_back(reader);
         }
       }
     }
@@ -194,10 +149,9 @@ double FaultSimContext::mean_cone_size() {
 
 std::size_t FaultSimContext::eval_slot_count() {
   if (eval_slots_ == 0) {
-    const EvalPlan& plan = packed_plan();
     std::size_t count = 0;
-    for (SlotId s = 0; s < plan.num_slots(); ++s) {
-      const EvalOp op = plan.op(s);
+    for (SlotId s = 0; s < plan().num_slots(); ++s) {
+      const EvalOp op = plan().op(s);
       if (op != EvalOp::Source && op != EvalOp::Dead) ++count;
     }
     eval_slots_ = std::max<std::size_t>(1, count);

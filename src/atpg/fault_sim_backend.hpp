@@ -9,9 +9,8 @@
 // once for 64 faults at a time.
 //
 // This header owns the pieces both engines share:
-//  - FaultSimMode / TZ_FAULT_MODE: the process-wide backend selector,
-//    following the TZ_EVAL_PLAN override idiom (env read once, test hook
-//    overrides atomically);
+//  - FaultSimMode / TZ_FAULT_MODE: the process-wide backend selector (env
+//    read once, test hook overrides atomically);
 //  - FaultSimContext: the static analyses (topological ranks, fanout-cone ->
 //    PO reachability) and the good-machine simulation, computed once per
 //    netlist and cached across backend calls — constructing engines per call
@@ -67,32 +66,24 @@ class FaultSimContext {
   void resync_structure();
 
   const Netlist& netlist() const { return *nl_; }
-  /// The shared compiled plan (nullptr on the TZ_EVAL_PLAN=0 legacy path).
-  const EvalPlan* plan() const { return plan_; }
-  /// A compiled plan for the packed engine, which has no legacy path: the
-  /// shared plan when compiled, else a lazily compiled private plan.
-  const EvalPlan& packed_plan();
+  /// The shared compiled plan; the cone walk's index space is its slots.
+  const EvalPlan& plan() const { return *sim_.plan(); }
 
-  /// Index space of the cone walk: plan slots when compiled, NodeIds else.
-  std::size_t index_count() const {
-    return plan_ ? plan_->num_slots() : nl_->raw_size();
-  }
+  /// Slot order is the topological order, so the worklist rank of a slot is
+  /// the slot id itself.
   const std::vector<std::uint32_t>& rank() const { return rank_; }
-  bool po_reachable_ix(std::uint32_t ix) const { return po_reach_[ix] != 0; }
+  bool po_reachable_slot(SlotId s) const { return po_reach_[s] != 0; }
   /// Static reachability: false means no combinational path from `id` to any
   /// primary output exists, so no fault at `id` is ever detectable.
   bool po_reachable(NodeId id) const {
-    if (plan_) {
-      const SlotId s = plan_->slot_of(id);
-      return s != kNoSlot && po_reach_[s] != 0;
-    }
-    return po_reach_[id] != 0;
+    const SlotId s = plan().slot_of(id);
+    return s != kNoSlot && po_reach_[s] != 0;
   }
 
   bool has_patterns() const { return has_patterns_; }
   const NodeValues& good() const { return good_; }
-  const std::uint64_t* good_row(std::uint32_t ix) const {
-    return plan_ ? good_.data() + std::size_t{ix} * words_ : good_.row(ix);
+  const std::uint64_t* good_row(SlotId s) const {
+    return good_.data() + std::size_t{s} * words_;
   }
   std::size_t words() const { return words_; }
   std::uint64_t tail_mask() const { return tail_; }
@@ -114,8 +105,6 @@ class FaultSimContext {
 
   const Netlist* nl_;
   BitSimulator sim_;
-  const EvalPlan* plan_;             ///< sim_'s plan (nullptr = legacy path)
-  std::unique_ptr<EvalPlan> private_plan_;  ///< packed plan on legacy path
   std::vector<std::uint32_t> rank_;  ///< worklist order (identity over slots)
   std::vector<char> po_reach_;       ///< static cone -> PO reachability
   NodeValues good_;

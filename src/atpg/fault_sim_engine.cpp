@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 
-#include "sim/gate_eval.hpp"
-
 namespace tz {
 
 FaultSimEngine::FaultSimEngine(std::shared_ptr<FaultSimContext> ctx)
@@ -20,7 +18,7 @@ FaultSimEngine::FaultSimEngine(const Netlist& nl, const PatternSet& patterns)
 
 void FaultSimEngine::sync_scratch() {
   if (synced_structure_ != ctx_->structure_epoch()) {
-    const std::size_t n = ctx_->index_count();
+    const std::size_t n = ctx_->plan().num_slots();
     touched_.assign(n, 0);
     worklist_.resize(n);
     synced_structure_ = ctx_->structure_epoch();
@@ -28,7 +26,7 @@ void FaultSimEngine::sync_scratch() {
   if (synced_patterns_ != ctx_->pattern_epoch()) {
     words_ = ctx_->words();
     tail_ = ctx_->tail_mask();
-    faulty_.resize(ctx_->index_count() * words_);
+    faulty_.resize(ctx_->plan().num_slots() * words_);
     bits_.assign(words_, 0);
     synced_patterns_ = ctx_->pattern_epoch();
   }
@@ -37,11 +35,11 @@ void FaultSimEngine::sync_scratch() {
 bool FaultSimEngine::simulate_fault(const Fault& f, bool want_bits) {
   sync_scratch();
   const Netlist& nl = ctx_->netlist();
-  const EvalPlan* plan = ctx_->plan();
+  const EvalPlan& plan = ctx_->plan();
   if (want_bits) std::fill(bits_.begin(), bits_.end(), 0);
   if (!nl.is_alive(f.node) || words_ == 0) return false;
-  const std::uint32_t site = plan ? plan->slot_of(f.node) : f.node;
-  if (!ctx_->po_reachable_ix(site)) return false;
+  const SlotId site = plan.slot_of(f.node);
+  if (!ctx_->po_reachable_slot(site)) return false;
 
   // Seed: inject the stuck value at the site. If no pattern excites the
   // fault (good value already equals the stuck value everywhere), nothing
@@ -65,20 +63,11 @@ bool FaultSimEngine::simulate_fault(const Fault& f, bool want_bits) {
   touched_[site] = 1;
   visited_.push_back(site);
 
-  const auto schedule = [&](std::uint32_t src) {
-    if (plan) {
-      for (SlotId reader : plan->fanout(src)) worklist_.push(reader);
-      return;
-    }
-    for (NodeId reader : nl.node(src).fanout) {
-      if (!nl.is_alive(reader)) continue;
-      const GateType t = nl.node(reader).type;
-      if (t == GateType::Dff || t == GateType::Input) continue;
-      worklist_.push(reader);
-    }
+  const auto schedule = [&](SlotId src) {
+    for (SlotId reader : plan.fanout(src)) worklist_.push(reader);
   };
-  const auto value_of = [&](std::uint32_t ix) -> const std::uint64_t* {
-    return touched_[ix] ? frow(ix) : ctx_->good_row(ix);
+  const auto value_of = [&](SlotId s) -> const std::uint64_t* {
+    return touched_[s] ? frow(s) : ctx_->good_row(s);
   };
 
   // Event-driven cone evaluation. The worklist pops in topological order, so
@@ -86,13 +75,9 @@ bool FaultSimEngine::simulate_fault(const Fault& f, bool want_bits) {
   // gate whose faulty row equals the good row generates no further events.
   schedule(site);
   while (!worklist_.empty()) {
-    const std::uint32_t ix = worklist_.pop();
+    const SlotId ix = worklist_.pop();
     std::uint64_t* out = frow(ix);
-    if (plan) {
-      eval_plan_slot(*plan, ix, words_, value_of, out);
-    } else {
-      eval_gate_row(nl.node(ix), words_, value_of, out);
-    }
+    eval_plan_slot(plan, ix, words_, value_of, out);
     const std::uint64_t* gr = ctx_->good_row(ix);
     std::uint64_t changed = 0;
     for (std::size_t w = 0; w < words_; ++w) changed |= out[w] ^ gr[w];
@@ -103,10 +88,7 @@ bool FaultSimEngine::simulate_fault(const Fault& f, bool want_bits) {
   }
 
   bool any = false;
-  const std::size_t n_po =
-      plan ? plan->output_slots().size() : nl.outputs().size();
-  for (std::size_t o = 0; o < n_po; ++o) {
-    const std::uint32_t po = plan ? plan->output_slots()[o] : nl.outputs()[o];
+  for (const SlotId po : plan.output_slots()) {
     if (!touched_[po]) continue;
     const std::uint64_t* gp = ctx_->good_row(po);
     const std::uint64_t* fp = frow(po);

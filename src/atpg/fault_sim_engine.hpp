@@ -11,11 +11,10 @@
 // activates. First-class fault dropping (`drop_sim`) lets callers
 // re-simulate only still-undetected faults as patterns accumulate.
 //
-// On the compiled-plan path (TZ_EVAL_PLAN, default on) the cone walk indexes
-// sim/eval_plan.hpp slots: slot ids double as topological ranks, fanout
-// scheduling reads the plan's CSR and gates evaluate through the plan's
-// arity-specialized kernels instead of dereferencing Node objects. The
-// legacy Node-walking path is kept (TZ_EVAL_PLAN=0) and is bit-identical.
+// The cone walk indexes sim/eval_plan.hpp slots: slot ids double as
+// topological ranks, fanout scheduling reads the plan's CSR and gates
+// evaluate through the plan's arity-specialized kernels instead of
+// dereferencing Node objects.
 //
 // This engine wins when fanout cones are sparse relative to the netlist; its
 // word-packed sibling (fault_sim_packed.hpp) wins on dense cones. The free
@@ -85,7 +84,7 @@ class FaultSimEngine final : public FaultSimBackend {
   /// pattern epoch moved (shared contexts advance underneath the engine).
   void sync_scratch();
 
-  std::uint64_t* frow(std::uint32_t ix) { return faulty_.data() + ix * words_; }
+  std::uint64_t* frow(SlotId s) { return faulty_.data() + s * words_; }
 
   // Cached off the context by sync_scratch (hot-loop locals).
   std::size_t words_ = 0;

@@ -24,7 +24,7 @@ PackedFaultSimEngine::PackedFaultSimEngine(const Netlist& nl,
 
 void PackedFaultSimEngine::sync_scratch() {
   if (synced_structure_ != ctx_->structure_epoch()) {
-    plan_ = &ctx_->packed_plan();
+    plan_ = &ctx_->plan();
     matrix_.assign(plan_->num_slots() * kBlock, 0);
     acc_.assign(kBlock, 0);
     synced_structure_ = ctx_->structure_epoch();
@@ -39,17 +39,16 @@ void PackedFaultSimEngine::sync_scratch() {
     output_slots_.clear();
     output_good_.clear();
     if (ctx_->has_patterns()) {
-      const NodeValues& good = ctx_->good();
       for (const std::vector<SlotId>* list :
            {&plan_->input_slots(), &plan_->dff_slots()}) {
         for (SlotId s : *list) {
           source_slots_.push_back(s);
-          source_good_.push_back(good.row(plan_->node_of(s)));
+          source_good_.push_back(ctx_->good_row(s));
         }
       }
       for (SlotId s : plan_->output_slots()) {
         output_slots_.push_back(s);
-        output_good_.push_back(good.row(plan_->node_of(s)));
+        output_good_.push_back(ctx_->good_row(s));
       }
     }
     synced_patterns_ = ctx_->pattern_epoch();

@@ -57,6 +57,62 @@ ArtifactKeys artifact_keys(const std::string& circuit,
   return keys;
 }
 
+CircuitArtifacts build_circuit_artifacts(const std::string& name,
+                                         const PowerModel& pm) {
+  CircuitArtifacts art;
+  art.name = name;
+  // The shared netlist is exactly what make_benchmark emits (suite
+  // generation and power analysis are order-sensitive), so it is NOT
+  // compacted here. The compacted twin mirrors exactly what every job's
+  // salvage derives via `original_->compact()` — compact() is
+  // deterministic, so the oracle seed built on it is id-identical to the
+  // job's work netlist.
+  art.netlist = make_benchmark(name);
+  art.compacted = art.netlist.compact();
+  art.golden_totals = pm.analyze(art.netlist).totals;
+  return art;
+}
+
+void build_suite_artifacts(SuiteArtifacts& art,
+                           const CircuitArtifacts& circuit,
+                           const TestGenOptions& opt) {
+  art.circuit = &circuit;
+  art.suite = make_defender_suite(circuit.netlist, opt);
+  if (!art.suite.algorithms.empty()) {
+    art.atpg_coverage = art.suite.algorithms.front().coverage.coverage();
+  }
+  // The shared oracle: compiled plan + fused golden rows, built once, on the
+  // compacted twin so its slot-major caches line up node-for-node with the
+  // `original_->compact()` every salvage performs. Sequential circuits
+  // (DFFs) get no oracle — the flow's functional_test fallback has nothing
+  // to share.
+  auto oracle = std::make_unique<SuiteOracle>(circuit.compacted, art.suite);
+  if (!oracle->sequential()) art.oracle = std::move(oracle);
+}
+
+SalvageResult build_salvage_artifact(const SuiteArtifacts& suite,
+                                     const PowerModel& pm,
+                                     const SalvageOptions& opt) {
+  const FlowSharedInputs shared{
+      .salvage_oracle = suite.oracle.get(),
+      .golden_totals = &suite.circuit->golden_totals};
+  FlowEngine engine(suite.circuit->netlist, suite.suite, pm);
+  engine.set_shared(&shared);
+  return engine.salvage(opt);
+}
+
+SharedArtifacts job_inputs(const SuiteArtifacts& suite,
+                           const SalvageResult* salvage, const PowerModel& pm) {
+  SharedArtifacts out;
+  out.circuit = suite.circuit;
+  out.defender = &suite;
+  out.pm = &pm;
+  out.salvage = salvage;
+  out.shared.salvage_oracle = suite.oracle.get();
+  out.shared.golden_totals = &suite.circuit->golden_totals;
+  return out;
+}
+
 ArtifactStore::ArtifactStore() : pm_(CellLibrary::tsmc65_like()) {}
 
 template <class T>
@@ -98,16 +154,7 @@ const CircuitArtifacts& ArtifactStore::get_circuit(const std::string& name) {
     entry = &slot(circuits_, name);
   }
   return build_once(*entry, [&](CircuitArtifacts& art) {
-    art.name = name;
-    // The shared netlist must be byte-for-byte what the legacy cold path
-    // uses (suite generation and power analysis are order-sensitive), so it
-    // is NOT compacted here. The compacted twin mirrors exactly what every
-    // job's salvage derives via `original_->compact()` — compact() is
-    // deterministic, so the oracle seed built on it is id-identical to the
-    // job's work netlist.
-    art.netlist = make_benchmark(name);
-    art.compacted = art.netlist.compact();
-    art.golden_totals = pm_.analyze(art.netlist).totals;
+    art = build_circuit_artifacts(name, pm_);
   });
 }
 
@@ -123,18 +170,7 @@ const SuiteArtifacts& ArtifactStore::get_suite(const std::string& circuit,
     entry = &slot(suites_, suite_key(circuit, opt));
   }
   return build_once(*entry, [&](SuiteArtifacts& art) {
-    art.circuit = &cart;
-    art.suite = make_defender_suite(cart.netlist, opt);
-    if (!art.suite.algorithms.empty()) {
-      art.atpg_coverage = art.suite.algorithms.front().coverage.coverage();
-    }
-    // The shared oracle: compiled plan + fused golden rows, built once, on
-    // the compacted twin so its slot-major caches line up node-for-node
-    // with the `original_->compact()` every salvage performs. Sequential
-    // circuits (DFFs) get no oracle — the flow's functional_test fallback
-    // has nothing to share.
-    auto oracle = std::make_unique<SuiteOracle>(cart.compacted, art.suite);
-    if (!oracle->sequential()) art.oracle = std::move(oracle);
+    build_suite_artifacts(art, cart, opt);
   });
 }
 
@@ -149,29 +185,15 @@ const SalvageResult& ArtifactStore::get_salvage(const std::string& circuit,
     entry = &slot(salvages_, artifact_keys(circuit, testgen, opt).salvage);
   }
   return build_once(*entry, [&](SalvageResult& art) {
-    // Algorithm 1 exactly as a job with these artifacts runs it: the same
-    // netlist, suite, power model and oracle seed.
-    const FlowSharedInputs shared{
-        .salvage_oracle = sart.oracle.get(),
-        .golden_totals = &sart.circuit->golden_totals};
-    FlowEngine engine(sart.circuit->netlist, sart.suite, pm_);
-    engine.set_shared(&shared);
-    art = engine.salvage(opt);
+    art = build_salvage_artifact(sart, pm_, opt);
   });
 }
 
 SharedArtifacts ArtifactStore::get_job_inputs(const std::string& circuit,
                                               const TestGenOptions& testgen,
                                               const SalvageOptions& salvage) {
-  SharedArtifacts out;
-  const SuiteArtifacts& suite = get_suite(circuit, testgen);
-  out.circuit = suite.circuit;
-  out.defender = &suite;
-  out.pm = &pm_;
-  out.salvage = &get_salvage(circuit, testgen, salvage);
-  out.shared.salvage_oracle = suite.oracle.get();
-  out.shared.golden_totals = &suite.circuit->golden_totals;
-  return out;
+  return job_inputs(get_suite(circuit, testgen),
+                    &get_salvage(circuit, testgen, salvage), pm_);
 }
 
 void ArtifactStore::retain(const ArtifactKeys& keys) {

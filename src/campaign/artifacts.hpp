@@ -176,6 +176,26 @@ class ArtifactStore {
   Tier<SalvageResult> salvages_ TZ_GUARDED_BY(mu_);
 };
 
+/// The builders behind the store's three tiers; run_trojanzero_flow calls
+/// them too, so a one-shot flow builds exactly what a campaign shares.
+/// Tier 1: make_benchmark(name), its compacted twin and golden P/A totals.
+CircuitArtifacts build_circuit_artifacts(const std::string& name,
+                                         const PowerModel& pm);
+/// Tier 2, filled in place: the entry points into `circuit`, and its oracle
+/// into the entry's own suite, so `art` must not move once built.
+void build_suite_artifacts(SuiteArtifacts& art,
+                           const CircuitArtifacts& circuit,
+                           const TestGenOptions& opt);
+/// Tier 3: Algorithm 1 exactly as a job on `suite` runs it — the same
+/// netlist, suite, power model and oracle seed.
+SalvageResult build_salvage_artifact(const SuiteArtifacts& suite,
+                                     const PowerModel& pm,
+                                     const SalvageOptions& opt);
+
+/// The bundle one job consumes, wired from built entries of all three tiers.
+SharedArtifacts job_inputs(const SuiteArtifacts& suite,
+                           const SalvageResult* salvage, const PowerModel& pm);
+
 /// Stable fingerprint of every TestGenOptions field that changes the
 /// generated suite — part of the tier-2 cache key and of the job id.
 std::string testgen_fingerprint(const TestGenOptions& opt);

@@ -137,9 +137,8 @@ CampaignGrid CampaignGrid::preset(const std::string& name) {
   CampaignGrid g;
   g.name = name;
   if (name == "table1" || name == "fig7") {
-    // The five Table-I circuits with their per-circuit paper defaults
-    // (sentinels resolve inside JobSpec) — exactly what the legacy bench
-    // drivers iterate.
+    // The Table-I circuits with their per-circuit paper defaults (sentinels
+    // resolve inside JobSpec), in iscas85_specs() order.
     for (const BenchmarkSpec& spec : iscas85_specs()) {
       g.circuits.push_back(spec.name);
     }

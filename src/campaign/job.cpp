@@ -3,7 +3,6 @@
 #include <charconv>
 #include <chrono>
 #include <iostream>
-#include <optional>
 
 #include "atpg/fault_sim_backend.hpp"
 #include "core/flow_engine.hpp"
@@ -42,8 +41,8 @@ void append_double(std::string& out, double v) {
 
 using Clock = std::chrono::steady_clock;
 
-/// Algorithm 1's options for a flow — the salvage-tier key and the cold
-/// path's salvage call must agree on them.
+/// Algorithm 1's options for a flow — the salvage-tier key and the salvage
+/// a flow builds must agree on them.
 SalvageOptions salvage_options(const FlowOptions& options) {
   SalvageOptions sopt;
   sopt.pth = options.pth;
@@ -65,31 +64,17 @@ SalvageResult salvage_stats(const SalvageResult& s) {
   return out;
 }
 
-/// The complete flow (Fig. 2) over either cold inputs (arts == nullptr:
-/// build netlist, suite and power model in place — the legacy
-/// run_trojanzero_flow behaviour) or a shared artifact bundle. Results are
-/// bit-identical between the two paths: the artifacts cache pure functions
-/// of the same inputs, and the oracle-seed clone carries the exact rows a
-/// fresh build would recompute. The cold path returns N, the suite and N'
-/// it built; the shared path reads the store's N, suite and N' in place and
-/// returns only their statistics next to N''. `t0` starts FlowMeta::wall_ms.
+/// The complete flow (Fig. 2) over a shared artifact bundle: reads the
+/// bundle's N, suite and N' in place and returns only their statistics next
+/// to N''. When `arts.salvage` is null the job runs Algorithm 1 itself (on
+/// the bundle's oracle seed) and still leaves its N' out of the result.
+/// `t0` starts FlowMeta::wall_ms.
 FlowResult run_flow_common(const std::string& benchmark_name,
                            const FlowOptions& options,
-                           const SharedArtifacts* arts, Clock::time_point t0) {
+                           const SharedArtifacts& arts, Clock::time_point t0) {
   FlowResult r;
   r.benchmark = benchmark_name;
-
-  std::optional<PowerModel> own_pm;
-  const PowerModel* pm = nullptr;
-  if (arts != nullptr) {
-    pm = arts->pm;
-  } else {
-    r.original = make_benchmark(benchmark_name);
-    own_pm.emplace(CellLibrary::tsmc65_like());
-    pm = &*own_pm;
-  }
-  const Netlist& original = arts != nullptr ? arts->circuit->netlist
-                                            : r.original;
+  const Netlist& original = arts.circuit->netlist;
   if (check_enabled()) {
     // Gate the flow on a clean input: a generator/parser defect is reported
     // here, not attributed to the first salvage commit downstream.
@@ -97,31 +82,24 @@ FlowResult run_flow_common(const std::string& benchmark_name,
   }
 
   // Phase (a): defender test patterns + HT-free thresholds.
-  if (arts != nullptr) {
-    r.atpg_coverage = arts->defender->atpg_coverage;
-    r.p_n = arts->circuit->golden_totals;
-  } else {
-    r.suite = make_defender_suite(original, options.testgen);
-    r.atpg_coverage = r.suite.algorithms.front().coverage.coverage();
-    r.p_n = pm->analyze(original).totals;
-  }
-  const DefenderSuite& suite =
-      arts != nullptr ? arts->defender->suite : r.suite;
+  r.atpg_coverage = arts.defender->atpg_coverage;
+  r.p_n = arts.circuit->golden_totals;
+  const DefenderSuite& suite = arts.defender->suite;
 
-  FlowEngine engine(original, suite, *pm);
-  if (arts != nullptr) engine.set_shared(&arts->shared);
+  FlowEngine engine(original, suite, *arts.pm);
+  engine.set_shared(&arts.shared);
 
   // Phase (b): Algorithm 1 — already run once for every job on the same
   // salvage-tier key when the store handed one in.
-  const SalvageResult* salvaged = &r.salvage;
-  if (arts != nullptr && arts->salvage != nullptr) {
-    salvaged = arts->salvage;
-  } else {
+  SalvageResult own_salvage;
+  const SalvageResult* salvaged = arts.salvage;
+  if (salvaged == nullptr) {
     try {
-      r.salvage = engine.salvage(salvage_options(options));
+      own_salvage = engine.salvage(salvage_options(options));
     } catch (const VerifyError& e) {
       report_and_rethrow(e);
     }
+    salvaged = &own_salvage;
   }
   r.p_np = salvaged->power_after;
 
@@ -142,10 +120,8 @@ FlowResult run_flow_common(const std::string& benchmark_name,
     report_and_rethrow(e);
   }
   r.p_npp = r.insertion.power;
-  if (arts != nullptr) {
-    // N' stays with its owner: the store's entry, or this job's own salvage.
-    r.salvage = salvage_stats(*salvaged);
-  }
+  // N' stays with its owner: the store's entry, or this job's own salvage.
+  r.salvage = salvage_stats(*salvaged);
 
   // Pft over the defender's total pattern count — only when an HT was
   // actually placed; a failed insertion reports zero exposure instead of a
@@ -245,7 +221,7 @@ FlowOptions JobSpec::flow_options() const {
                              : SalvageOptions::Order::ByProbability;
   opt.threads = r.threads;
   // Explicit HT ladder with this spec's trigger width; trigger_width 2
-  // matches the legacy counter_trojan(bits) default exactly.
+  // matches counter_trojan(bits)'s default trigger width.
   for (int bits = r.counter_bits; bits >= 2; --bits) {
     opt.insertion.library.push_back(counter_trojan(bits, r.trigger_width));
   }
@@ -290,7 +266,7 @@ JobSpec JobSpec::from_json(const Json& j) {
 FlowResult run_flow_job(const JobSpec& spec, const SharedArtifacts& arts) {
   const auto t0 = Clock::now();
   const JobSpec r = spec.resolved();
-  return run_flow_common(r.circuit, r.flow_options(), &arts, t0);
+  return run_flow_common(r.circuit, r.flow_options(), arts, t0);
 }
 
 FlowResult run_flow_job(const JobSpec& spec, ArtifactStore& store) {
@@ -303,14 +279,33 @@ FlowResult run_flow_job(const JobSpec& spec, ArtifactStore& store) {
   } catch (const VerifyError& e) {
     report_and_rethrow(e);  // a salvage-tier build failed its checks
   }
-  return run_flow_common(r.circuit, opt, &arts, t0);
+  return run_flow_common(r.circuit, opt, arts, t0);
 }
 
-// ---------------------------------------------------- legacy entry points
+// ------------------------------------------------------ one-shot entry points
 
 FlowResult run_trojanzero_flow(const std::string& benchmark_name,
                                FlowOptions options) {
-  return run_flow_common(benchmark_name, options, nullptr, Clock::now());
+  // One flow path: build the three tiers with the store's own builders,
+  // run the shared path on them, then hand N, the suite and N' to the
+  // caller, who owns them here.
+  const auto t0 = Clock::now();
+  const PowerModel pm(CellLibrary::tsmc65_like());
+  CircuitArtifacts circuit = build_circuit_artifacts(benchmark_name, pm);
+  SuiteArtifacts defender;
+  build_suite_artifacts(defender, circuit, options.testgen);
+  SalvageResult salvage;
+  try {
+    salvage = build_salvage_artifact(defender, pm, salvage_options(options));
+  } catch (const VerifyError& e) {
+    report_and_rethrow(e);
+  }
+  FlowResult r = run_flow_common(benchmark_name, options,
+                                 job_inputs(defender, &salvage, pm), t0);
+  r.original = std::move(circuit.netlist);
+  r.suite = std::move(defender.suite);
+  r.salvage.modified = std::move(salvage.modified);
+  return r;
 }
 
 FlowResult run_trojanzero_flow(const std::string& benchmark_name) {

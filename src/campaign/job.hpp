@@ -5,8 +5,9 @@
 // salvage order. run_flow_job(spec, artifacts) is the pure function the
 // scheduler layer (campaign/driver.hpp) fans out: same spec + same artifact
 // content => bit-identical FlowResult, at every thread count, shard count
-// and TZ_EVAL_PLAN / TZ_FAULT_MODE setting that the engine stack already
-// guarantees bit-identity for.
+// and TZ_FAULT_MODE setting that the engine stack already guarantees
+// bit-identity for. run_trojanzero_flow is the same path on artifacts it
+// builds for itself.
 //
 // A job reads N, the suite and N' from its shared artifacts in place; its
 // FlowResult carries their statistics and N'' but no copy of them.
@@ -72,8 +73,8 @@ struct JobSpec {
 /// modes, wall time) and never touches global state. The result holds
 /// Algorithm 1's statistics and N'' but not N, the suite or N' (not even
 /// an N' the job salvaged itself when `arts.salvage` is null). Its wire
-/// row is bit-identical to the legacy run_trojanzero_flow's for the same
-/// resolved options.
+/// row is bit-identical to run_trojanzero_flow's for the same resolved
+/// options.
 FlowResult run_flow_job(const JobSpec& spec, const SharedArtifacts& arts);
 
 /// Convenience: resolve the spec's artifacts (all three tiers) from

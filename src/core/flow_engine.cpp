@@ -9,7 +9,6 @@
 
 #include "core/ht_library.hpp"
 #include "prob/signal_prob.hpp"
-#include "sim/gate_eval.hpp"
 #include "sim/simulator.hpp"
 #include "util/thread_pool.hpp"
 #include "verify/verify.hpp"
@@ -49,11 +48,9 @@ SuiteOracle::SuiteOracle(const Netlist& nl, const DefenderSuite& suite,
 bool SuiteOracle::seed_compatible(const SuiteOracle& seed) const {
   // The caller's contract is that the seed was built on a structurally
   // identical netlist with the same suite; these guards catch the obvious
-  // mismatches (different circuit, different suite shape, different
-  // TZ_EVAL_PLAN mode mid-campaign) and fall back to a full build rather
-  // than serving stale rows.
+  // mismatches (different circuit, different suite shape) and fall back to
+  // a full build rather than serving stale rows.
   if (seed.sequential_) return false;
-  if ((seed.plan_ != nullptr) != eval_plan_enabled()) return false;
   if (seed.nl_->raw_size() != nl_->raw_size() ||
       seed.nl_->live_count() != nl_->live_count()) {
     return false;
@@ -85,31 +82,20 @@ void SuiteOracle::clone_from(const SuiteOracle& seed) {
   rank_ = seed.rank_;
   // The plan is patched in place by resync_structure, so every clone gets
   // its own deep copy; the seed's plan stays pristine for the next job.
-  if (seed.plan_) plan_ = std::make_shared<EvalPlan>(*seed.plan_);
+  plan_ = std::make_shared<EvalPlan>(*seed.plan_);
 }
 
 void SuiteOracle::build_caches() {
   const Netlist& nl = *nl_;
   const DefenderSuite& suite = *suite_;
   node_cap_ = nl.raw_size();
-  if (eval_plan_enabled()) {
-    // Compiled path: one plan shared with the seeding simulator, so cached
-    // rows are dense slot-major and slot ids double as topological ranks.
-    plan_ = std::make_shared<EvalPlan>(nl);
-    cap_ = plan_->num_slots();
-    rank_.resize(cap_);
-    std::iota(rank_.begin(), rank_.end(), 0);
-  } else {
-    cap_ = nl.raw_size();
-    rank_.assign(cap_, 0);
-  }
+  // One plan shared with the seeding simulator, so cached rows are dense
+  // slot-major and slot ids double as topological ranks.
+  plan_ = std::make_shared<EvalPlan>(nl);
+  cap_ = plan_->num_slots();
+  rank_.resize(cap_);
+  std::iota(rank_.begin(), rank_.end(), 0);
   BitSimulator sim(nl, plan_);
-  if (!plan_) {
-    const std::vector<NodeId>& order = sim.order();
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      rank_[order[i]] = static_cast<std::uint32_t>(i);
-    }
-  }
   recorded_po_ = nl.outputs();
 
   // Fused layout: every non-empty set occupies a contiguous word range of
@@ -134,20 +120,10 @@ void SuiteOracle::build_caches() {
     const SetSegment& sg = segs_[seg++];
     valid_[sg.offset + sg.words - 1] = ts.patterns.tail_mask();
     const NodeValues vals = sim.run(ts.patterns);
-    if (plan_) {
-      // copy_slot_row gathers across stripes when a wide suite made the run
-      // come out stripe-major (the fused cache itself stays row-contiguous).
-      for (std::size_t s = 0; s < cap_; ++s) {
-        vals.copy_slot_row(s, rows_.data() + s * words_ + sg.offset);
-      }
-    } else {
-      for (NodeId id = 0; id < cap_; ++id) {
-        if (!nl.is_alive(id)) continue;
-        const std::uint64_t* src = vals.row(id);
-        std::copy(src, src + sg.words,
-                  rows_.data() + static_cast<std::size_t>(id) * words_ +
-                      sg.offset);
-      }
+    // copy_slot_row gathers across stripes when a wide suite made the run
+    // come out stripe-major (the fused cache itself stays row-contiguous).
+    for (std::size_t s = 0; s < cap_; ++s) {
+      vals.copy_slot_row(s, rows_.data() + s * words_ + sg.offset);
     }
     for (std::size_t o = 0; o < recorded_po_.size(); ++o) {
       const auto g = ts.golden.words(o);
@@ -159,34 +135,22 @@ void SuiteOracle::build_caches() {
 void SuiteOracle::grow() {
   const std::size_t n = nl_->raw_size();
   if (n <= node_cap_) return;
-  if (plan_) {
-    // Plan patch: every new alive node becomes a source slot appended to the
-    // plan (never scheduled — tie cells are the only new nodes oracle
-    // queries ever read; HT and dummy gates are judged before
-    // materialisation / have no readers).
-    plan_->ensure_node_capacity(n);
-    for (NodeId id = static_cast<NodeId>(node_cap_); id < n; ++id) {
-      if (!nl_->is_alive(id)) continue;
-      const SlotId s = plan_->append_source(id);
-      rows_.resize((static_cast<std::size_t>(s) + 1) * words_, 0);
-      rank_.push_back(s);
-      if (nl_->node(id).type == GateType::Const1) {
-        std::fill_n(rows_.data() + static_cast<std::size_t>(s) * words_,
-                    words_, ~std::uint64_t{0});
-      }
+  // Plan patch: every new alive node becomes a source slot appended to the
+  // plan (never scheduled — tie cells are the only new nodes oracle queries
+  // ever read; HT and dummy gates are judged before materialisation / have
+  // no readers).
+  plan_->ensure_node_capacity(n);
+  for (NodeId id = static_cast<NodeId>(node_cap_); id < n; ++id) {
+    if (!nl_->is_alive(id)) continue;
+    const SlotId s = plan_->append_source(id);
+    rows_.resize((static_cast<std::size_t>(s) + 1) * words_, 0);
+    rank_.push_back(s);
+    if (nl_->node(id).type == GateType::Const1) {
+      std::fill_n(rows_.data() + static_cast<std::size_t>(s) * words_, words_,
+                  ~std::uint64_t{0});
     }
-    cap_ = plan_->num_slots();
-  } else {
-    rows_.resize(n * words_, 0);
-    for (NodeId id = static_cast<NodeId>(node_cap_); id < n; ++id) {
-      if (nl_->is_alive(id) && nl_->node(id).type == GateType::Const1) {
-        std::fill_n(rows_.data() + static_cast<std::size_t>(id) * words_,
-                    words_, ~std::uint64_t{0});
-      }
-    }
-    rank_.resize(n, 0);  // new nodes are sources here; never scheduled
-    cap_ = n;
   }
+  cap_ = plan_->num_slots();
   node_cap_ = n;
 }
 
@@ -196,36 +160,23 @@ void SuiteOracle::ensure_scratch(ConeScratch& cs) const {
   cs.worklist_.resize(cap_);
 }
 
-void SuiteOracle::schedule_readers(std::uint32_t ix, ConeScratch& cs) const {
-  if (plan_) {
-    for (SlotId r : plan_->fanout(ix)) {
-      if (plan_->op(r) != EvalOp::Dead) cs.worklist_.push(r);
-    }
-    return;
-  }
-  for (NodeId r : nl_->node(ix).fanout) {
-    if (!nl_->is_alive(r)) continue;
-    const GateType t = nl_->node(r).type;
-    if (t == GateType::Dff || t == GateType::Input) continue;
-    cs.worklist_.push(r);
+void SuiteOracle::schedule_readers(SlotId s, ConeScratch& cs) const {
+  for (SlotId r : plan_->fanout(s)) {
+    if (plan_->op(r) != EvalOp::Dead) cs.worklist_.push(r);
   }
 }
 
 bool SuiteOracle::propagate(ConeScratch& cs) const {
-  const auto get = [&](std::uint32_t f) -> const std::uint64_t* {
+  const auto get = [&](SlotId f) -> const std::uint64_t* {
     return cs.touched_[f] ? scratch_row(cs, f) : cached_row(f);
   };
   // The worklist pops in topological order, so every touched fanin is final
   // by the time a gate evaluates; a gate whose row matches the cache on all
   // valid lanes (of every set at once) generates no further events.
   while (!cs.worklist_.empty()) {
-    const std::uint32_t id = cs.worklist_.pop();
+    const SlotId id = cs.worklist_.pop();
     std::uint64_t* out = scratch_row(cs, id);
-    if (plan_) {
-      eval_plan_slot(*plan_, id, words_, get, out);
-    } else {
-      eval_gate_row(nl_->node(id), words_, get, out);
-    }
+    eval_plan_slot(*plan_, id, words_, get, out);
     const std::uint64_t* cr = cached_row(id);
     std::uint64_t changed = 0;
     for (std::size_t w = 0; w < words_; ++w) {
@@ -239,7 +190,7 @@ bool SuiteOracle::propagate(ConeScratch& cs) const {
 
   for (std::size_t o = 0; o < recorded_po_.size(); ++o) {
     const NodeId cur = nl_->outputs()[o];
-    const std::uint32_t cix = ix(cur);
+    const SlotId cix = plan_->slot_of(cur);
     if (!cs.touched_[cix] && cur == recorded_po_[o]) continue;
     const std::uint64_t* got =
         cs.touched_[cix] ? scratch_row(cs, cix) : cached_row(cix);
@@ -252,13 +203,13 @@ bool SuiteOracle::propagate(ConeScratch& cs) const {
 }
 
 void SuiteOracle::clear_marks(ConeScratch& cs) const {
-  for (NodeId id : cs.visited_) cs.touched_[id] = 0;
+  for (SlotId s : cs.visited_) cs.touched_[s] = 0;
   cs.visited_.clear();
 }
 
 bool SuiteOracle::seed_tie(NodeId target, bool value, ConeScratch& cs) const {
   const std::uint64_t cval = value ? ~std::uint64_t{0} : 0;
-  const std::uint32_t tix = ix(target);
+  const SlotId tix = plan_->slot_of(target);
   // Excitation fast path: the tied node already evaluated to the constant
   // on every valid lane of every set — nothing downstream can change.
   const std::uint64_t* tr = cached_row(tix);
@@ -295,7 +246,7 @@ void SuiteOracle::commit_tie(NodeId target, bool value) {
   grow();
   // The structural tie_to_constant follows this call; remember the target so
   // resync_structure() can patch the plan (reader fanins, swept cone).
-  if (plan_) pending_ties_.push_back(target);
+  pending_ties_.push_back(target);
   ConeScratch& cs = self_;
   ensure_scratch(cs);
   if (words_ == 0) return;
@@ -303,7 +254,7 @@ void SuiteOracle::commit_tie(NodeId target, bool value) {
   if (!propagate(cs)) {
     // Invisible as promised: fold the deviating rows into the cache so later
     // candidates are judged against the updated netlist.
-    for (std::uint32_t id : cs.visited_) {
+    for (SlotId id : cs.visited_) {
       std::copy(scratch_row(cs, id), scratch_row(cs, id) + words_,
                 rows_.data() + static_cast<std::size_t>(id) * words_);
     }
@@ -315,41 +266,39 @@ void SuiteOracle::resync_structure() {
   if (sequential_) return;
   MutexLock lk(structure_mu_);
   grow();
-  if (plan_) {
-    // Incremental plan patch for the ties committed since the last resync:
-    // the netlist now reads the tie cell (appended as a source slot by
-    // grow()) wherever it read the target, and the target plus its
-    // newly-unread fanin cone were swept. Rewrite the recorded readers'
-    // fanin CSR rows in place and tombstone the dead region — exactly the
-    // structure a from-scratch recompile would produce, without paying for
-    // one per committed candidate.
-    for (NodeId target : pending_ties_) {
-      const SlotId ts = plan_->slot_of(target);
-      // The fanout CSR still records the pre-tie readers of the target.
-      for (SlotId r : plan_->fanout(ts)) {
-        if (plan_->op(r) != EvalOp::Dead &&
-            nl_->is_alive(plan_->node_of(r))) {
-          plan_->refresh_fanins(r, *nl_);
-        }
-      }
-      // The swept cone is the transitive fanin region of the target that
-      // lost its last reader: walk fanin edges from the target, tombstoning
-      // every node the sweep removed, and stop at survivors.
-      std::vector<SlotId> stack{ts};
-      while (!stack.empty()) {
-        const SlotId s = stack.back();
-        stack.pop_back();
-        if (plan_->op(s) == EvalOp::Dead) continue;
-        if (nl_->is_alive(plan_->node_of(s))) continue;
-        for (SlotId f : plan_->fanins(s)) stack.push_back(f);
-        plan_->kill(s);
+  // Incremental plan patch for the ties committed since the last resync:
+  // the netlist now reads the tie cell (appended as a source slot by
+  // grow()) wherever it read the target, and the target plus its
+  // newly-unread fanin cone were swept. Rewrite the recorded readers'
+  // fanin CSR rows in place and tombstone the dead region — exactly the
+  // structure a from-scratch recompile would produce, without paying for
+  // one per committed candidate.
+  for (NodeId target : pending_ties_) {
+    const SlotId ts = plan_->slot_of(target);
+    // The fanout CSR still records the pre-tie readers of the target.
+    for (SlotId r : plan_->fanout(ts)) {
+      if (plan_->op(r) != EvalOp::Dead &&
+          nl_->is_alive(plan_->node_of(r))) {
+        plan_->refresh_fanins(r, *nl_);
       }
     }
-    pending_ties_.clear();
-    // A tie that retargeted a primary output leaves the compiled output
-    // list pointing at the old driver's slot.
-    plan_->refresh_outputs(*nl_);
+    // The swept cone is the transitive fanin region of the target that
+    // lost its last reader: walk fanin edges from the target, tombstoning
+    // every node the sweep removed, and stop at survivors.
+    std::vector<SlotId> stack{ts};
+    while (!stack.empty()) {
+      const SlotId s = stack.back();
+      stack.pop_back();
+      if (plan_->op(s) == EvalOp::Dead) continue;
+      if (nl_->is_alive(plan_->node_of(s))) continue;
+      for (SlotId f : plan_->fanins(s)) stack.push_back(f);
+      plan_->kill(s);
+    }
   }
+  pending_ties_.clear();
+  // A tie that retargeted a primary output leaves the compiled output
+  // list pointing at the old driver's slot.
+  plan_->refresh_outputs(*nl_);
   recorded_po_ = nl_->outputs();
 }
 
@@ -358,7 +307,7 @@ bool SuiteOracle::payload_fires(std::span<const NodeId> trigger_nets,
   // Trigger condition per pattern: AND over the tapped rare nets.
   cs.trig_.assign(words_, ~std::uint64_t{0});
   for (NodeId r : trigger_nets) {
-    const std::uint64_t* row = cached_row(ix(r));
+    const std::uint64_t* row = cached_row(plan_->slot_of(r));
     for (std::size_t w = 0; w < words_; ++w) cs.trig_[w] &= row[w];
   }
   for (std::size_t w = 0; w < words_; ++w) cs.trig_[w] &= valid_[w];
@@ -402,7 +351,7 @@ bool SuiteOracle::ht_visible(std::span<const NodeId> trigger_nets,
   if (!payload_fires(trigger_nets, counter_bits, cs)) return false;
   // The payload MUX rewires the victim's readers to v XOR fire; propagate
   // the masked deviation through the victim's fanout cone.
-  const std::uint32_t vix = ix(victim);
+  const SlotId vix = plan_->slot_of(victim);
   std::uint64_t* fr = scratch_row(cs, vix);
   const std::uint64_t* vr = cached_row(vix);
   for (std::size_t w = 0; w < words_; ++w) fr[w] = vr[w] ^ cs.fire_[w];

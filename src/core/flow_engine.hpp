@@ -5,11 +5,11 @@
 // FlowEngine replaces both hot paths with incremental machinery:
 //
 //  - SuiteOracle caches the good-value rows of the current work netlist for
-//    every defender test set in one fused node-major layout (all sets
+//    every defender test set in one fused slot-major layout (all sets
 //    concatenated per row, invalid tail lanes masked), and re-simulates only
 //    the structural fanout cone of an edit in a single multi-set pass
-//    (event-driven over a topological-rank worklist, reusing the
-//    sim/gate_eval.hpp kernels), comparing just the cone-reachable outputs
+//    (event-driven over a topological-rank worklist, through the compiled
+//    plan's kernels), comparing just the cone-reachable outputs
 //    against the cached golden responses. A tie candidate costs O(cone); an
 //    HT candidate is judged *before* it is materialised by replaying its
 //    trigger/counter against the cached rows of the rare nets it would tap.
@@ -72,7 +72,7 @@ class ConeScratch {
   RankWorklist worklist_;
   std::vector<std::uint64_t> rows_;
   std::vector<char> touched_;
-  std::vector<NodeId> visited_;
+  std::vector<SlotId> visited_;
   std::vector<std::uint64_t> trig_, fire_;
 };
 
@@ -81,15 +81,13 @@ class ConeScratch {
 /// API. Only combinational netlists are cached — construction on a netlist
 /// with DFFs sets sequential() and the caller falls back to functional_test.
 ///
-/// On the compiled-plan path (TZ_EVAL_PLAN, default on) the oracle indexes
-/// sim/eval_plan.hpp slots: cached rows are slot-major, slot ids double as
-/// topological ranks and the fused cone pass evaluates through the plan's
-/// arity-specialized kernels. resync_structure() patches the plan
-/// incrementally for committed ties and rolled-back HT/dummy ranges (append
-/// the tie cell as a source slot, rewrite the readers' fanin CSR in place,
-/// tombstone the swept cone), so per-candidate judging never recompiles the
-/// plan. TZ_EVAL_PLAN=0 keeps the legacy Node-walking path; both are
-/// bit-identical.
+/// The oracle indexes sim/eval_plan.hpp slots: cached rows are slot-major,
+/// slot ids double as topological ranks and the fused cone pass evaluates
+/// through the plan's arity-specialized kernels. resync_structure() patches
+/// the plan incrementally for committed ties and rolled-back HT/dummy ranges
+/// (append the tie cell as a source slot, rewrite the readers' fanin CSR in
+/// place, tombstone the swept cone), so per-candidate judging never
+/// recompiles the plan.
 ///
 /// Thread safety: the const overloads of tie_visible / ht_visible are pure
 /// reads of the shared core plus writes into the caller-provided scratch, so
@@ -103,7 +101,7 @@ class SuiteOracle {
 
   /// Seeded construction for the campaign artifact layer: when `seed` was
   /// built for a structurally identical netlist (same raw node ids, same
-  /// recorded outputs, same suite shape and eval-plan mode), the cached rows,
+  /// recorded outputs, same suite shape), the cached rows,
   /// golden responses and compiled plan are cloned from it instead of
   /// re-simulating the whole suite — the copy-on-write handoff from a shared
   /// per-circuit artifact into this job's mutable flow. The clone deep-copies
@@ -154,9 +152,9 @@ class SuiteOracle {
   /// before a parallel screening phase that follows any structural edit.
   void resync_structure();
 
-  /// The compiled plan the oracle judges through, or nullptr on the legacy
-  /// path (or before the first grow()). FlowEngine hands it to PlanChecker
-  /// at every commit boundary under TZ_CHECK.
+  /// The compiled plan the oracle judges through, or nullptr when the oracle
+  /// is sequential(). FlowEngine hands it to PlanChecker at every commit
+  /// boundary under TZ_CHECK.
   const EvalPlan* plan() const { return plan_.get(); }
 
  private:
@@ -179,20 +177,15 @@ class SuiteOracle {
 
   void grow();
   void ensure_scratch(ConeScratch& cs) const;
-  /// Row index of a node: its plan slot on the compiled path, the NodeId on
-  /// the legacy path. Every internal row/mark array is keyed by this.
-  std::uint32_t ix(NodeId id) const {
-    return plan_ ? plan_->slot_of(id) : id;
+  /// Every internal row/mark array is keyed by plan slot.
+  const std::uint64_t* cached_row(SlotId s) const {
+    return rows_.data() + static_cast<std::size_t>(s) * words_;
   }
-  const std::uint64_t* cached_row(std::uint32_t ix) const {
-    return rows_.data() + static_cast<std::size_t>(ix) * words_;
+  std::uint64_t* scratch_row(ConeScratch& cs, SlotId s) const {
+    return cs.rows_.data() + static_cast<std::size_t>(s) * words_;
   }
-  std::uint64_t* scratch_row(ConeScratch& cs, std::uint32_t ix) const {
-    return cs.rows_.data() + static_cast<std::size_t>(ix) * words_;
-  }
-  /// Schedule the combinational readers of row `ix` (plan fanout CSR or
-  /// netlist fanout walk).
-  void schedule_readers(std::uint32_t ix, ConeScratch& cs) const;
+  /// Schedule the live combinational readers of slot `s` (plan fanout CSR).
+  void schedule_readers(SlotId s, ConeScratch& cs) const;
   /// Event-driven fused-cone evaluation from the pre-seeded worklist/forced
   /// rows; returns true when a primary-output row deviates from golden on
   /// any valid lane. Leaves cs touched/visited marks set for the caller.
@@ -211,8 +204,8 @@ class SuiteOracle {
   const DefenderSuite* suite_;
   bool sequential_ = false;
   bool seeded_ = false;
-  std::shared_ptr<EvalPlan> plan_;  ///< nullptr = legacy Node-walking path
-  std::size_t cap_ = 0;       ///< row-index capacity of rows/scratch
+  std::shared_ptr<EvalPlan> plan_;  ///< nullptr only when sequential_
+  std::size_t cap_ = 0;       ///< slot capacity of rows/scratch
   std::size_t node_cap_ = 0;  ///< raw node ids covered by grow()
   std::size_t words_ = 0;     ///< fused row width: sum of set widths
   std::vector<SetSegment> segs_;
@@ -228,7 +221,7 @@ class SuiteOracle {
   Mutex structure_mu_;
   /// Committed ties awaiting plan patch.
   std::vector<NodeId> pending_ties_ TZ_GUARDED_BY(structure_mu_);
-  std::vector<std::uint32_t> rank_;    ///< identity over slots on the plan path
+  std::vector<std::uint32_t> rank_;    ///< identity over slots
   ConeScratch self_{*this};  ///< scratch for the single-threaded API
 };
 

@@ -52,7 +52,9 @@ struct FlowMeta {
   std::size_t outputs = 0;      ///< Primary outputs of N.
   /// Per-defender-algorithm pattern counts, suite order.
   std::vector<std::size_t> suite_patterns;
-  bool eval_plan = true;        ///< TZ_EVAL_PLAN mode the flow ran under.
+  /// Always true since the compiled plan became the only evaluator; kept so
+  /// the wire format does not change.
+  bool eval_plan = true;
   std::string fault_mode;       ///< Resolved FaultSimMode ("auto"/...).
   std::size_t threads = 0;      ///< Resolved worker count for the scans.
   double wall_ms = 0.0;         ///< End-to-end job wall time (volatile).
@@ -64,10 +66,10 @@ struct FlowMeta {
   }
 };
 
-/// Everything one Table I row needs. The cold run_trojanzero_flow builds and
-/// owns N, the suite and N', and returns them here. A job on shared campaign
-/// artifacts (run_flow_job) reads the store's N, suite and N' in place, so
-/// its result holds no copy of them: `original`, `suite` and
+/// Everything one Table I row needs. The one-shot run_trojanzero_flow builds
+/// and owns N, the suite and N', and returns them here. A job on shared
+/// campaign artifacts (run_flow_job) reads the store's N, suite and N' in
+/// place, so its result holds no copy of them: `original`, `suite` and
 /// `salvage.modified` stay empty, while the statistics, the FlowMeta stamp
 /// and N'' are filled.
 struct FlowResult {
@@ -90,9 +92,10 @@ struct FlowResult {
 /// Run the complete TrojanZero flow per Fig. 2: verify N, compute thresholds,
 /// run Algorithm 1 and Algorithm 2, and evaluate Pft. `options.pth` and
 /// `counter_bits` default from the Table I spec when the benchmark is known.
-/// Since the campaign refactor this is a convenience wrapper over the job
-/// layer (campaign/job.hpp): one cold ArtifactStore build + run_flow_job.
-/// The definition lives in campaign/job.cpp.
+/// It builds the circuit, suite and salvage artifacts with the
+/// ArtifactStore's builders and runs the campaign job path on them
+/// (campaign/job.hpp), so there is one flow path. The definition lives in
+/// campaign/job.cpp.
 FlowResult run_trojanzero_flow(const std::string& benchmark_name,
                                FlowOptions options);
 

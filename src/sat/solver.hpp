@@ -19,9 +19,7 @@
 //  - MiniSat-style in-loop assumptions: assumption literals are placed as
 //    decisions inside the search loop, so conflict analysis may backtrack
 //    past them and unit learnts assert at level 0 and survive the solve.
-//
-// The reference seed core is preserved unchanged (modulo the duplicated
-// unit-learnt branch) in sat/legacy_solver.hpp for same-run A/B benching.
+
 #pragma once
 
 #include <cstdint>

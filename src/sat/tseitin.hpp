@@ -1,9 +1,9 @@
 // Tseitin encoding of netlist gates into CNF.
 //
 // Header-only templates so the same gate semantics drive the arena solver
-// (sat/solver.hpp), the preserved legacy core (sat/legacy_solver.hpp), and
-// the incremental miter's per-cone lazy encoder (sat/miter.hpp). A solver
-// type only needs new_var / add_unit / add_binary / add_ternary / add_clause.
+// (sat/solver.hpp) and the incremental miter's per-cone lazy encoder
+// (sat/miter.hpp). A solver type only needs new_var / add_unit / add_binary
+// / add_ternary / add_clause.
 #pragma once
 
 #include <vector>

@@ -1,8 +1,7 @@
 // Shared SAT literal/result types.
 //
-// Split out of solver.hpp so the modern arena solver (sat/solver.hpp) and
-// the preserved reference core (sat/legacy_solver.hpp) speak the same
-// literal encoding and the Tseitin templates work against either.
+// Split out of solver.hpp so the Tseitin templates (sat/tseitin.hpp) and
+// the miter layer share the literal encoding without pulling in the solver.
 #pragma once
 
 #include <cstdint>

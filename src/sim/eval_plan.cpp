@@ -1,7 +1,6 @@
 #include "sim/eval_plan.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
 #include <string_view>
 
@@ -22,31 +21,9 @@ bool env_disabled(const char* name) {
   return false;
 }
 
-int read_env_mode() { return env_disabled("TZ_EVAL_PLAN") ? 0 : 1; }
-
-std::atomic<int>& override_mode() {
-  static std::atomic<int> mode{-1};
-  return mode;
-}
-
 }  // namespace
 
-bool eval_plan_enabled() {
-  const int ovr = override_mode().load(std::memory_order_relaxed);
-  if (ovr >= 0) return ovr != 0;
-  static const int env_mode = read_env_mode();
-  return env_mode != 0;
-}
-
-void set_eval_plan_enabled(int mode) {
-  override_mode().store(mode < 0 ? -1 : (mode != 0), std::memory_order_relaxed);
-}
-
 EvalPlan::EvalPlan(const Netlist& nl) { compile(nl, nl.topo_order()); }
-
-EvalPlan::EvalPlan(const Netlist& nl, const std::vector<NodeId>& topo) {
-  compile(nl, topo);
-}
 
 void EvalPlan::compile(const Netlist& nl, const std::vector<NodeId>& topo) {
   const std::size_t n = topo.size();

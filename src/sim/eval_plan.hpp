@@ -20,9 +20,8 @@
 // fanin CSR entries in place and tombstones the swept cone's slots, so
 // per-candidate judging never recompiles the plan.
 //
-// The TZ_EVAL_PLAN environment variable (default on; set 0 to disable)
-// selects between the compiled-plan path and the legacy Node-walking path in
-// every engine; both produce bit-identical results.
+// The plan is the only evaluator the engines use. The Node-walking
+// reference_simulate (sim/simulator.hpp) exists for the parity checks alone.
 #pragma once
 
 #include <cstdint>
@@ -63,18 +62,14 @@ enum class EvalOp : std::uint8_t {
   Dead,  ///< Patched-out slot (swept cone): never evaluated or scheduled.
 };
 
-/// Plan path on/off: TZ_EVAL_PLAN env (default on; "0" disables), overridable
-/// in-process for A/B tests. Engines capture the mode at construction.
-bool eval_plan_enabled();
-/// Test hook: 0 = force legacy, 1 = force plan, -1 = back to the env var.
-void set_eval_plan_enabled(int mode);
+/// Always true: the compiled plan is the only evaluator. Kept because the
+/// FlowMeta::eval_plan wire field is stamped from it.
+constexpr bool eval_plan_enabled() { return true; }
 
 class EvalPlan {
  public:
   /// Compile from the netlist's topological order (computed internally).
   explicit EvalPlan(const Netlist& nl);
-  /// Compile reusing an already-computed topo order over the live nodes.
-  EvalPlan(const Netlist& nl, const std::vector<NodeId>& topo);
 
   std::size_t num_slots() const { return ops_.size(); }
   SlotId slot_of(NodeId id) const {

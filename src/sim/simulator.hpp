@@ -6,12 +6,11 @@
 // for dynamic power. CycleSimulator adds DFF state for circuits carrying the
 // counter-based Trojan of Fig. 4.
 //
-// With the compiled-plan path enabled (TZ_EVAL_PLAN, default on) a
-// BitSimulator compiles the netlist into a sim/eval_plan.hpp EvalPlan once
+// A BitSimulator compiles the netlist into a sim/eval_plan.hpp EvalPlan once
 // and every run() is a straight walk of the opcode stream over a dense
 // slot-major value matrix; NodeValues::row() translates NodeId -> slot
-// transparently, so callers are layout-agnostic. The legacy Node-walking
-// evaluator is kept (TZ_EVAL_PLAN=0) and produces bit-identical values.
+// transparently, so callers are layout-agnostic. reference_simulate is the
+// independent Node-walking evaluator the parity checks hold the plan to.
 #pragma once
 
 #include <algorithm>
@@ -66,9 +65,8 @@ enum class ValueLayout {
 };
 
 /// Per-node simulation values for a block of patterns: value(node, word).
-/// Rows are node-major (one row per NodeId slot) unless constructed over an
-/// EvalPlan, in which case storage is dense slot-major and row(id) resolves
-/// through the plan — reading a row of a dead node is then invalid.
+/// Storage is dense slot-major over an EvalPlan and row(id) resolves through
+/// the plan — reading a row of a dead node is invalid.
 ///
 /// Under ValueLayout::Auto/Striped a large matrix becomes stripe-major: the
 /// words are cut into stripes of stripe_words() (== EvalPlan::block_words),
@@ -79,11 +77,7 @@ enum class ValueLayout {
 class NodeValues {
  public:
   NodeValues() = default;
-  NodeValues(std::size_t num_nodes, std::size_t num_words)
-      : num_rows_(num_nodes),
-        num_words_(num_words),
-        v_(num_nodes * num_words, 0) {}
-  /// Plan layout. The storage is intentionally left uninitialized: the
+  /// The storage is intentionally left uninitialized: the
   /// evaluate() walk writes every slot row (BitSimulator::run zero-fills the
   /// DFF source rows it does not otherwise seed).
   NodeValues(std::shared_ptr<const EvalPlan> plan, std::size_t num_words,
@@ -130,9 +124,9 @@ class NodeValues {
     return {v_.data() + word_offset(row_index(id), w), segment_len(w)};
   }
 
-  /// Gather the full logical row of plan slot `s` (row `s` in the legacy
-  /// node-major layout) into `dst[0 .. num_words())` — the engines that
-  /// think in slots skip the NodeId translation.
+  /// Gather the full logical row of plan slot `s` into
+  /// `dst[0 .. num_words())` — the engines that think in slots skip the
+  /// NodeId translation.
   void copy_slot_row(std::size_t s, std::uint64_t* dst) const {
     TZ_DBG_ASSERT(s < num_rows_, "NodeValues::copy_slot_row row index");
     for (std::size_t w = 0; w < num_words_;) {
@@ -146,18 +140,17 @@ class NodeValues {
     copy_slot_row(row_index(id), dst);
   }
 
-  /// Slot-major backing store (plan layout) / node-major store (legacy).
-  /// Engines that already think in plan slots index this directly; only
-  /// valid for whole-row arithmetic when !striped().
+  /// Slot-major backing store. Engines that already think in plan slots
+  /// index this directly; only valid for whole-row arithmetic when
+  /// !striped().
   std::uint64_t* data() { return v_.data(); }
   const std::uint64_t* data() const { return v_.data(); }
   const EvalPlan* plan() const { return plan_.get(); }
 
  private:
   std::size_t row_index(NodeId id) const {
-    const std::size_t r = plan_ ? plan_->slot_of(id) : id;
-    // Catches reads of a dead node's row on the plan path (slot_of returns
-    // kNoSlot) as well as plain out-of-range ids on the legacy layout.
+    const std::size_t r = plan_->slot_of(id);
+    // Catches reads of a dead node's row (slot_of returns kNoSlot).
     TZ_DBG_ASSERT(r < num_rows_, "NodeValues: node has no row");
     return r;
   }
@@ -193,22 +186,20 @@ class NodeValues {
 
 class BitSimulator {
  public:
-  /// Captures the topological order (and compiles the evaluation plan when
-  /// the plan path is enabled); the netlist must outlive the simulator and
+  /// Compiles the evaluation plan; the netlist must outlive the simulator and
   /// must not be structurally modified while in use.
   explicit BitSimulator(const Netlist& nl);
 
-  /// Run on an externally compiled plan for the same netlist (pass nullptr
-  /// to force the legacy evaluator). Lets owners that patch a plan share one
-  /// compilation with the simulator used to seed their caches.
+  /// Run on an externally compiled plan for the same netlist. Lets owners
+  /// that patch a plan share one compilation with the simulator used to seed
+  /// their caches.
   BitSimulator(const Netlist& nl, std::shared_ptr<const EvalPlan> plan);
 
   /// Evaluate all nodes for the given input patterns. DFF outputs are taken
   /// from `state` when provided (size = dffs().size()), else 0.
-  /// `layout` picks the value-matrix layout on the plan path (Auto goes
-  /// stripe-major for wide rows — pass Contiguous when you will read whole
-  /// rows through row()/data() pointer arithmetic); the legacy path is
-  /// always node-major contiguous.
+  /// `layout` picks the value-matrix layout (Auto goes stripe-major for
+  /// wide rows — pass Contiguous when you will read whole rows through
+  /// row()/data() pointer arithmetic).
   NodeValues run(const PatternSet& inputs,
                  const std::vector<std::uint64_t>* dff_state = nullptr,
                  ValueLayout layout = ValueLayout::Auto) const;
@@ -232,19 +223,23 @@ class BitSimulator {
 
   const Netlist& netlist() const { return *nl_; }
 
-  /// The captured topological order; lets callers that already hold a
-  /// simulator reuse the sort instead of recomputing it.
-  const std::vector<NodeId>& order() const { return order_; }
-
-  /// The compiled plan, or nullptr on the legacy path.
   const EvalPlan* plan() const { return plan_.get(); }
   std::shared_ptr<const EvalPlan> shared_plan() const { return plan_; }
 
  private:
   const Netlist* nl_;
-  std::vector<NodeId> order_;
   std::shared_ptr<const EvalPlan> plan_;
 };
+
+/// The Node-walking reference evaluator: one pass over the netlist's
+/// topological order through the sim/gate_eval.hpp kernels, sharing no code
+/// with EvalPlan. No engine uses it; the parity tests and bench_large_smoke
+/// hold the compiled plan to it bit for bit. Returns node-major rows: word
+/// `w` of node `id` is at `[id * inputs.num_words() + w]` (rows of dead ids
+/// are zero). DFF outputs are taken from `dff_state` as in BitSimulator::run.
+std::vector<std::uint64_t> reference_simulate(
+    const Netlist& nl, const PatternSet& inputs,
+    const std::vector<std::uint64_t>* dff_state = nullptr);
 
 /// Count of 0->1 and 1->0 transitions per node when patterns are applied in
 /// sequence (pattern p followed by p+1). Used for simulated switching

@@ -18,6 +18,12 @@ DieSample VariationModel::sample_die(std::size_t raw_size) {
   return die;
 }
 
+// Measurement noise is the multiplicative factor N(1, measurement_sigma),
+// drawn as z * sigma + 1.0 from a unit normal z. That is the expression
+// std::normal_distribution(1.0, sigma) evaluates in libstdc++, so the RNG
+// stream and every sigma > 0 value are unchanged, while sigma == 0 (which
+// that distribution's precondition forbids) is legal and yields exactly 1.
+
 PowerReport VariationModel::measure(const Netlist& nl,
                                     const PowerBreakdown& nominal,
                                     const DieSample& die) {
@@ -30,9 +36,9 @@ PowerReport VariationModel::measure(const Netlist& nl,
   }
   r.dynamic_uw *= die.die_scale;
   r.leakage_uw *= die.die_scale;
-  std::normal_distribution<double> noise(1.0, spec_.measurement_sigma);
-  r.dynamic_uw *= noise(rng_);
-  r.leakage_uw *= noise(rng_);
+  std::normal_distribution<double> unit(0.0, 1.0);
+  r.dynamic_uw *= unit(rng_) * spec_.measurement_sigma + 1.0;
+  r.leakage_uw *= unit(rng_) * spec_.measurement_sigma + 1.0;
   return r;
 }
 
@@ -40,11 +46,11 @@ std::vector<double> VariationModel::noisy_leakage(const Netlist& nl,
                                                   const PowerBreakdown& nominal,
                                                   const DieSample& die) {
   std::vector<double> leak(nl.raw_size(), 0.0);
-  std::normal_distribution<double> noise(1.0, spec_.measurement_sigma);
+  std::normal_distribution<double> unit(0.0, 1.0);
   for (NodeId id = 0; id < nl.raw_size(); ++id) {
     if (!nl.is_alive(id)) continue;
     leak[id] = nominal.leakage_uw[id] * die.leakage_scale[id] *
-               die.die_scale * noise(rng_);
+               die.die_scale * (unit(rng_) * spec_.measurement_sigma + 1.0);
   }
   return leak;
 }

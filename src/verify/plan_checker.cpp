@@ -406,17 +406,15 @@ VerifyReport PlanChecker::run(const EvalPlan& p, const Netlist& nl,
 VerifyReport check_values_layout(const NodeValues& vals) {
   VerifyReport r;
   const EvalPlan* plan = vals.plan();
-  if (plan != nullptr && vals.num_rows() != plan->num_slots()) {
+  if (plan == nullptr) return r;  // default-constructed: no rows at all
+  if (vals.num_rows() != plan->num_slots()) {
     r.add(CheckId::PlanBlockLayout,
           "value matrix has " + std::to_string(vals.num_rows()) +
               " rows for a " + std::to_string(plan->num_slots()) +
               "-slot plan");
   }
   if (vals.striped()) {
-    if (plan == nullptr) {
-      r.add(CheckId::PlanBlockLayout,
-            "stripe-major value matrix without a plan");
-    } else if (vals.stripe_words() != plan->block_words(vals.num_words())) {
+    if (vals.stripe_words() != plan->block_words(vals.num_words())) {
       r.add(CheckId::PlanBlockLayout,
             "stripe width " + std::to_string(vals.stripe_words()) +
                 " disagrees with block_words(" +

@@ -133,7 +133,7 @@ std::string verify_what(const std::string& phase, const VerifyReport& r) {
   return "tz::verify failed at " + phase + ": " + r.format();
 }
 
-/// Same tri-state env convention as TZ_EVAL_PLAN/TZ_SIMD (eval_plan.cpp):
+/// Same tri-state env convention as TZ_SIMD (eval_plan.cpp):
 /// "0"/"false"/"off" disables, any other value enables, unset falls through
 /// to the build-type default.
 int read_check_env() {

@@ -362,8 +362,8 @@ TEST(FaultBackend, ModeSelectionAndFactoryNames) {
             "packed");
   EXPECT_EQ(make_fault_sim_backend(nl, FaultSimMode::Auto)->name(), "auto");
 
-  // The process-wide override follows the TZ_EVAL_PLAN hook idiom: 0/1/2
-  // force a mode (out-of-range clamps), -1 restores the env default.
+  // The process-wide override: 0/1/2 force a mode (out-of-range clamps), -1
+  // restores the env default.
   {
     const test::FaultModeGuard packed(2);
     EXPECT_EQ(fault_sim_mode(), FaultSimMode::Packed);
@@ -384,39 +384,35 @@ TEST(FaultBackend, ModeSelectionAndFactoryNames) {
   EXPECT_EQ(&event->context(), &packed->context());
 }
 
-TEST(FaultBackend, PackedMatchesEventAcrossPlanModes) {
+TEST(FaultBackend, PackedMatchesEventAndReference) {
   // The packed engine must be bit-identical to the event engine on every
-  // query of the backend contract, on both the compiled-plan and legacy
-  // simulation paths.
+  // query of the backend contract, and the shared detection matrix must
+  // equal reference fault injection on a sample of faults.
   for (const char* name : {"c432", "c880"}) {
     const Netlist nl = make_benchmark(name);
     const auto faults = collapse_faults(nl, fault_universe(nl));
     const PatternSet ps = random_patterns(nl.inputs().size(), 150, 9);
-    for (const int plan_mode : {0, 1}) {
-      const test::PlanModeGuard guard(plan_mode);
-      const std::string label =
-          std::string(name) + " plan=" + std::to_string(plan_mode);
-      const auto event = make_fault_sim_backend(nl, FaultSimMode::Event);
-      const auto packed = make_fault_sim_backend(nl, FaultSimMode::Packed);
-      event->set_patterns(ps);
-      packed->set_patterns(ps);
+    const std::string label = name;
+    const auto event = make_fault_sim_backend(nl, FaultSimMode::Event);
+    const auto packed = make_fault_sim_backend(nl, FaultSimMode::Packed);
+    event->set_patterns(ps);
+    packed->set_patterns(ps);
 
-      const std::vector<bool> eflags = event->simulate(faults);
-      EXPECT_EQ(packed->simulate(faults), eflags) << label;
-      EXPECT_EQ(packed->detection_matrix(faults),
-                event->detection_matrix(faults))
-          << label;
-      for (std::size_t i = 0; i < faults.size(); i += 17) {
-        EXPECT_EQ(packed->detects(faults[i]), event->detects(faults[i]))
-            << label << " fault " << to_string(nl, faults[i]);
-      }
-      std::vector<bool> edrop(faults.size(), false);
-      std::vector<bool> pdrop(faults.size(), false);
-      EXPECT_EQ(packed->drop_sim(faults, pdrop),
-                event->drop_sim(faults, edrop))
-          << label;
-      EXPECT_EQ(pdrop, edrop) << label;
+    const std::vector<bool> eflags = event->simulate(faults);
+    EXPECT_EQ(packed->simulate(faults), eflags) << label;
+    const auto matrix = event->detection_matrix(faults);
+    EXPECT_EQ(packed->detection_matrix(faults), matrix) << label;
+    for (std::size_t i = 0; i < faults.size(); i += 17) {
+      EXPECT_EQ(packed->detects(faults[i]), event->detects(faults[i]))
+          << label << " fault " << to_string(nl, faults[i]);
+      EXPECT_EQ(matrix[i], test::reference_detection_bits(nl, ps, faults[i]))
+          << label << " fault " << to_string(nl, faults[i]);
     }
+    std::vector<bool> edrop(faults.size(), false);
+    std::vector<bool> pdrop(faults.size(), false);
+    EXPECT_EQ(packed->drop_sim(faults, pdrop), event->drop_sim(faults, edrop))
+        << label;
+    EXPECT_EQ(pdrop, edrop) << label;
   }
 }
 
@@ -523,21 +519,20 @@ TEST(FaultBackend, ResyncStructureRefreshesReachability) {
   }
 }
 
-TEST(TestGen, AtpgBitIdenticalAcrossBackendsAndPlanModes) {
+TEST(TestGen, AtpgBitIdenticalAcrossBackends) {
   // The full ATPG flow (bootstrap grading, compaction, PODEM dropping) must
   // produce the same pattern set, golden responses and coverage counters no
-  // matter which fault-simulation backend runs it, on both simulation paths.
+  // matter which fault-simulation backend runs it, and its golden responses
+  // must be what the reference evaluator computes.
   const Netlist nl = make_benchmark("c880");
   TestGenOptions opt;
   opt.random_patterns = 64;
   opt.max_patterns = 64;
 
   opt.fault_mode = FaultSimMode::Event;
-  DefenderTestSet base;
-  {
-    const test::PlanModeGuard legacy(0);
-    base = generate_atpg_tests(nl, opt);
-  }
+  const DefenderTestSet base = generate_atpg_tests(nl, opt);
+  EXPECT_TRUE(BitSimulator::responses_equal(
+      base.golden, test::reference_outputs(nl, base.patterns)));
   const auto expect_same = [&](const DefenderTestSet& ts,
                                const std::string& label) {
     EXPECT_EQ(ts.patterns.num_patterns(), base.patterns.num_patterns())
@@ -550,15 +545,10 @@ TEST(TestGen, AtpgBitIdenticalAcrossBackendsAndPlanModes) {
     EXPECT_EQ(ts.untestable, base.untestable) << label;
     EXPECT_EQ(ts.aborted, base.aborted) << label;
   };
-  for (const int plan_mode : {0, 1}) {
-    const test::PlanModeGuard guard(plan_mode);
-    for (const FaultSimMode mode :
-         {FaultSimMode::Event, FaultSimMode::Packed, FaultSimMode::Auto}) {
-      opt.fault_mode = mode;
-      expect_same(generate_atpg_tests(nl, opt),
-                  "plan=" + std::to_string(plan_mode) + " mode=" +
-                      std::string(to_string(mode)));
-    }
+  for (const FaultSimMode mode : {FaultSimMode::Packed, FaultSimMode::Auto}) {
+    opt.fault_mode = mode;
+    expect_same(generate_atpg_tests(nl, opt),
+                "mode=" + std::string(to_string(mode)));
   }
   // The TZ_FAULT_MODE process override must reach the flow when the options
   // leave the mode at Auto.

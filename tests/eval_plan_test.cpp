@@ -1,8 +1,9 @@
 // Tests for the compiled evaluation plan (sim/eval_plan.hpp): structural
 // compile invariants, randomized bit-parity of the plan kernels against the
-// eval_gate_row reference across the full gate alphabet and arity range,
-// cross-mode equality of the engines that consume plans, and the incremental
-// plan patch applied by SuiteOracle::resync_structure after committed ties.
+// Node-walking reference_simulate across the full gate alphabet and arity
+// range, the event fault-sim engine against reference fault injection, and
+// the incremental plan patch applied by SuiteOracle::resync_structure after
+// committed ties.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,8 +31,6 @@
 
 namespace tz {
 namespace {
-
-using test::PlanModeGuard;
 
 /// Random netlist over the full combinational alphabet: Buf/Not (arity 1),
 /// the four AND/OR families and XOR/XNOR at arities 2..8, MUX, and both tie
@@ -106,8 +105,8 @@ TEST(EvalPlan, CompileInvariants) {
   }
 }
 
-TEST(EvalPlan, RandomizedParityWithGateEvalRow) {
-  // The compiled walk must be bit-identical to the legacy eval_gate_row
+TEST(EvalPlan, RandomizedParityWithReference) {
+  // The compiled walk must be bit-identical to the Node-walking reference
   // evaluator on every node row — including the 1-word register fast path
   // and the tail-mask boundaries at 63/64/65 patterns.
   for (std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
@@ -115,18 +114,11 @@ TEST(EvalPlan, RandomizedParityWithGateEvalRow) {
     for (std::size_t patterns : {1u, 63u, 64u, 65u, 200u}) {
       const PatternSet ps =
           random_patterns(nl.inputs().size(), patterns, seed * 97 + patterns);
-      NodeValues legacy, plan;
-      {
-        PlanModeGuard guard(0);
-        legacy = BitSimulator(nl).run(ps);
-      }
-      {
-        PlanModeGuard guard(1);
-        plan = BitSimulator(nl).run(ps);
-      }
+      const std::vector<std::uint64_t> ref = reference_simulate(nl, ps);
+      const NodeValues plan = BitSimulator(nl).run(ps);
       for (NodeId id = 0; id < nl.raw_size(); ++id) {
         if (!nl.is_alive(id)) continue;
-        const std::uint64_t* a = legacy.row(id);
+        const std::uint64_t* a = ref.data() + std::size_t{id} * ps.num_words();
         const std::uint64_t* b = plan.row(id);
         for (std::size_t w = 0; w < ps.num_words(); ++w) {
           ASSERT_EQ(a[w], b[w])
@@ -138,9 +130,9 @@ TEST(EvalPlan, RandomizedParityWithGateEvalRow) {
   }
 }
 
-TEST(EvalPlan, DffStateRowsMatchAcrossModes) {
+TEST(EvalPlan, DffStateRowsMatchReference) {
   // DFF outputs are plan sources; both the explicit-state and the
-  // reset-to-zero fills must match the legacy path bit for bit.
+  // reset-to-zero fills must match the reference evaluator bit for bit.
   Netlist nl("seq");
   const NodeId a = nl.add_input("a");
   const NodeId q0 = nl.add_gate(GateType::Dff, "q0", {a});
@@ -152,48 +144,36 @@ TEST(EvalPlan, DffStateRowsMatchAcrossModes) {
   const std::vector<std::uint64_t> state = {~std::uint64_t{0}, 0};
   for (const std::vector<std::uint64_t>* st :
        {static_cast<const std::vector<std::uint64_t>*>(nullptr), &state}) {
-    NodeValues legacy, plan;
-    {
-      PlanModeGuard guard(0);
-      legacy = BitSimulator(nl).run(ps, st);
-    }
-    {
-      PlanModeGuard guard(1);
-      plan = BitSimulator(nl).run(ps, st);
-    }
+    const std::vector<std::uint64_t> ref = reference_simulate(nl, ps, st);
+    const NodeValues plan = BitSimulator(nl).run(ps, st);
     for (NodeId id : {a, q0, x, q1, o}) {
       for (std::size_t w = 0; w < ps.num_words(); ++w) {
-        ASSERT_EQ(legacy.row(id)[w], plan.row(id)[w]);
+        ASSERT_EQ(ref[std::size_t{id} * ps.num_words() + w], plan.row(id)[w]);
       }
     }
   }
 }
 
-TEST(EvalPlan, FaultSimEngineMatchesAcrossModes) {
+TEST(EvalPlan, FaultSimEngineMatchesReference) {
+  // The event engine's cone walk over plan slots against reference fault
+  // injection: every collapsed fault's detection bitmap (and so its flag)
+  // must equal the reference evaluator's response diff.
   const Netlist nl = make_benchmark("c880");
   const auto faults = collapse_faults(nl, fault_universe(nl));
   for (std::size_t patterns : {63u, 64u, 65u, 128u}) {
     const PatternSet ps = random_patterns(nl.inputs().size(), patterns, 5);
-    std::vector<bool> legacy_det, plan_det;
-    std::vector<std::vector<std::uint64_t>> legacy_bits, plan_bits;
-    {
-      PlanModeGuard guard(0);
-      FaultSimEngine engine(nl, ps);
-      legacy_det = engine.simulate(faults);
-      for (std::size_t i = 0; i < faults.size(); i += 97) {
-        legacy_bits.push_back(engine.detection_bits(faults[i]));
-      }
+    FaultSimEngine engine(nl, ps);
+    const std::vector<bool> det = engine.simulate(faults);
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      const std::vector<std::uint64_t> ref =
+          test::reference_detection_bits(nl, ps, faults[i]);
+      const bool ref_det =
+          std::any_of(ref.begin(), ref.end(), [](auto w) { return w != 0; });
+      ASSERT_EQ(det[i], ref_det)
+          << patterns << " patterns, " << to_string(nl, faults[i]);
+      ASSERT_EQ(engine.detection_bits(faults[i]), ref)
+          << patterns << " patterns, " << to_string(nl, faults[i]);
     }
-    {
-      PlanModeGuard guard(1);
-      FaultSimEngine engine(nl, ps);
-      plan_det = engine.simulate(faults);
-      for (std::size_t i = 0; i < faults.size(); i += 97) {
-        plan_bits.push_back(engine.detection_bits(faults[i]));
-      }
-    }
-    EXPECT_EQ(legacy_det, plan_det) << patterns << " patterns";
-    EXPECT_EQ(legacy_bits, plan_bits) << patterns << " patterns";
   }
 }
 
@@ -201,8 +181,8 @@ TEST(EvalPlan, PlanPatchAfterCommitMatchesRecompile) {
   // Committing ties patches the plan in place (tie cell appended as a
   // source, reader fanin CSR rewritten, swept cone tombstoned). After every
   // commit the patched oracle must judge exactly like a from-scratch oracle
-  // compiled on the mutated netlist — and like the full functional test.
-  PlanModeGuard guard(1);
+  // compiled on the mutated netlist — and like the reference functional
+  // test.
   const Netlist original = make_benchmark("c880");
   const DefenderSuite suite =
       make_defender_suite(original, FlowOptions::atpg_only_defender());
@@ -223,7 +203,7 @@ TEST(EvalPlan, PlanPatchAfterCommitMatchesRecompile) {
     }
     Netlist reference = work;
     tie_to_constant(reference, c.node, c.tie_value);
-    EXPECT_EQ(visible, !functional_test(reference, suite));
+    EXPECT_EQ(visible, !test::reference_functional_test(reference, suite));
     if (!visible) {
       oracle.commit_tie(c.node, c.tie_value);
       tie_to_constant(work, c.node, c.tie_value);
@@ -232,7 +212,7 @@ TEST(EvalPlan, PlanPatchAfterCommitMatchesRecompile) {
     }
   }
   EXPECT_GT(committed, 0u);
-  EXPECT_TRUE(functional_test(work, suite));
+  EXPECT_TRUE(test::reference_functional_test(work, suite));
   // HT judging on the patched plan agrees with a recompile too.
   const SignalProb sp2(work);
   SuiteOracle recompiled(work, suite);
@@ -266,10 +246,8 @@ TEST(StripeLayout, StripedRunMatchesContiguous) {
   // engines use (bit, segment, copy_row, copy_slot_row) must read the same
   // values as a contiguous run; row() must refuse to hand out a pointer into
   // a split row.
-  PlanModeGuard guard(1);
   const Netlist nl = random_full_alphabet(11, 2000);
   BitSimulator sim(nl);
-  ASSERT_NE(sim.plan(), nullptr);
   const std::size_t words = sim.plan()->block_words(1u << 20) * 2 + 3;
   const PatternSet ps =
       random_patterns(nl.inputs().size(), 64 * words - 17, 0x57717E);
@@ -316,10 +294,8 @@ TEST(StripeLayout, GenericKernelMatchesDispatched) {
   // must reproduce what the dispatched kernel (AVX2 where available) wrote:
   // the evaluation only reads source rows, so running it twice is idempotent
   // and any SIMD-vs-scalar divergence shows as a diff.
-  PlanModeGuard guard(1);
   const Netlist nl = random_full_alphabet(23, 1500);
   BitSimulator sim(nl);
-  ASSERT_NE(sim.plan(), nullptr);
   const EvalPlan& plan = *sim.plan();
   const std::size_t words = plan.block_words(1u << 20) * 2 + 9;
   const PatternSet ps = random_patterns(nl.inputs().size(), 64 * words, 0xD1);
@@ -340,7 +316,6 @@ TEST(StripeLayout, GenericKernelMatchesDispatched) {
 }
 
 TEST(StripeLayout, RunIntoReusesStorageAndMatchesRun) {
-  PlanModeGuard guard(1);
   const Netlist nl = make_benchmark("c3540");
   BitSimulator sim(nl);
   const PatternSet a = random_patterns(nl.inputs().size(), 640, 1);
@@ -367,11 +342,10 @@ TEST(StripeLayout, RunIntoReusesStorageAndMatchesRun) {
   }
 }
 
-TEST(StripeLayout, RunIntoReseedsDffRowsOnLegacyPath) {
-  // Regression: the legacy path used to rely on the fresh matrix being
-  // zeroed for the no-state DFF fill; a reused matrix must not leak the
-  // previous run's DFF state.
-  PlanModeGuard guard(0);
+TEST(StripeLayout, RunIntoReseedsDffRows) {
+  // A reused matrix must not leak the previous run's DFF state into a
+  // reset-state run: the no-state DFF fill is explicit, never left to a
+  // fresh matrix being zeroed.
   Netlist nl("seq");
   const NodeId in = nl.add_input("in");
   const NodeId q = nl.add_gate(GateType::Dff, "q", {in});

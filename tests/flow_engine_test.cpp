@@ -1,6 +1,7 @@
 // Tests for the incremental FlowEngine layer: SuiteOracle equivalence with
-// full functional_test, PowerTracker parity with from-scratch analysis,
-// tie undo logs, and the dummy-balancing loop's cap discipline.
+// a full functional test on the reference evaluator, PowerTracker parity
+// with from-scratch analysis, tie undo logs, and the dummy-balancing loop's
+// cap discipline.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -44,7 +45,8 @@ TEST(SuiteOracle, TieVerdictMatchesFullFunctionalTest) {
     for (const Candidate& c : cands) {
       Netlist reference = work;
       tie_to_constant(reference, c.node, c.tie_value);
-      const bool expect_visible = !functional_test(reference, suite);
+      const bool expect_visible =
+          !test::reference_functional_test(reference, suite);
       EXPECT_EQ(oracle.tie_visible(c.node, c.tie_value), expect_visible)
           << name << " candidate " << work.node(c.node).name;
     }
@@ -64,7 +66,8 @@ TEST(SuiteOracle, CommittedTiesKeepLaterVerdictsExact) {
     if (!work.is_alive(c.node)) continue;
     Netlist reference = work;
     tie_to_constant(reference, c.node, c.tie_value);
-    const bool expect_visible = !functional_test(reference, suite);
+    const bool expect_visible =
+        !test::reference_functional_test(reference, suite);
     ASSERT_EQ(oracle.tie_visible(c.node, c.tie_value), expect_visible);
     if (!expect_visible) {
       oracle.commit_tie(c.node, c.tie_value);
@@ -95,7 +98,8 @@ TEST(SuiteOracle, HtVerdictMatchesMaterializedFunctionalTest) {
       if (pool.size() < static_cast<std::size_t>(desc.trigger_width)) continue;
       Netlist reference = nprime;
       build_trojan(reference, desc, pool, victim);
-      const bool expect_visible = !functional_test(reference, suite);
+      const bool expect_visible =
+          !test::reference_functional_test(reference, suite);
       EXPECT_EQ(oracle.ht_visible(
                     std::span<const NodeId>(
                         pool.data(),
@@ -425,11 +429,38 @@ TEST(ParallelScan, BitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(EvalPlanFlow, BitIdenticalToLegacyEnginesAcrossThreadCounts) {
-  // The compiled-plan engines must reproduce the legacy Node-walking flow
-  // exactly — accepted/rejected ties, HT/victim/dummy choices and reported
-  // power — sequentially and at every thread count (the TZ_EVAL_PLAN=0/1 CI
-  // smoke diffs the same property on the Table-1 output).
+// Algorithm 1 replayed naively on the reference evaluator: visit the
+// candidates in the flow's order, tie each on a copy and keep the tie iff
+// the whole suite still passes.
+struct ReferenceSalvage {
+  std::vector<std::string> accepted;  ///< Accepted node names, in order.
+  std::size_t rejected = 0;
+};
+ReferenceSalvage reference_salvage(const Netlist& original,
+                                   const DefenderSuite& suite, double pth) {
+  Netlist work = original.compact();
+  const SignalProb sp(work);
+  ReferenceSalvage out;
+  for (const Candidate& c : find_candidates(work, sp, pth, false)) {
+    if (!work.is_alive(c.node)) continue;
+    Netlist trial = work;
+    tie_to_constant(trial, c.node, c.tie_value);
+    if (!test::reference_functional_test(trial, suite)) {
+      ++out.rejected;
+      continue;
+    }
+    out.accepted.push_back(work.node(c.node).name);
+    work = std::move(trial);
+  }
+  return out;
+}
+
+TEST(EvalPlanFlow, SalvageAndInsertionMatchReference) {
+  // The compiled-plan engines against the reference evaluator: Algorithm 1
+  // must accept exactly the ties a naive apply-and-retest replay accepts,
+  // and the N'' Algorithm 2 inserts must pass the suite on the reference
+  // evaluator. The same cases' results are bit-identical at every thread
+  // count (ParallelScan.BitIdenticalAcrossThreadCounts).
   struct Case {
     const char* name;
     double rare_p1;
@@ -447,30 +478,25 @@ TEST(EvalPlanFlow, BitIdenticalToLegacyEnginesAcrossThreadCounts) {
     const PowerModel pm = model();
     SalvageOptions sopt;
     sopt.pth = spec_for(c.name).pth;
+    sopt.threads = 1;
     InsertionOptions iopt;
     iopt.rare_p1 = c.rare_p1;
     iopt.library = c.library;
+    iopt.threads = 1;
 
-    SalvageResult s_legacy;
-    InsertionResult r_legacy;
-    {
-      const test::PlanModeGuard legacy(0);
-      sopt.threads = 1;
-      iopt.threads = 1;
-      s_legacy = salvage_power_area(original, suite, pm, sopt);
-      r_legacy = insert_trojan(original, s_legacy, suite, pm, iopt);
+    const SalvageResult s = salvage_power_area(original, suite, pm, sopt);
+    std::vector<std::string> accepted;
+    for (const SalvageRecord& rec : s.accepted) {
+      accepted.push_back(rec.node_name);
     }
-
-    const test::PlanModeGuard plan(1);
-    for (const std::size_t t : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-      const std::string label =
-          std::string(c.name) + " plan threads=" + std::to_string(t);
-      sopt.threads = t;
-      iopt.threads = t;
-      const SalvageResult st = salvage_power_area(original, suite, pm, sopt);
-      expect_same_salvage(s_legacy, st, label);
-      const InsertionResult rt = insert_trojan(original, st, suite, pm, iopt);
-      expect_same_insertion(r_legacy, rt, label);
+    const ReferenceSalvage ref = reference_salvage(original, suite, sopt.pth);
+    EXPECT_EQ(accepted, ref.accepted) << c.name;
+    EXPECT_EQ(s.rejected, ref.rejected) << c.name;
+    EXPECT_TRUE(test::reference_functional_test(s.modified, suite)) << c.name;
+    const InsertionResult r = insert_trojan(original, s, suite, pm, iopt);
+    if (r.success) {
+      EXPECT_TRUE(test::reference_functional_test(r.infected, suite))
+          << c.name;
     }
   }
 }
@@ -479,7 +505,7 @@ TEST(EvalPlanFlow, FaultBackendBitIdenticalThroughFlow) {
   // The fault-simulation backend must be invisible end to end: the defender
   // suite ATPG generates and every downstream flow verdict (accepted ties,
   // HT/victim choices, power numbers) are bit-identical across Event/Packed
-  // x TZ_EVAL_PLAN=0/1 x threads {1, 2, 8}.
+  // x threads {1, 2, 8}.
   const Netlist original = make_benchmark("c880");
   const PowerModel pm = model();
   SalvageOptions sopt;
@@ -501,14 +527,19 @@ TEST(EvalPlanFlow, FaultBackendBitIdenticalThroughFlow) {
     }
   };
 
-  // Baseline: event backend, legacy simulation path, sequential.
+  // Baseline: event backend, sequential. Its golden responses are held to
+  // the reference evaluator.
   DefenderSuite base_suite;
   SalvageResult s_base;
   InsertionResult r_base;
   {
     const test::FaultModeGuard event(1);
-    const test::PlanModeGuard legacy(0);
     base_suite = make_defender_suite(original, defender_defaults());
+    for (const DefenderTestSet& ts : base_suite.algorithms) {
+      EXPECT_TRUE(BitSimulator::responses_equal(
+          ts.golden, test::reference_outputs(original, ts.patterns)))
+          << ts.name;
+    }
     sopt.threads = 1;
     iopt.threads = 1;
     s_base = salvage_power_area(original, base_suite, pm, sopt);
@@ -517,19 +548,16 @@ TEST(EvalPlanFlow, FaultBackendBitIdenticalThroughFlow) {
 
   struct Combo {
     int fault_mode;
-    int plan_mode;
     std::vector<std::size_t> threads;
   };
   const Combo combos[] = {
-      {2, 0, {1}},        // packed on the legacy path
-      {2, 1, {1, 2, 8}},  // packed on the compiled plan, every worker count
-      {1, 1, {8}},        // event on the compiled plan, parallel
+      {2, {1, 2, 8}},  // packed, every worker count
+      {1, {8}},        // event, parallel
   };
   for (const Combo& c : combos) {
     const test::FaultModeGuard fguard(c.fault_mode);
-    const test::PlanModeGuard pguard(c.plan_mode);
-    const std::string base_label = "fault_mode=" + std::to_string(c.fault_mode) +
-                                   " plan=" + std::to_string(c.plan_mode);
+    const std::string base_label =
+        "fault_mode=" + std::to_string(c.fault_mode);
     const DefenderSuite suite =
         make_defender_suite(original, defender_defaults());
     expect_same_suite(suite, base_suite, base_label);
@@ -545,19 +573,19 @@ TEST(EvalPlanFlow, FaultBackendBitIdenticalThroughFlow) {
   }
 }
 
-TEST(EvalPlanFlow, HundredKGateBitIdentityAcrossModesAndThreads) {
+TEST(EvalPlanFlow, HundredKGateMatchesReferenceAcrossThreads) {
   // The 100k-gate scale proof for the compiled-plan engines on a generated
   // circuit: a fixed random DAG ("rand100k", 100,000 gates) with a bounded
   // random defender suite (full ATPG is out of the tier-1 budget at this
-  // size). Three layers of bit-identity across TZ_EVAL_PLAN=0/1, the second
-  // also across threads {1, 2, 8}:
+  // size). Three layers, each held to the Node-walking reference evaluator:
   //  1. raw simulation: primary-output responses at a row width wide enough
   //     that the plan path goes stripe-major;
   //  2. a bounded Algorithm 1 walk (first 32 invisible ties, committed
-  //     through the oracle's incremental plan patch) must accept the same
-  //     ties and produce the same salvaged netlist;
+  //     through the oracle's incremental plan patch): every verdict must
+  //     match applying the tie and re-testing on the reference evaluator;
   //  3. Algorithm 2 into that salvaged slack must pick the same HT, victim
-  //     and power numbers at every mode x thread combination.
+  //     and power numbers at threads {1, 2, 8}, and its N'' must pass the
+  //     suite on the reference evaluator.
   const Netlist nl = make_benchmark("rand100k");
   ASSERT_EQ(nl.gate_count(), 100000u);
   DefenderSuite suite;
@@ -572,72 +600,54 @@ TEST(EvalPlanFlow, HundredKGateBitIdentityAcrossModesAndThreads) {
   // Layer 1: outputs at 6400 patterns (100 words) — block_words splits this
   // width at 100k slots, so the plan run is genuinely stripe-major.
   const PatternSet wide = random_patterns(nl.inputs().size(), 6400, 3);
-  PatternSet legacy_out, plan_out;
   {
-    const test::PlanModeGuard legacy(0);
-    legacy_out = BitSimulator(nl).outputs(wide);
-  }
-  {
-    const test::PlanModeGuard plan(1);
     BitSimulator sim(nl);
-    ASSERT_NE(sim.plan(), nullptr);
     ASSERT_LT(sim.plan()->block_words(wide.num_words()), wide.num_words());
-    plan_out = sim.outputs(wide);
+    ASSERT_TRUE(BitSimulator::responses_equal(
+        test::reference_outputs(nl, wide), sim.outputs(wide)));
   }
-  ASSERT_TRUE(BitSimulator::responses_equal(legacy_out, plan_out));
 
-  // Layer 2: bounded salvage walk per mode.
-  const auto mini_salvage = [&](int mode) {
-    const test::PlanModeGuard guard(mode);
-    Netlist work = nl;
+  // Layer 2: bounded salvage walk, every verdict checked on the reference.
+  Netlist work = nl;
+  {
     const SignalProb sp(work);
     const auto cands = find_candidates(work, sp, 0.99999999, false);
     SuiteOracle oracle(work, suite);
-    std::vector<std::string> accepted;
+    std::size_t accepted = 0;
     for (const Candidate& c : cands) {
-      if (accepted.size() >= 32) break;
+      if (accepted >= 32) break;
       if (!work.is_alive(c.node)) continue;
-      if (oracle.tie_visible(c.node, c.tie_value)) continue;
-      accepted.push_back(work.node(c.node).name);
+      const bool visible = oracle.tie_visible(c.node, c.tie_value);
+      Netlist trial = work;
+      tie_to_constant(trial, c.node, c.tie_value);
+      ASSERT_EQ(visible, !test::reference_functional_test(trial, suite))
+          << work.node(c.node).name;
+      if (visible) continue;
+      ++accepted;
       oracle.commit_tie(c.node, c.tie_value);
       tie_to_constant(work, c.node, c.tie_value);
       oracle.resync_structure();
     }
-    work.sweep_dead_gates();
-    EXPECT_TRUE(functional_test(work, suite)) << "mode " << mode;
-    return std::pair(std::move(accepted), work.compact());
-  };
-  auto [acc_legacy, salvaged_legacy] = mini_salvage(0);
-  auto [acc_plan, salvaged_plan] = mini_salvage(1);
-  ASSERT_GE(acc_legacy.size(), 16u);
-  EXPECT_EQ(acc_legacy, acc_plan);
-  EXPECT_EQ(salvaged_legacy.gate_count(), salvaged_plan.gate_count());
+    ASSERT_GE(accepted, 16u);
+  }
+  work.sweep_dead_gates();
 
-  // Layer 3: insertion into the salvaged slack, every mode x thread combo.
+  // Layer 3: insertion into the salvaged slack at every thread count.
   SalvageResult sr;
-  sr.modified = std::move(salvaged_legacy);
+  sr.modified = work.compact();
   const PowerModel pm = model();
   InsertionOptions iopt;
   iopt.rare_p1 = 0.05;
   iopt.library = {counter_trojan(3), counter_trojan(2)};
-  InsertionResult baseline;
-  {
-    const test::PlanModeGuard legacy(0);
-    iopt.threads = 1;
-    baseline = insert_trojan(nl, sr, suite, pm, iopt);
-  }
-  EXPECT_TRUE(baseline.success);
-  for (const int mode : {0, 1}) {
-    const test::PlanModeGuard guard(mode);
-    for (const std::size_t t : {std::size_t{1}, std::size_t{2},
-                                std::size_t{8}}) {
-      if (mode == 0 && t == 1) continue;  // the baseline itself
-      iopt.threads = t;
-      const InsertionResult r = insert_trojan(nl, sr, suite, pm, iopt);
-      expect_same_insertion(baseline, r,
-                            "rand100k mode=" + std::to_string(mode) +
-                                " threads=" + std::to_string(t));
-    }
+  iopt.threads = 1;
+  const InsertionResult baseline = insert_trojan(nl, sr, suite, pm, iopt);
+  ASSERT_TRUE(baseline.success);
+  EXPECT_TRUE(test::reference_functional_test(baseline.infected, suite));
+  for (const std::size_t t : {std::size_t{2}, std::size_t{8}}) {
+    iopt.threads = t;
+    const InsertionResult r = insert_trojan(nl, sr, suite, pm, iopt);
+    expect_same_insertion(baseline, r,
+                          "rand100k threads=" + std::to_string(t));
   }
 }
 

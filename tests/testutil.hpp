@@ -3,39 +3,93 @@
 // across suite files.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "atpg/fault.hpp"
 #include "atpg/fault_sim_backend.hpp"
+#include "atpg/test_set.hpp"
 #include "netlist/netlist.hpp"
-#include "sim/eval_plan.hpp"
+#include "sim/patterns.hpp"
+#include "sim/simulator.hpp"
 
 namespace tz::test {
 
 // Canonical seed for tests that need an arbitrary-but-fixed RNG stream.
 inline constexpr std::uint64_t kTestSeed = 0xC0FFEE;
 
-// Forces the compiled-plan path on (1) / off (0) for the guarded scope and
-// restores the TZ_EVAL_PLAN environment default afterwards — RAII so a throw
-// or fatal assertion cannot leak a forced mode into later tests of the
-// aggregated runner.
-struct PlanModeGuard {
-  explicit PlanModeGuard(int mode) { set_eval_plan_enabled(mode); }
-  ~PlanModeGuard() { set_eval_plan_enabled(-1); }
-  PlanModeGuard(const PlanModeGuard&) = delete;
-  PlanModeGuard& operator=(const PlanModeGuard&) = delete;
-};
-
 // Forces the fault-simulation backend (0 = Auto, 1 = Event, 2 = Packed) for
 // the guarded scope and restores the TZ_FAULT_MODE environment default
-// afterwards — same RAII discipline as PlanModeGuard.
+// afterwards — RAII so a throw or fatal assertion cannot leak a forced mode
+// into later tests of the aggregated runner.
 struct FaultModeGuard {
   explicit FaultModeGuard(int mode) { set_fault_sim_mode(mode); }
   ~FaultModeGuard() { set_fault_sim_mode(-1); }
   FaultModeGuard(const FaultModeGuard&) = delete;
   FaultModeGuard& operator=(const FaultModeGuard&) = delete;
 };
+
+// ---- reference evaluation -------------------------------------------------
+//
+// The compiled plan is the only evaluator the engines use. These helpers run
+// the Node-walking reference_simulate instead, so a parity test can hold an
+// engine to an evaluator that shares no code with it.
+
+// Primary-output responses of `nl` on the reference evaluator (tail lanes
+// masked, like BitSimulator::outputs).
+inline PatternSet reference_outputs(const Netlist& nl, const PatternSet& in) {
+  const std::vector<std::uint64_t> rows = reference_simulate(nl, in);
+  PatternSet out(nl.outputs().size(), in.num_patterns());
+  for (std::size_t o = 0; o < nl.outputs().size(); ++o) {
+    auto dst = out.words(o);
+    std::copy_n(rows.data() + std::size_t{nl.outputs()[o]} * in.num_words(),
+                dst.size(), dst.data());
+    if (!dst.empty()) dst.back() &= out.tail_mask();
+  }
+  return out;
+}
+
+// functional_test on reference evaluators: reference_simulate for a
+// combinational DUT; a sequential DUT already streams through the
+// Node-walking CycleSimulator inside functional_test.
+inline bool reference_functional_test(const Netlist& dut,
+                                      const DefenderSuite& suite) {
+  for (const DefenderTestSet& ts : suite.algorithms) {
+    if (!dut.dffs().empty()) {
+      if (!functional_test(dut, ts)) return false;
+      continue;
+    }
+    if (dut.inputs().size() != ts.patterns.num_signals() ||
+        dut.outputs().size() != ts.golden.num_signals() ||
+        !BitSimulator::responses_equal(reference_outputs(dut, ts.patterns),
+                                       ts.golden)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Per-pattern detection bitmap of stuck-at `f` on the reference evaluator:
+// the readers and output markings of the fault site move onto a tie cell in
+// a copy of `nl`, and the two netlists' responses are compared. Bit 64w+b of
+// word w is set iff pattern 64w+b detects the fault.
+inline std::vector<std::uint64_t> reference_detection_bits(
+    const Netlist& nl, const PatternSet& in, const Fault& f) {
+  Netlist faulty = nl;
+  const NodeId tie = faulty.const_node(f.value == StuckAt::One);
+  if (tie != f.node) faulty.replace_uses(f.node, tie);
+  const PatternSet good = reference_outputs(nl, in);
+  const PatternSet bad = reference_outputs(faulty, in);
+  std::vector<std::uint64_t> bits(in.num_words(), 0);
+  for (std::size_t o = 0; o < good.num_signals(); ++o) {
+    for (std::size_t w = 0; w < bits.size(); ++w) {
+      bits[w] |= good.words(o)[w] ^ bad.words(o)[w];
+    }
+  }
+  return bits;
+}
 
 // Adds `n` primary inputs named <prefix>0 .. <prefix>{n-1}.
 inline std::vector<NodeId> add_inputs(Netlist& nl, int n,

@@ -613,7 +613,7 @@ TEST(VerifyReportJson, GoldenOutput) {
 // ---- values-layout positive coverage ---------------------------------------
 
 TEST(ValuesLayout, CleanLayoutsPass) {
-  EXPECT_TRUE(check_values_layout(NodeValues(10, 4)).ok());  // legacy
+  EXPECT_TRUE(check_values_layout(NodeValues()).ok());  // default: empty
   const Netlist nl = make_benchmark("c880");
   auto plan = std::make_shared<EvalPlan>(nl);
   EXPECT_TRUE(check_values_layout(NodeValues(plan, 64)).ok());
