@@ -42,19 +42,9 @@ int main() {
   // 6400 patterns = 100 words: wide enough that the plan path splits the row
   // width and the Auto layout goes stripe-major at this slot count.
   const PatternSet ps = random_patterns(nl.inputs().size(), 6400, 17);
-  PatternSet reference(nl.outputs().size(), ps.num_patterns());
-  {
-    t0 = std::chrono::steady_clock::now();
-    const std::vector<std::uint64_t> rows = reference_simulate(nl, ps);
-    std::printf("reference node-walk:   %5lld ms\n", ms_since(t0));
-    for (std::size_t o = 0; o < nl.outputs().size(); ++o) {
-      const std::uint64_t* row =
-          rows.data() + std::size_t{nl.outputs()[o]} * ps.num_words();
-      auto dst = reference.words(o);
-      std::copy_n(row, dst.size(), dst.data());
-      if (!dst.empty()) dst.back() &= reference.tail_mask();
-    }
-  }
+  t0 = std::chrono::steady_clock::now();
+  const PatternSet reference = reference_outputs(nl, ps);
+  std::printf("reference node-walk:   %5lld ms\n", ms_since(t0));
   BitSimulator sim(nl);
   if (sim.plan()->block_words(ps.num_words()) >= ps.num_words()) {
     std::fprintf(stderr, "FAIL: sample width does not exercise striping\n");

@@ -3,6 +3,7 @@
 #include <charconv>
 
 #include "gen/iscas.hpp"
+#include "verify/verify.hpp"
 
 namespace tz {
 
@@ -68,6 +69,12 @@ CircuitArtifacts build_circuit_artifacts(const std::string& name,
   // deterministic, so the oracle seed built on it is id-identical to the
   // job's work netlist.
   art.netlist = make_benchmark(name);
+  if (check_enabled()) {
+    // Gate every circuit once, before anything is built on it: a
+    // generator/parser defect is reported here, not attributed to the first
+    // salvage commit downstream.
+    verify_or_throw(art.netlist, nullptr, "flow input");
+  }
   art.compacted = art.netlist.compact();
   art.golden_totals = pm.analyze(art.netlist).totals;
   return art;

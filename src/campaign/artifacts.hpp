@@ -179,6 +179,8 @@ class ArtifactStore {
 /// The builders behind the store's three tiers; run_trojanzero_flow calls
 /// them too, so a one-shot flow builds exactly what a campaign shares.
 /// Tier 1: make_benchmark(name), its compacted twin and golden P/A totals.
+/// Under TZ_CHECK the netlist is verified first (VerifyError at "flow
+/// input").
 CircuitArtifacts build_circuit_artifacts(const std::string& name,
                                          const PowerModel& pm);
 /// Tier 2, filled in place: the entry points into `circuit`, and its oracle

@@ -75,11 +75,6 @@ FlowResult run_flow_common(const std::string& benchmark_name,
   FlowResult r;
   r.benchmark = benchmark_name;
   const Netlist& original = arts.circuit->netlist;
-  if (check_enabled()) {
-    // Gate the flow on a clean input: a generator/parser defect is reported
-    // here, not attributed to the first salvage commit downstream.
-    verify_or_throw(original, nullptr, "flow input");
-  }
 
   // Phase (a): defender test patterns + HT-free thresholds.
   r.atpg_coverage = arts.defender->atpg_coverage;
@@ -291,11 +286,12 @@ FlowResult run_trojanzero_flow(const std::string& benchmark_name,
   // caller, who owns them here.
   const auto t0 = Clock::now();
   const PowerModel pm(CellLibrary::tsmc65_like());
-  CircuitArtifacts circuit = build_circuit_artifacts(benchmark_name, pm);
+  CircuitArtifacts circuit;
   SuiteArtifacts defender;
-  build_suite_artifacts(defender, circuit, options.testgen);
   SalvageResult salvage;
   try {
+    circuit = build_circuit_artifacts(benchmark_name, pm);
+    build_suite_artifacts(defender, circuit, options.testgen);
     salvage = build_salvage_artifact(defender, pm, salvage_options(options));
   } catch (const VerifyError& e) {
     report_and_rethrow(e);

@@ -101,11 +101,6 @@ class EvalPlan {
   const std::vector<SlotId>& dff_slots() const { return dff_slots_; }
   const std::vector<SlotId>& output_slots() const { return output_slots_; }
 
-  /// The compiled slots' nodes in slot order — the topological order the
-  /// plan was built from (plus any appended source slots). Lets owners reuse
-  /// the sort instead of recomputing it.
-  const std::vector<NodeId>& topo_nodes() const { return node_of_; }
-
   /// Raw accessors for the hot loops (avoid span re-construction per gate).
   const EvalOp* ops_data() const { return ops_.data(); }
   const std::uint32_t* fanin_offsets_data() const {

@@ -227,6 +227,18 @@ std::vector<std::uint64_t> reference_simulate(
   return vals;
 }
 
+PatternSet reference_outputs(const Netlist& nl, const PatternSet& inputs) {
+  const std::vector<std::uint64_t> rows = reference_simulate(nl, inputs);
+  PatternSet out(nl.outputs().size(), inputs.num_patterns());
+  for (std::size_t o = 0; o < nl.outputs().size(); ++o) {
+    auto dst = out.words(o);
+    std::copy_n(rows.data() + std::size_t{nl.outputs()[o]} * inputs.num_words(),
+                dst.size(), dst.data());
+    if (!dst.empty()) dst.back() &= out.tail_mask();
+  }
+  return out;
+}
+
 CycleSimulator::CycleSimulator(const Netlist& nl)
     : nl_(&nl),
       order_(nl.topo_order()),

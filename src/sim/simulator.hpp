@@ -241,6 +241,11 @@ std::vector<std::uint64_t> reference_simulate(
     const Netlist& nl, const PatternSet& inputs,
     const std::vector<std::uint64_t>* dff_state = nullptr);
 
+/// Primary-output responses of `nl` on reference_simulate, one signal per
+/// output with the tail lanes masked (the layout BitSimulator::outputs
+/// returns).
+PatternSet reference_outputs(const Netlist& nl, const PatternSet& inputs);
+
 /// Count of 0->1 and 1->0 transitions per node when patterns are applied in
 /// sequence (pattern p followed by p+1). Used for simulated switching
 /// activity; `toggles[id]` is the total over the sequence.

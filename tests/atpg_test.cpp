@@ -532,7 +532,7 @@ TEST(TestGen, AtpgBitIdenticalAcrossBackends) {
   opt.fault_mode = FaultSimMode::Event;
   const DefenderTestSet base = generate_atpg_tests(nl, opt);
   EXPECT_TRUE(BitSimulator::responses_equal(
-      base.golden, test::reference_outputs(nl, base.patterns)));
+      base.golden, reference_outputs(nl, base.patterns)));
   const auto expect_same = [&](const DefenderTestSet& ts,
                                const std::string& label) {
     EXPECT_EQ(ts.patterns.num_patterns(), base.patterns.num_patterns())

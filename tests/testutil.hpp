@@ -3,7 +3,6 @@
 // across suite files.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -34,22 +33,9 @@ struct FaultModeGuard {
 // ---- reference evaluation -------------------------------------------------
 //
 // The compiled plan is the only evaluator the engines use. These helpers run
-// the Node-walking reference_simulate instead, so a parity test can hold an
-// engine to an evaluator that shares no code with it.
-
-// Primary-output responses of `nl` on the reference evaluator (tail lanes
-// masked, like BitSimulator::outputs).
-inline PatternSet reference_outputs(const Netlist& nl, const PatternSet& in) {
-  const std::vector<std::uint64_t> rows = reference_simulate(nl, in);
-  PatternSet out(nl.outputs().size(), in.num_patterns());
-  for (std::size_t o = 0; o < nl.outputs().size(); ++o) {
-    auto dst = out.words(o);
-    std::copy_n(rows.data() + std::size_t{nl.outputs()[o]} * in.num_words(),
-                dst.size(), dst.data());
-    if (!dst.empty()) dst.back() &= out.tail_mask();
-  }
-  return out;
-}
+// the Node-walking reference_simulate (through reference_outputs) instead, so
+// a parity test can hold an engine to an evaluator that shares no code with
+// it.
 
 // functional_test on reference evaluators: reference_simulate for a
 // combinational DUT; a sequential DUT already streams through the
