@@ -441,27 +441,24 @@ BENCHMARK_CAPTURE(BM_NetlistCopy, rand5k, "rand5k")
     ->Unit(benchmark::kMillisecond);
 
 void BM_SalvageFlow(benchmark::State& state, const std::string& name,
-                    double pth, std::size_t threads) {
+                    double pth) {
   const FlowFixture& f = flow_fixture(name, pth);
-  tz::SalvageOptions sopt = f.sopt;
-  sopt.threads = threads;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(tz::salvage_power_area(f.nl, f.suite, f.pm, sopt));
+    benchmark::DoNotOptimize(
+        tz::salvage_power_area(f.nl, f.suite, f.pm, f.sopt));
   }
 }
-BENCHMARK_CAPTURE(BM_SalvageFlow, c880, "c880", 0.0, 0)
+BENCHMARK_CAPTURE(BM_SalvageFlow, c880, "c880", 0.0)
     ->Unit(benchmark::kMillisecond);
 // >2k-gate array-multiplier stress: dense arithmetic where the defender's
 // coverage leaves almost nothing salvageable — the oracle still has to judge
 // every candidate cone.
-BENCHMARK_CAPTURE(BM_SalvageFlow, c6288, "c6288", 0.0, 0)
+BENCHMARK_CAPTURE(BM_SalvageFlow, c6288, "c6288", 0.0)
     ->Unit(benchmark::kMillisecond);
 // The commit-heavy case (ht-sweep's first circuit at its lowest threshold):
 // ~21.5k gates and thousands of accepted ties, so the per-commit cost of the
-// tie sweep and plan patch shows; c6288 accepts none. One thread, as in a
-// campaign job: with most candidates accepted, a parallel screen discards
-// nearly every batch.
-BENCHMARK_CAPTURE(BM_SalvageFlow, wallace48, "wallace48", 0.99, 1)
+// tie sweep and plan patch shows; c6288 accepts none.
+BENCHMARK_CAPTURE(BM_SalvageFlow, wallace48, "wallace48", 0.99)
     ->Unit(benchmark::kMillisecond);
 
 // Same salvage with the tz::verify flow-boundary checks forced on: every
@@ -509,52 +506,7 @@ BENCHMARK_CAPTURE(BM_InsertTrojan, c6288, "c6288", 0.0,
 // totals.
 BENCHMARK_CAPTURE(BM_InsertTrojan, wallace48, "wallace48", 0.99,
                   tz::InsertionOptions{.library = {tz::counter_trojan(3),
-                                                  tz::counter_trojan(2)},
-                                       .threads = 1})
-    ->Unit(benchmark::kMillisecond);
-
-// Parallel per-victim screening scan on the multiplier stress: the suite
-// verdicts for every payload location are judged concurrently on the shared
-// oracle core (one ConeScratch per worker), then reduced in canonical order.
-// threads:1 is the sequential baseline; results are bit-identical at every
-// row (see flow_engine_test ParallelScan).
-void BM_InsertTrojanParallel(benchmark::State& state) {
-  const FlowFixture& f = flow_fixture("c6288");
-  tz::InsertionOptions iopt{.library = {tz::counter_trojan(5),
-                                        tz::counter_trojan(3)},
-                            .rare_p1 = 0.25};
-  iopt.threads = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        tz::insert_trojan(f.nl, f.salvage, f.suite, f.pm, iopt));
-  }
-}
-BENCHMARK(BM_InsertTrojanParallel)
-    ->ArgName("threads")
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
-// Parallel speculative tie screening on the same circuit: batches of
-// upcoming Algorithm 1 candidates are judged concurrently, consumed in
-// canonical order up to the first accept.
-void BM_SalvageFlowParallel(benchmark::State& state) {
-  const FlowFixture& f = flow_fixture("c6288");
-  tz::SalvageOptions sopt = f.sopt;
-  sopt.threads = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        tz::salvage_power_area(f.nl, f.suite, f.pm, sopt));
-  }
-}
-BENCHMARK(BM_SalvageFlowParallel)
-    ->ArgName("threads")
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
+                                                  tz::counter_trojan(2)}})
     ->Unit(benchmark::kMillisecond);
 
 void BM_FullTrojanZeroFlow(benchmark::State& state) {

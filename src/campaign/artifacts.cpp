@@ -48,8 +48,8 @@ ArtifactKeys artifact_keys(const std::string& circuit,
   ArtifactKeys keys;
   keys.circuit = circuit;
   keys.suite = suite_key(circuit, testgen);
-  // Every SalvageOptions field that changes Algorithm 1's result; threads
-  // does not (the scan is bit-identical at every thread count).
+  // Every SalvageOptions field that changes Algorithm 1's result (threads
+  // is ignored).
   keys.salvage = keys.suite + "|pth=";
   append_number(keys.salvage, salvage.pth);
   keys.salvage +=

@@ -25,8 +25,8 @@
 //    Algorithm 1's SalvageResult, N' plus its records, built once through
 //    FlowEngine::salvage on the suite tier. The HT shape only enters
 //    Algorithm 2, so jobs that differ in counter bits or trigger width share
-//    one entry and go straight to insertion. Thread counts are not part of
-//    the key: salvage is bit-identical at every thread count.
+//    one entry and go straight to insertion. SalvageOptions::threads is
+//    ignored and not part of the key.
 //
 // Thread safety: any number of jobs may call the get_* lookups concurrently.
 // The store uses one mutex for the maps plus a per-entry build mutex, so two
@@ -120,8 +120,8 @@ class ArtifactStore {
 
   /// Tier-3 lookup: runs FlowEngine::salvage(`opt`) once on the tier-2
   /// inputs for this circuit/defender and returns the shared result —
-  /// bit-identical to the salvage a job would run itself. `opt.threads`
-  /// steers the one build and is not part of the key.
+  /// bit-identical to the salvage a job would run itself. `opt.threads` is
+  /// ignored and not part of the key.
   const SalvageResult& get_salvage(const std::string& circuit,
                                    const TestGenOptions& testgen,
                                    const SalvageOptions& opt);

@@ -254,6 +254,9 @@ ShardFileContent read_shard_file(const std::string& path) {
 void build_assignment(const std::vector<JobSpec>& jobs,
                       std::size_t shard_count, std::vector<std::string>& ids,
                       std::vector<std::size_t>& assign) {
+  if (shard_count == 0) {
+    throw std::invalid_argument("campaign: shard count must be at least 1");
+  }
   ids.reserve(jobs.size());
   assign.reserve(jobs.size());
   for (const JobSpec& j : jobs) {
@@ -370,34 +373,32 @@ CampaignRunStats run_campaign(const CampaignGrid& grid,
   keys.reserve(pending.size());
   for (const std::size_t i : pending) keys.push_back(retain_job(store, jobs[i]));
   Mutex io_mu;
-  ThreadPool pool(opt.threads);
-  pool.parallel_for(
-      pending.size(), [&](std::size_t k, std::size_t /*worker*/) {
-        const JobSpec& spec = jobs[pending[k]];
-        const std::string& id = ids[pending[k]];
-        Json row = Json(JsonObject{});
-        row.set("id", id);
-        row.set("spec", spec.to_json());
-        bool failed = false;
-        try {
-          const FlowResult r = run_retained_job(spec, store, keys[k]);
-          row.set("result", flow_result_to_json(r));
-        } catch (const std::exception& e) {
-          row.set("error", std::string(e.what()));
-          failed = true;
-        }
-        const std::string line = row.dump();
-        MutexLock lk(io_mu);
-        // Checkpoint durability: one whole row per write, flushed, so an
-        // interrupt can tear at most the line being written right now.
-        out << line << '\n';
-        out.flush();
-        failed ? ++stats.failed : ++stats.completed;
-        if (opt.verbose) {
-          std::cerr << "[shard " << opt.shard_index << "/" << opt.shard_count
-                    << "] " << (failed ? "FAIL " : "done ") << id << "\n";
-        }
-      });
+  parallel_for(pending.size(), opt.threads, [&](std::size_t k) {
+    const JobSpec& spec = jobs[pending[k]];
+    const std::string& id = ids[pending[k]];
+    Json row = Json(JsonObject{});
+    row.set("id", id);
+    row.set("spec", spec.to_json());
+    bool failed = false;
+    try {
+      const FlowResult r = run_retained_job(spec, store, keys[k]);
+      row.set("result", flow_result_to_json(r));
+    } catch (const std::exception& e) {
+      row.set("error", std::string(e.what()));
+      failed = true;
+    }
+    const std::string line = row.dump();
+    MutexLock lk(io_mu);
+    // Checkpoint durability: one whole row per write, flushed, so an
+    // interrupt can tear at most the line being written right now.
+    out << line << '\n';
+    out.flush();
+    failed ? ++stats.failed : ++stats.completed;
+    if (opt.verbose) {
+      std::cerr << "[shard " << opt.shard_index << "/" << opt.shard_count
+                << "] " << (failed ? "FAIL " : "done ") << id << "\n";
+    }
+  });
   return stats;
 }
 
@@ -552,8 +553,7 @@ std::vector<FlowResult> run_campaign_in_memory(const CampaignGrid& grid,
   std::vector<std::optional<ArtifactKeys>> keys;
   keys.reserve(jobs.size());
   for (const JobSpec& j : jobs) keys.push_back(retain_job(store, j));
-  ThreadPool pool(threads);
-  pool.parallel_for(jobs.size(), [&](std::size_t i, std::size_t /*worker*/) {
+  parallel_for(jobs.size(), threads, [&](std::size_t i) {
     const FlowResult r = run_retained_job(jobs[i], store, keys[i]);
     // Round-trip through the wire format: the benches print exactly what a
     // merged campaign artifact reproduces.

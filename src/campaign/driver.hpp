@@ -10,9 +10,8 @@
 //  - Across processes: job -> shard by FNV-1a(circuit) % shard_count, so a
 //    whole circuit (and its shared ArtifactStore entries) lands in one
 //    process; `tz_campaign run --shard i/N` runs one shard.
-//  - Across threads: within a shard, jobs fan out on the ThreadPool
-//    (TZ_THREADS-aware); each job runs with job_threads internal threads
-//    (default 1 — parallelism lives at the job level).
+//  - Across threads: within a shard, jobs fan out through parallel_for
+//    (util/thread_pool.hpp, TZ_THREADS-aware); each job runs on one thread.
 //
 // Checkpointing: each shard appends one JSONL row per finished job to
 // <dir>/shard-<i>-of-<N>.jsonl and flushes per row. On restart the driver
@@ -50,7 +49,9 @@ struct CampaignGrid {
   std::vector<std::string> defenders{"atpg"};
   std::vector<double> pths{0.0};            ///< 0 = Table-I default.
   std::vector<char> orders{'p'};
-  std::size_t job_threads = 1;  ///< Intra-job threads for every job.
+  /// Copied into every JobSpec::threads and the header; ignored by the
+  /// flow. Kept so the merged header does not change.
+  std::size_t job_threads = 1;
 
   /// Canonical expansion: circuits outermost, then seeds, counter_bits,
   /// trigger_widths, defenders, pths, orders. This order is the merge
@@ -71,7 +72,7 @@ struct CampaignOptions {
   std::string out_dir;          ///< Checkpoint directory (created).
   std::size_t shard_index = 0;  ///< This process's shard (< shard_count).
   std::size_t shard_count = 1;
-  std::size_t threads = 0;      ///< Job-level pool (0 = TZ_THREADS/CPUs).
+  std::size_t threads = 0;      ///< Job-level threads (0 = TZ_THREADS/CPUs).
   std::size_t max_jobs = 0;     ///< Stop after N new jobs (0 = all) — the
                                 ///< interrupt hook for resume tests.
   bool verbose = false;         ///< Per-job progress lines on stderr.
@@ -97,7 +98,7 @@ std::string shard_file(const std::string& dir, std::size_t index,
                        std::size_t count);
 
 /// Run this process's shard of the campaign: expand, skip checkpointed
-/// jobs, fan the rest out on the thread pool, append one JSONL row per job.
+/// jobs, fan the rest out on `opt.threads`, append one JSONL row per job.
 /// A job that throws is recorded as an error row (and counted in `failed`)
 /// rather than aborting the shard. The pending jobs' artifact entries are
 /// retained before fan-out, so each is freed when its last job ends.
@@ -106,8 +107,9 @@ CampaignRunStats run_campaign(const CampaignGrid& grid,
 
 /// Merge all shard files into the canonical artifact text (header line +
 /// one row per job in expansion order, wall_ms zeroed). Enforces the
-/// CampaignChecker invariants (throws VerifyError on violation) and throws
-/// std::runtime_error when a shard file is missing entirely.
+/// CampaignChecker invariants (throws VerifyError on violation), throws
+/// std::runtime_error when a shard file is missing entirely and
+/// std::invalid_argument when `shard_count` is 0.
 std::string merge_campaign(const CampaignGrid& grid, const std::string& dir,
                            std::size_t shard_count);
 
@@ -117,7 +119,8 @@ void merge_campaign_to_file(const CampaignGrid& grid, const std::string& dir,
                             const std::string& out_file);
 
 /// Per-shard completion summary ("shard 0/4: 12/31 jobs") to `os`; returns
-/// true when every job of every shard is checkpointed.
+/// true when every job of every shard is checkpointed. Throws
+/// std::invalid_argument when `shard_count` is 0.
 bool campaign_status(const CampaignGrid& grid, const std::string& dir,
                      std::size_t shard_count, std::ostream& os);
 

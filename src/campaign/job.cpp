@@ -47,7 +47,6 @@ SalvageOptions salvage_options(const FlowOptions& options) {
   SalvageOptions sopt;
   sopt.pth = options.pth;
   sopt.order = options.order;
-  sopt.threads = options.threads;
   return sopt;
 }
 
@@ -108,7 +107,6 @@ FlowResult run_flow_common(const std::string& benchmark_name,
     }
     iopt.library.push_back(counter_trojan(0));  // comparator trigger
   }
-  if (iopt.threads == 0) iopt.threads = options.threads;
   try {
     r.insertion = engine.insert(*salvaged, iopt);
   } catch (const VerifyError& e) {
@@ -221,7 +219,6 @@ FlowOptions JobSpec::flow_options() const {
     opt.insertion.library.push_back(counter_trojan(bits, r.trigger_width));
   }
   opt.insertion.library.push_back(counter_trojan(0, r.trigger_width));
-  opt.insertion.threads = r.threads;
   return opt;
 }
 

@@ -30,9 +30,8 @@
 namespace tz {
 
 /// Explicit input of one flow job. Zero/negative sentinel fields resolve to
-/// the Table-I per-circuit defaults (resolved()); `threads` steers intra-job
-/// parallelism and is deliberately NOT part of the identity (id()) — results
-/// are bit-identical at every thread count.
+/// the Table-I per-circuit defaults (resolved()); `threads` is ignored and
+/// is NOT part of the identity (id()).
 struct JobSpec {
   std::string circuit;        ///< make_benchmark name.
   double pth = 0.0;           ///< 0 = Table-I spec (0.992 for unknown names).
@@ -41,7 +40,9 @@ struct JobSpec {
   std::uint64_t seed = 0;     ///< Defender testgen seed; 0 = default 0xA7C.
   std::string defender = "atpg";  ///< "atpg" | "atpg+rand" | "full".
   char order = 'p';           ///< 'p' ByProbability | 'l' ByLeakage.
-  std::size_t threads = 1;    ///< Intra-job scan threads (0 = TZ_THREADS).
+  /// Ignored (only stamped into FlowMeta::threads); kept while tzbench
+  /// still writes it.
+  std::size_t threads = 1;
 
   /// Copy with every sentinel field replaced by its resolved default.
   JobSpec resolved() const;
@@ -55,7 +56,7 @@ struct JobSpec {
   TestGenOptions testgen() const;
 
   /// The FlowOptions run_flow_job hands the engine (explicit HT ladder,
-  /// resolved thresholds, per-job threads).
+  /// resolved thresholds).
   FlowOptions flow_options() const;
 
   /// The three ArtifactStore entries run_flow_job(spec, store) uses — what

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <exception>
-#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -10,14 +9,9 @@
 #include "core/ht_library.hpp"
 #include "prob/signal_prob.hpp"
 #include "sim/simulator.hpp"
-#include "util/thread_pool.hpp"
 #include "verify/verify.hpp"
 
 namespace tz {
-
-// --------------------------------------------------------------- ConeScratch
-
-ConeScratch::ConeScratch(const SuiteOracle& core) : worklist_(core.rank_) {}
 
 // --------------------------------------------------------------- SuiteOracle
 
@@ -154,28 +148,28 @@ void SuiteOracle::grow() {
   node_cap_ = n;
 }
 
-void SuiteOracle::ensure_scratch(ConeScratch& cs) const {
-  if (cs.rows_.size() < cap_ * words_) cs.rows_.resize(cap_ * words_, 0);
-  if (cs.touched_.size() < cap_) cs.touched_.resize(cap_, 0);
-  cs.worklist_.resize(cap_);
+void SuiteOracle::ensure_scratch() {
+  if (scratch_.size() < cap_ * words_) scratch_.resize(cap_ * words_, 0);
+  if (touched_.size() < cap_) touched_.resize(cap_, 0);
+  worklist_.resize(cap_);
 }
 
-void SuiteOracle::schedule_readers(SlotId s, ConeScratch& cs) const {
+void SuiteOracle::schedule_readers(SlotId s) {
   for (SlotId r : plan_->fanout(s)) {
-    if (plan_->op(r) != EvalOp::Dead) cs.worklist_.push(r);
+    if (plan_->op(r) != EvalOp::Dead) worklist_.push(r);
   }
 }
 
-bool SuiteOracle::propagate(ConeScratch& cs) const {
+bool SuiteOracle::propagate() {
   const auto get = [&](SlotId f) -> const std::uint64_t* {
-    return cs.touched_[f] ? scratch_row(cs, f) : cached_row(f);
+    return touched_[f] ? scratch_row(f) : cached_row(f);
   };
   // The worklist pops in topological order, so every touched fanin is final
   // by the time a gate evaluates; a gate whose row matches the cache on all
   // valid lanes (of every set at once) generates no further events.
-  while (!cs.worklist_.empty()) {
-    const SlotId id = cs.worklist_.pop();
-    std::uint64_t* out = scratch_row(cs, id);
+  while (!worklist_.empty()) {
+    const SlotId id = worklist_.pop();
+    std::uint64_t* out = scratch_row(id);
     eval_plan_slot(*plan_, id, words_, get, out);
     const std::uint64_t* cr = cached_row(id);
     std::uint64_t changed = 0;
@@ -183,17 +177,17 @@ bool SuiteOracle::propagate(ConeScratch& cs) const {
       changed |= (out[w] ^ cr[w]) & valid_[w];
     }
     if (!changed) continue;
-    cs.touched_[id] = 1;
-    cs.visited_.push_back(id);
-    schedule_readers(id, cs);
+    touched_[id] = 1;
+    visited_.push_back(id);
+    schedule_readers(id);
   }
 
   for (std::size_t o = 0; o < recorded_po_.size(); ++o) {
     const NodeId cur = nl_->outputs()[o];
     const SlotId cix = plan_->slot_of(cur);
-    if (!cs.touched_[cix] && cur == recorded_po_[o]) continue;
+    if (!touched_[cix] && cur == recorded_po_[o]) continue;
     const std::uint64_t* got =
-        cs.touched_[cix] ? scratch_row(cs, cix) : cached_row(cix);
+        touched_[cix] ? scratch_row(cix) : cached_row(cix);
     const std::uint64_t* want = golden_.data() + o * words_;
     for (std::size_t w = 0; w < words_; ++w) {
       if ((got[w] ^ want[w]) & valid_[w]) return true;
@@ -202,12 +196,12 @@ bool SuiteOracle::propagate(ConeScratch& cs) const {
   return false;
 }
 
-void SuiteOracle::clear_marks(ConeScratch& cs) const {
-  for (SlotId s : cs.visited_) cs.touched_[s] = 0;
-  cs.visited_.clear();
+void SuiteOracle::clear_marks() {
+  for (SlotId s : visited_) touched_[s] = 0;
+  visited_.clear();
 }
 
-bool SuiteOracle::seed_tie(NodeId target, bool value, ConeScratch& cs) const {
+bool SuiteOracle::seed_tie(NodeId target, bool value) {
   const std::uint64_t cval = value ? ~std::uint64_t{0} : 0;
   const SlotId tix = plan_->slot_of(target);
   // Excitation fast path: the tied node already evaluated to the constant
@@ -218,27 +212,21 @@ bool SuiteOracle::seed_tie(NodeId target, bool value, ConeScratch& cs) const {
   if (!diff) return false;
   // Force the constant at the target and re-evaluate its readers: exactly
   // the function the netlist computes once the tie is applied.
-  std::fill_n(scratch_row(cs, tix), words_, cval);
-  cs.touched_[tix] = 1;
-  cs.visited_.push_back(tix);
-  schedule_readers(tix, cs);
+  std::fill_n(scratch_row(tix), words_, cval);
+  touched_[tix] = 1;
+  visited_.push_back(tix);
+  schedule_readers(tix);
   return true;
-}
-
-bool SuiteOracle::tie_visible(NodeId target, bool value,
-                              ConeScratch& cs) const {
-  ensure_scratch(cs);
-  if (words_ == 0) return false;
-  if (!seed_tie(target, value, cs)) return false;
-  const bool any = propagate(cs);
-  clear_marks(cs);
-  return any;
 }
 
 bool SuiteOracle::tie_visible(NodeId target, bool value) {
   grow();
-  return static_cast<const SuiteOracle&>(*this).tie_visible(target, value,
-                                                            self_);
+  ensure_scratch();
+  if (words_ == 0) return false;
+  if (!seed_tie(target, value)) return false;
+  const bool any = propagate();
+  clear_marks();
+  return any;
 }
 
 void SuiteOracle::commit_tie(NodeId target, bool value) {
@@ -247,19 +235,18 @@ void SuiteOracle::commit_tie(NodeId target, bool value) {
   // The structural tie_to_constant follows this call; remember the target so
   // resync_structure() can patch the plan (reader fanins, swept cone).
   pending_ties_.push_back(target);
-  ConeScratch& cs = self_;
-  ensure_scratch(cs);
+  ensure_scratch();
   if (words_ == 0) return;
-  if (!seed_tie(target, value, cs)) return;
-  if (!propagate(cs)) {
+  if (!seed_tie(target, value)) return;
+  if (!propagate()) {
     // Invisible as promised: fold the deviating rows into the cache so later
     // candidates are judged against the updated netlist.
-    for (SlotId id : cs.visited_) {
-      std::copy(scratch_row(cs, id), scratch_row(cs, id) + words_,
+    for (SlotId id : visited_) {
+      std::copy(scratch_row(id), scratch_row(id) + words_,
                 rows_.data() + static_cast<std::size_t>(id) * words_);
     }
   }
-  clear_marks(cs);
+  clear_marks();
 }
 
 void SuiteOracle::resync_structure() {
@@ -303,41 +290,40 @@ void SuiteOracle::resync_structure() {
 }
 
 bool SuiteOracle::payload_fires(std::span<const NodeId> trigger_nets,
-                                int counter_bits, ConeScratch& cs) const {
+                                int counter_bits) {
   // Trigger condition per pattern: AND over the tapped rare nets.
-  cs.trig_.assign(words_, ~std::uint64_t{0});
+  trig_.assign(words_, ~std::uint64_t{0});
   for (NodeId r : trigger_nets) {
     const std::uint64_t* row = cached_row(plan_->slot_of(r));
-    for (std::size_t w = 0; w < words_; ++w) cs.trig_[w] &= row[w];
+    for (std::size_t w = 0; w < words_; ++w) trig_[w] &= row[w];
   }
-  for (std::size_t w = 0; w < words_; ++w) cs.trig_[w] &= valid_[w];
+  for (std::size_t w = 0; w < words_; ++w) trig_[w] &= valid_[w];
   // Payload-enable per pattern. A comparator HT fires with the trigger; a
   // counter HT is replayed cycle by cycle from reset — once per test set,
   // exactly as the defender's tester streams each algorithm's patterns
   // (functional_test's CycleSimulator semantics: S' = S + trigger, fire when
   // saturated).
   if (counter_bits == 0) {
-    cs.fire_ = cs.trig_;
+    fire_ = trig_;
   } else {
-    cs.fire_.assign(words_, 0);
+    fire_.assign(words_, 0);
     const std::uint64_t full = (std::uint64_t{1} << counter_bits) - 1;
     for (const SetSegment& sg : segs_) {
       std::uint64_t state = 0;
       for (std::size_t p = 0; p < sg.patterns; ++p) {
         const std::size_t w = sg.offset + (p >> 6);
-        if (state == full) cs.fire_[w] |= std::uint64_t{1} << (p & 63);
-        if ((cs.trig_[w] >> (p & 63)) & 1) state = (state + 1) & full;
+        if (state == full) fire_[w] |= std::uint64_t{1} << (p & 63);
+        if ((trig_[w] >> (p & 63)) & 1) state = (state + 1) & full;
       }
     }
   }
   std::uint64_t any_fire = 0;
-  for (std::uint64_t w : cs.fire_) any_fire |= w;
+  for (std::uint64_t w : fire_) any_fire |= w;
   return any_fire != 0;
 }
 
 bool SuiteOracle::ht_visible(std::span<const NodeId> trigger_nets,
-                             int counter_bits, NodeId victim,
-                             ConeScratch& cs) const {
+                             int counter_bits, NodeId victim) {
   if (counter_bits < 0 || counter_bits > 63) {
     // Same shift-UB class analytic_pft guards against: payload_fires
     // computes the saturation count in 64 bits. Checked before the
@@ -345,29 +331,23 @@ bool SuiteOracle::ht_visible(std::span<const NodeId> trigger_nets,
     throw std::invalid_argument(
         "SuiteOracle::ht_visible: counter_bits must be in [0,63]");
   }
-  ensure_scratch(cs);
+  grow();
+  ensure_scratch();
   if (words_ == 0) return false;
   // Dormant throughout every pattern stream: undetectable.
-  if (!payload_fires(trigger_nets, counter_bits, cs)) return false;
+  if (!payload_fires(trigger_nets, counter_bits)) return false;
   // The payload MUX rewires the victim's readers to v XOR fire; propagate
   // the masked deviation through the victim's fanout cone.
   const SlotId vix = plan_->slot_of(victim);
-  std::uint64_t* fr = scratch_row(cs, vix);
+  std::uint64_t* fr = scratch_row(vix);
   const std::uint64_t* vr = cached_row(vix);
-  for (std::size_t w = 0; w < words_; ++w) fr[w] = vr[w] ^ cs.fire_[w];
-  cs.touched_[vix] = 1;
-  cs.visited_.push_back(vix);
-  schedule_readers(vix, cs);
-  const bool any = propagate(cs);
-  clear_marks(cs);
+  for (std::size_t w = 0; w < words_; ++w) fr[w] = vr[w] ^ fire_[w];
+  touched_[vix] = 1;
+  visited_.push_back(vix);
+  schedule_readers(vix);
+  const bool any = propagate();
+  clear_marks();
   return any;
-}
-
-bool SuiteOracle::ht_visible(std::span<const NodeId> trigger_nets,
-                             int counter_bits, NodeId victim) {
-  grow();
-  return static_cast<const SuiteOracle&>(*this).ht_visible(
-      trigger_nets, counter_bits, victim, self_);
 }
 
 // ---------------------------------------------------------------- FlowEngine
@@ -440,9 +420,7 @@ SalvageResult FlowEngine::salvage(const SalvageOptions& opt) {
         ++result.rejected;
       }
     }
-  } else if (const std::size_t threads =
-                 std::min(resolve_threads(opt.threads), cands.size());
-             threads <= 1) {
+  } else {
     // Oracle path: judge each candidate on the cached rows before touching
     // the netlist — a rejected tie costs one fanout-cone re-simulation and
     // leaves no structural trace at all.
@@ -453,53 +431,6 @@ SalvageResult FlowEngine::salvage(const SalvageOptions& opt) {
         continue;
       }
       accept(c);
-    }
-  } else {
-    // Parallel speculative screening. Tie verdicts are pure functions of the
-    // current netlist, so a batch of upcoming candidates is judged
-    // concurrently against the shared core; the verdicts are then consumed
-    // in canonical candidate order. Rejects leave the baseline untouched, so
-    // their speculative verdicts stay valid; the first accept mutates the
-    // netlist, invalidating the rest of the batch, which is re-screened —
-    // bit-identical to the sequential scan at any thread count.
-    ThreadPool pool(threads);
-    std::vector<ConeScratch> scratch;
-    scratch.reserve(pool.size());
-    for (std::size_t w = 0; w < pool.size(); ++w) scratch.emplace_back(oracle);
-    const std::size_t batch_cap = std::max<std::size_t>(pool.size() * 4, 8);
-    std::vector<std::size_t> batch;
-    std::vector<char> visible;
-    std::size_t next = 0;
-    while (next < cands.size()) {
-      batch.clear();
-      std::size_t scan = next;
-      while (scan < cands.size() && batch.size() < batch_cap) {
-        // Dead candidates (removed with an earlier accepted cone) can never
-        // come back during salvage: skipping them here matches the
-        // sequential scan's `continue`.
-        if (work.is_alive(cands[scan].node)) batch.push_back(scan);
-        ++scan;
-      }
-      if (batch.empty()) break;
-      visible.assign(batch.size(), 0);
-      pool.parallel_for(
-          batch.size(), [&](std::size_t k, std::size_t w) {
-            const Candidate& c = cands[batch[k]];
-            visible[k] =
-                oracle.tie_visible(c.node, c.tie_value, scratch[w]) ? 1 : 0;
-          });
-      bool accepted = false;
-      for (std::size_t k = 0; k < batch.size(); ++k) {
-        if (visible[k]) {
-          ++result.rejected;
-          continue;
-        }
-        accept(cands[batch[k]]);
-        next = batch[k] + 1;
-        accepted = true;
-        break;
-      }
-      if (!accepted) next = scan;
     }
   }
 
@@ -661,10 +592,7 @@ InsertionResult FlowEngine::insert(const SalvageResult& salvaged,
   // Rare-net pool per victim: the once-per-netlist rare list filtered by the
   // victim's transitive-fanout mask (loop freedom). Computed once — the pool
   // only depends on the victim, not on which HT is being tried, and rejected
-  // materialisations restore the structure the mask was built from. In the
-  // parallel scan the pools for every victim are built concurrently (one
-  // victim per slot, so the writes never alias); the sequential scan keeps
-  // building them lazily.
+  // materialisations restore the structure the mask was built from.
   std::vector<std::vector<NodeId>> pools(locations.size());
   std::vector<char> pool_built(locations.size(), 0);
   const auto pool_for = [&](std::size_t v) -> const std::vector<NodeId>& {
@@ -678,26 +606,10 @@ InsertionResult FlowEngine::insert(const SalvageResult& salvaged,
     return pools[v];
   };
 
-  const std::size_t threads =
-      oracle.sequential()
-          ? 1
-          : std::min(resolve_threads(opt.threads), locations.size());
-  std::unique_ptr<ThreadPool> pool;
-  std::vector<ConeScratch> scratch;
-  if (threads > 1) {
-    pool = std::make_unique<ThreadPool>(threads);
-    scratch.reserve(pool->size());
-    for (std::size_t w = 0; w < pool->size(); ++w) scratch.emplace_back(oracle);
-  }
-
   std::vector<NodeId> fresh;
-  // One victim trial of the canonical walk (Algorithm 2's inner loop). With
-  // `prejudged`, the suite verdict was already computed speculatively and
-  // `visible` holds it; otherwise the oracle (or the sequential
-  // functional_test fallback) judges inline. Returns true when the HT
-  // landed and `result` is complete.
-  const auto try_victim = [&](std::size_t v, const TrojanDesc& desc,
-                              bool prejudged, bool visible) -> bool {
+  // One victim trial of the walk (Algorithm 2's inner loop). Returns true
+  // when the HT landed and `result` is complete.
+  const auto try_victim = [&](std::size_t v, const TrojanDesc& desc) -> bool {
     const NodeId victim = locations[v];
     ++result.tried_locations;
     const std::vector<NodeId>& vpool = pool_for(v);
@@ -708,17 +620,11 @@ InsertionResult FlowEngine::insert(const SalvageResult& salvaged,
 
     // Defender validation (Algorithm 2 lines 3-7) — before materialising
     // when the oracle applies.
-    if (prejudged) {
-      if (visible) {
-        ++result.fail_test;
-        return false;
-      }
-    } else if (!oracle.sequential() &&
-               oracle.ht_visible(
-                   std::span<const NodeId>(
-                       vpool.data(),
-                       static_cast<std::size_t>(desc.trigger_width)),
-                   desc.counter_bits, victim)) {
+    if (!oracle.sequential() &&
+        oracle.ht_visible(
+            std::span<const NodeId>(
+                vpool.data(), static_cast<std::size_t>(desc.trigger_width)),
+            desc.counter_bits, victim)) {
       ++result.fail_test;
       return false;
     }
@@ -795,51 +701,10 @@ InsertionResult FlowEngine::insert(const SalvageResult& salvaged,
     return true;
   };
 
-  // Speculative per-victim verdicts, one bounded batch at a time (the
-  // common case succeeds at an early victim, so screening everything up
-  // front would waste whole cone passes). Visibility is judged before
-  // materialisation against the unmutated baseline, and rejected
-  // materialisations (caps, build throws) restore that baseline, so a
-  // batch's verdicts stay valid for its whole canonical walk. The walk
-  // re-derives the pool-size rejection itself, so a too-small pool just
-  // skips the oracle call and stays kPass.
-  enum : signed char { kPass = 0, kVisible = 1 };
-  std::vector<signed char> verdict;
-
   for (const TrojanDesc& desc : library) {
     ++result.tried_hts;
-    if (!pool) {
-      for (std::size_t v = 0; v < locations.size(); ++v) {
-        if (try_victim(v, desc, /*prejudged=*/false, false)) return result;
-      }
-      continue;
-    }
-    const std::size_t batch_cap = std::max<std::size_t>(pool->size() * 2, 4);
-    std::size_t v = 0;
-    while (v < locations.size()) {
-      const std::size_t end = std::min(locations.size(), v + batch_cap);
-      oracle.resync_structure();  // cover nodes added by earlier rollbacks
-      verdict.assign(end - v, kPass);
-      pool->parallel_for(
-          end - v, [&](std::size_t k, std::size_t w) {
-            const std::vector<NodeId>& p = pool_for(v + k);
-            if (p.size() < static_cast<std::size_t>(desc.trigger_width)) {
-              return;
-            }
-            verdict[k] =
-                oracle.ht_visible(
-                    std::span<const NodeId>(
-                        p.data(),
-                        static_cast<std::size_t>(desc.trigger_width)),
-                    desc.counter_bits, locations[v + k], scratch[w])
-                    ? kVisible
-                    : kPass;
-          });
-      for (std::size_t k = 0; v < end; ++v, ++k) {
-        if (try_victim(v, desc, /*prejudged=*/true, verdict[k] == kVisible)) {
-          return result;
-        }
-      }
+    for (std::size_t v = 0; v < locations.size(); ++v) {
+      if (try_victim(v, desc)) return result;
     }
   }
   return result;  // success = false

@@ -14,16 +14,9 @@
 //    HT candidate is judged *before* it is materialised by replaying its
 //    trigger/counter against the cached rows of the rare nets it would tap.
 //
-//    The oracle is split into an immutable shared core (cached rows, golden
-//    responses, validity masks, topological ranks) and a per-thread
-//    ConeScratch (worklist, forced-value rows, visited marks): the const
-//    judging API is safe to call concurrently from many threads as long as
-//    each call gets its own scratch and nothing mutates the netlist or the
-//    core. Both candidate scans exploit this — tie and HT visibility are
-//    judged before any mutation, so FlowEngine screens candidates in
-//    parallel on a util/thread_pool.hpp pool and reduces the verdicts in
-//    canonical candidate order, which keeps the flow bit-identical to the
-//    sequential scan at every thread count.
+//    Both algorithms are greedy in-order walks: every accepted tie or HT
+//    changes the netlist the next candidate is judged on, so each runs one
+//    sequential scan. Parallelism lives at the job level (campaign/driver).
 //
 //  - PowerTracker (tech/power_tracker.hpp) keeps per-node power/area rows
 //    and applies add-gate / remove-gate / splice deltas, so the Algorithm 2
@@ -57,25 +50,6 @@
 
 namespace tz {
 
-class SuiteOracle;
-
-/// Per-thread mutable state for SuiteOracle's const judging calls: the rank
-/// worklist, forced/re-evaluated scratch rows, touched marks and the
-/// trigger/fire replay rows. Construct one per worker from the oracle it
-/// will be used with; the oracle grows it on demand at each call.
-class ConeScratch {
- public:
-  explicit ConeScratch(const SuiteOracle& core);
-
- private:
-  friend class SuiteOracle;
-  RankWorklist worklist_;
-  std::vector<std::uint64_t> rows_;
-  std::vector<char> touched_;
-  std::vector<SlotId> visited_;
-  std::vector<std::uint64_t> trig_, fire_;
-};
-
 /// Cached-row defender oracle over one work netlist. The netlist must stay
 /// owned by the caller; structural edits are reported through the tie/commit
 /// API. Only combinational netlists are cached — construction on a netlist
@@ -88,13 +62,6 @@ class ConeScratch {
 /// (append the tie cell as a source slot, rewrite the readers' fanin CSR in
 /// place, tombstone the swept cone), so per-candidate judging never
 /// recompiles the plan.
-///
-/// Thread safety: the const overloads of tie_visible / ht_visible are pure
-/// reads of the shared core plus writes into the caller-provided scratch, so
-/// any number of threads may judge candidates concurrently, each with its
-/// own ConeScratch, provided (a) the netlist is not mutated meanwhile and
-/// (b) resync_structure() ran after the last structural edit. commit_tie and
-/// resync_structure mutate the core and must be called single-threaded.
 class SuiteOracle {
  public:
   SuiteOracle(const Netlist& nl, const DefenderSuite& suite);
@@ -112,7 +79,7 @@ class SuiteOracle {
   SuiteOracle(const Netlist& nl, const DefenderSuite& suite,
               const SuiteOracle* seed);
 
-  // The built-in scratch references this instance's rank vector; a copy or
+  // The scratch worklist references this instance's rank vector; a copy or
   // move would leave it pointing into the source object.
   SuiteOracle(const SuiteOracle&) = delete;
   SuiteOracle& operator=(const SuiteOracle&) = delete;
@@ -126,7 +93,7 @@ class SuiteOracle {
   /// Judged BEFORE the structural rewrite by forcing the constant at the
   /// target and propagating through its fanout cone — a rejected candidate
   /// never touches the netlist at all. One fused pass covers every test set.
-  bool tie_visible(NodeId target, bool value, ConeScratch& cs) const;
+  bool tie_visible(NodeId target, bool value);
 
   /// Would inserting this HT be caught by the suite? Judged before the HT is
   /// materialised: the trigger AND and counter are replayed against the
@@ -135,12 +102,6 @@ class SuiteOracle {
   /// fanout cone. Exactly equivalent to streaming the infected netlist
   /// through functional_test.
   bool ht_visible(std::span<const NodeId> trigger_nets, int counter_bits,
-                  NodeId victim, ConeScratch& cs) const;
-
-  /// Single-threaded conveniences on a built-in scratch; these also refresh
-  /// the core's node capacity first (the const overloads do not).
-  bool tie_visible(NodeId target, bool value);
-  bool ht_visible(std::span<const NodeId> trigger_nets, int counter_bits,
                   NodeId victim);
 
   /// Fold an accepted (invisible) tie into the cached rows. Call before the
@@ -148,8 +109,7 @@ class SuiteOracle {
   void commit_tie(NodeId target, bool value);
 
   /// Refresh structural bookkeeping (node capacity, output drivers) after
-  /// the caller mutated the netlist with a committed edit. Must also run
-  /// before a parallel screening phase that follows any structural edit.
+  /// the caller mutated the netlist with a committed edit.
   void resync_structure();
 
   /// The compiled plan the oracle judges through, or nullptr when the oracle
@@ -158,8 +118,6 @@ class SuiteOracle {
   const EvalPlan* plan() const { return plan_.get(); }
 
  private:
-  friend class ConeScratch;
-
   /// Full construction: simulate every defender set on `nl_` and cache the
   /// fused rows (the expensive path the seeded constructor avoids).
   void build_caches();
@@ -176,29 +134,29 @@ class SuiteOracle {
   };
 
   void grow();
-  void ensure_scratch(ConeScratch& cs) const;
+  /// Size the scratch arrays to the current slot capacity.
+  void ensure_scratch();
   /// Every internal row/mark array is keyed by plan slot.
   const std::uint64_t* cached_row(SlotId s) const {
     return rows_.data() + static_cast<std::size_t>(s) * words_;
   }
-  std::uint64_t* scratch_row(ConeScratch& cs, SlotId s) const {
-    return cs.rows_.data() + static_cast<std::size_t>(s) * words_;
+  std::uint64_t* scratch_row(SlotId s) {
+    return scratch_.data() + static_cast<std::size_t>(s) * words_;
   }
   /// Schedule the live combinational readers of slot `s` (plan fanout CSR).
-  void schedule_readers(SlotId s, ConeScratch& cs) const;
+  void schedule_readers(SlotId s);
   /// Event-driven fused-cone evaluation from the pre-seeded worklist/forced
   /// rows; returns true when a primary-output row deviates from golden on
-  /// any valid lane. Leaves cs touched/visited marks set for the caller.
-  bool propagate(ConeScratch& cs) const;
-  void clear_marks(ConeScratch& cs) const;
+  /// any valid lane. Leaves the touched/visited marks set for the caller.
+  bool propagate();
+  void clear_marks();
   /// Seed a forced-constant row at `target`. Returns false when the cached
   /// row already equals the constant on every valid lane (nothing to do).
-  bool seed_tie(NodeId target, bool value, ConeScratch& cs) const;
-  /// Build cs.fire_ (payload-enable per pattern lane) from the trigger AND
-  /// over `trigger_nets` plus the per-set counter replay. Returns true when
-  /// the payload fires at least once somewhere in the suite.
-  bool payload_fires(std::span<const NodeId> trigger_nets, int counter_bits,
-                     ConeScratch& cs) const;
+  bool seed_tie(NodeId target, bool value);
+  /// Build fire_ (payload-enable per pattern lane) from the trigger AND over
+  /// `trigger_nets` plus the per-set counter replay. Returns true when the
+  /// payload fires at least once somewhere in the suite.
+  bool payload_fires(std::span<const NodeId> trigger_nets, int counter_bits);
 
   const Netlist* nl_;
   const DefenderSuite* suite_;
@@ -213,16 +171,20 @@ class SuiteOracle {
   std::vector<std::uint64_t> rows_;    ///< row-index-major fused cache
   std::vector<std::uint64_t> golden_;  ///< output-major fused expected rows
   std::vector<NodeId> recorded_po_;    ///< outputs() as of the cached state
-  /// Serialises the exclusive structure phase (commit_tie/resync_structure)
-  /// against itself. The const judging API deliberately takes no lock — its
-  /// safety contract is phase separation (no concurrent structural edits),
-  /// which the annotation documents and Clang's analysis enforces for the
-  /// guarded member.
+  /// Serialises the structure phase (commit_tie/resync_structure) against
+  /// itself.
   Mutex structure_mu_;
   /// Committed ties awaiting plan patch.
   std::vector<NodeId> pending_ties_ TZ_GUARDED_BY(structure_mu_);
   std::vector<std::uint32_t> rank_;    ///< identity over slots
-  ConeScratch self_{*this};  ///< scratch for the single-threaded API
+
+  // Per-call scratch of the judging API: the rank worklist, forced and
+  // re-evaluated rows, touched marks and the trigger/fire replay rows.
+  RankWorklist worklist_{rank_};
+  std::vector<std::uint64_t> scratch_;
+  std::vector<char> touched_;
+  std::vector<SlotId> visited_;
+  std::vector<std::uint64_t> trig_, fire_;
 };
 
 /// Const references into a shared per-circuit artifact bundle
@@ -255,18 +217,14 @@ class FlowEngine {
   void set_shared(const FlowSharedInputs* shared) { shared_ = shared; }
 
   /// Algorithm 1 on a SuiteOracle: tie, O(cone) recheck, undo-log revert.
-  /// With opt.threads resolving to > 1, upcoming candidates are screened
-  /// speculatively in parallel and the verdicts consumed in canonical order
-  /// up to the first accept (which invalidates the rest of the batch) —
-  /// bit-identical to the sequential scan.
+  /// One in-order walk: an accepted tie changes the netlist every later
+  /// candidate is judged on.
   SalvageResult salvage(const SalvageOptions& opt = {});
 
   /// Algorithm 2 on the oracle + PowerTracker: candidates are rejected
   /// before materialisation where possible; materialised rejects roll back
-  /// through the added-node range. With opt.threads resolving to > 1, the
-  /// per-victim trigger pools and suite verdicts for each HT descriptor are
-  /// computed in parallel, then the victims are walked in canonical order —
-  /// bit-identical to the sequential scan.
+  /// through the added-node range. HTs and victims are tried in order and
+  /// the first placement that passes the suite and the caps wins.
   InsertionResult insert(const SalvageResult& salvaged,
                          const InsertionOptions& opt = {});
 

@@ -30,9 +30,8 @@ struct InsertionOptions {
   double power_slack_rel = 0.02;       ///< Allowed |ΔP|/P(N) after balancing.
   double area_slack_rel = 0.02;        ///< Allowed |ΔA|/A(N).
   std::size_t max_dummy_gates = 256;
-  /// Worker threads for the per-victim screening scan (0 = TZ_THREADS env
-  /// variable, else hardware concurrency). Results are bit-identical at
-  /// every thread count — see FlowEngine::insert.
+  /// Ignored (the scan is one sequential walk); kept while tzbench still
+  /// writes it.
   std::size_t threads = 0;
 };
 

@@ -25,9 +25,8 @@ struct FlowOptions {
   TestGenOptions testgen = atpg_only_defender();
   InsertionOptions insertion;  ///< Algorithm 2 configuration.
   SalvageOptions::Order order = SalvageOptions::Order::ByProbability;
-  /// Worker threads for both candidate scans (0 = TZ_THREADS env, else the
-  /// effective CPU count). Campaign jobs pin this to 1 and parallelize
-  /// across jobs instead; results are bit-identical either way.
+  /// Ignored by both scans, which are sequential; only stamped into
+  /// FlowMeta::threads. Kept while tzbench still writes it.
   std::size_t threads = 0;
 
   static TestGenOptions atpg_only_defender() {
@@ -56,7 +55,9 @@ struct FlowMeta {
   /// the wire format does not change.
   bool eval_plan = true;
   std::string fault_mode;       ///< Resolved FaultSimMode ("auto"/...).
-  std::size_t threads = 0;      ///< Resolved worker count for the scans.
+  /// resolve_threads(FlowOptions::threads). Nothing runs on it; kept so the
+  /// wire format does not change.
+  std::size_t threads = 0;
   double wall_ms = 0.0;         ///< End-to-end job wall time (volatile).
 
   std::size_t total_patterns() const {

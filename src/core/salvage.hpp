@@ -24,9 +24,8 @@ struct SalvageOptions {
   /// Candidate visit order — the paper uses most-certain-first; the leakage
   /// ablation visits highest-leakage gates first instead.
   enum class Order { ByProbability, ByLeakage } order = Order::ByProbability;
-  /// Worker threads for the speculative candidate screen (0 = TZ_THREADS env
-  /// variable, else hardware concurrency). Results are bit-identical at
-  /// every thread count — see FlowEngine::salvage.
+  /// Ignored (the scan is one sequential walk); kept while tzbench still
+  /// writes it.
   std::size_t threads = 0;
 };
 

@@ -1,22 +1,14 @@
-// Small reusable thread pool for the embarrassingly-parallel candidate
-// scans (FlowEngine insertion victim screening, salvage tie screening).
+// Job-level parallelism for the campaign driver: a one-shot parallel_for
+// and the thread-count resolution behind it.
 //
-// Design constraints, in order:
-//  - Determinism: parallel_for(n, fn) promises only that fn(i, worker) runs
+//  - Determinism: parallel_for(n, threads, fn) promises only that fn(i) runs
 //    exactly once for every i; callers write results into slot i of a
-//    pre-sized vector and reduce in index order afterwards, so the outcome
-//    never depends on scheduling. The pool itself has no ordered channels.
-//  - Reuse: workers are spawned once and parked between jobs, so a flow that
-//    issues one parallel_for per screening batch pays thread creation once.
-//  - Caller participation: the calling thread works the same index stream as
-//    the workers; a pool of size 1 (or n == 1) degrades to an inline loop
-//    with no synchronisation at all.
-//
-// The locking discipline is annotated with util/thread_safety.hpp
-// capabilities (job_ and stop_ are TZ_GUARDED_BY(m_)) and statically checked
-// by Clang's -Wthread-safety in CI. Condition waits are written as explicit
-// while-loops over MutexLock::wait — a predicate lambda's body is invisible
-// to the analysis.
+//    pre-sized vector (or serialise their own output), so the outcome never
+//    depends on scheduling. Indices are handed out in increasing order from
+//    one atomic counter.
+//  - One shot: the threads are spawned per call and joined before it
+//    returns. A campaign issues one call per run, so there is nothing to
+//    reuse. The calling thread works the same index stream as the others.
 //
 // Thread-count resolution: an explicit request wins; otherwise the TZ_THREADS
 // environment variable; otherwise the *effective* CPU count — the minimum of
@@ -26,16 +18,15 @@
 // made the default oversubscribe badly in the bench container.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #if defined(__linux__)
@@ -152,110 +143,42 @@ inline std::size_t resolve_threads(std::size_t requested) {
   return effective_cpu_count();
 }
 
-class ThreadPool {
- public:
-  /// `threads` counts the calling thread: a pool of size N spawns N-1
-  /// workers. 0 resolves via resolve_threads(0).
-  explicit ThreadPool(std::size_t threads = 0) {
-    const std::size_t n = std::max<std::size_t>(1, resolve_threads(threads));
-    workers_.reserve(n - 1);
-    for (std::size_t w = 1; w < n; ++w) {
-      workers_.emplace_back([this, w] { worker_loop(w); });
-    }
-  }
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  ~ThreadPool() {
-    {
-      MutexLock lk(m_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    for (std::thread& t : workers_) t.join();
-  }
-
-  /// Total worker count including the caller.
-  std::size_t size() const { return workers_.size() + 1; }
-
-  /// Run fn(i, worker) for every i in [0, n), blocking until all complete.
-  /// `worker` is a stable id in [0, size()) — use it to index per-thread
-  /// scratch. fn must be safe to call concurrently from different workers.
-  /// The first exception thrown by any fn is rethrown here after the job
-  /// drains; the remaining indices still run.
-  void parallel_for(std::size_t n,
-                    const std::function<void(std::size_t, std::size_t)>& fn) {
-    if (n == 0) return;
-    if (workers_.empty() || n == 1) {
-      for (std::size_t i = 0; i < n; ++i) fn(i, 0);
-      return;
-    }
-    auto job = std::make_shared<Job>();
-    job->fn = &fn;
-    job->n = n;
-    {
-      MutexLock lk(m_);
-      job_ = job;
-    }
-    cv_.notify_all();
-    run_job(*job, 0);
-    {
-      MutexLock lk(m_);
-      while (job->done.load() != job->n) lk.wait(cv_);
-      if (job_ == job) job_.reset();
-    }
-    if (job->error) std::rethrow_exception(job->error);
-  }
-
- private:
-  struct Job {
-    const std::function<void(std::size_t, std::size_t)>* fn = nullptr;
-    std::size_t n = 0;
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> done{0};
-    std::exception_ptr error;  ///< First failure; guarded by the pool mutex.
+/// Run fn(i) for every i in [0, n) on min(resolve_threads(threads), n)
+/// threads, the caller included, and return once all have finished. fn must
+/// be safe to call concurrently. The first exception thrown by any fn (or
+/// by starting a thread) is rethrown here after every index has run.
+inline void parallel_for(std::size_t n, std::size_t threads,
+                         const std::function<void(std::size_t)>& fn) {
+  std::atomic<std::size_t> next{0};
+  Mutex error_mu;
+  std::exception_ptr error;
+  const auto record = [&](std::exception_ptr e) {
+    MutexLock lk(error_mu);
+    if (!error) error = std::move(e);
   };
-
-  void run_job(Job& job, std::size_t worker) {
+  const auto work = [&] {
     for (;;) {
-      const std::size_t i = job.next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= job.n) return;
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) return;
       try {
-        (*job.fn)(i, worker);
+        fn(i);
       } catch (...) {
-        MutexLock lk(m_);
-        if (!job.error) job.error = std::current_exception();
-      }
-      if (job.done.fetch_add(1, std::memory_order_acq_rel) + 1 == job.n) {
-        // Last index: wake the caller (and any parked workers re-checking).
-        MutexLock lk(m_);
-        cv_.notify_all();
+        record(std::current_exception());
       }
     }
+  };
+  const std::size_t spawn = std::min(resolve_threads(threads), n);
+  std::vector<std::thread> workers;
+  workers.reserve(spawn);
+  try {
+    for (std::size_t w = 1; w < spawn; ++w) workers.emplace_back(work);
+  } catch (...) {
+    // The threads already started and the caller still drain every index.
+    record(std::current_exception());
   }
-
-  void worker_loop(std::size_t worker) {
-    std::shared_ptr<Job> last;
-    for (;;) {
-      std::shared_ptr<Job> job;
-      {
-        MutexLock lk(m_);
-        while (!stop_ && (job_ == nullptr || job_ == last)) lk.wait(cv_);
-        if (stop_) return;
-        job = job_;
-      }
-      run_job(*job, worker);
-      last = std::move(job);  // a drained job hands out only i >= n: harmless
-    }
-  }
-
-  std::vector<std::thread> workers_;
-  Mutex m_;
-  std::condition_variable cv_;
-  /// Current (or most recent) job handed to the workers.
-  std::shared_ptr<Job> job_ TZ_GUARDED_BY(m_);
-  bool stop_ TZ_GUARDED_BY(m_) = false;
-};
+  work();
+  for (std::thread& t : workers) t.join();
+  if (error) std::rethrow_exception(error);
+}
 
 }  // namespace tz

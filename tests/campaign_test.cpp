@@ -4,16 +4,18 @@
 // expansion + sharding, the checkpoint/resume/merge
 // byte-identity contract across shard and thread counts (including a
 // simulated mid-shard kill with a torn trailing line), the CampaignChecker
-// corruption tests (one per Camp* CheckId), and the cgroup CPU-quota
-// parsers behind ThreadPool's thread resolution.
+// corruption tests (one per Camp* CheckId), and the job-level parallel_for
+// with the cgroup CPU-quota parsers behind its thread resolution.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -490,6 +492,18 @@ TEST(CampaignDriver, MergeRequiresEveryShardFile) {
   EXPECT_THROW(merge_campaign(grid, dir.string(), 2), std::runtime_error);
 }
 
+TEST(CampaignDriver, ZeroShardCountIsRejected) {
+  // Zero shards name no shard file at all: status must not report that
+  // empty set as a complete campaign, nor merge emit a header-only artifact.
+  const CampaignGrid grid = small_grid();
+  const fs::path dir = scratch_dir("zero_shards");
+  std::ostringstream os;
+  EXPECT_THROW(campaign_status(grid, dir.string(), 0, os),
+               std::invalid_argument);
+  EXPECT_EQ(os.str(), "");
+  EXPECT_THROW(merge_campaign(grid, dir.string(), 0), std::invalid_argument);
+}
+
 TEST(CampaignDriver, MergeOfIncompleteCampaignFailsTheChecker) {
   const CampaignGrid grid = small_grid();
   const fs::path dir = scratch_dir("incomplete");
@@ -691,6 +705,26 @@ TEST(CampaignChecker, CorruptMergeMissing) {
 }
 
 // --------------------------------------------------- cgroup quota parsing
+
+TEST(ParallelFor, RunsEveryIndexOnceAndRethrowsAfterTheDrain) {
+  for (const std::size_t threads : {1u, 3u, 16u}) {
+    std::vector<std::atomic<int>> hits(100);
+    parallel_for(hits.size(), threads, [&](std::size_t i) { ++hits[i]; });
+    for (const std::atomic<int>& h : hits) EXPECT_EQ(h.load(), 1) << threads;
+
+    std::atomic<std::size_t> ran{0};
+    EXPECT_THROW(parallel_for(100, threads,
+                              [&](std::size_t i) {
+                                ++ran;
+                                if (i % 10 == 3) {
+                                  throw std::runtime_error("job failed");
+                                }
+                              }),
+                 std::runtime_error);
+    EXPECT_EQ(ran.load(), 100u) << threads;
+  }
+  parallel_for(0, 4, [](std::size_t) { ADD_FAILURE() << "no index to run"; });
+}
 
 TEST(ThreadResolve, ParseCpuQuota) {
   using detail::parse_cpu_quota;

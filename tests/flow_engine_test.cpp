@@ -19,7 +19,6 @@
 #include "sim/simulator.hpp"
 #include "tech/power_tracker.hpp"
 #include "testutil.hpp"
-#include "util/thread_pool.hpp"
 
 namespace tz {
 namespace {
@@ -403,9 +402,10 @@ void expect_same_insertion(const InsertionResult& a, const InsertionResult& b,
   }
 }
 
-TEST(ParallelScan, BitIdenticalAcrossThreadCounts) {
-  // The ordered reduction promises: accepted candidates, HT/victim/dummy
-  // choices and reported power never depend on the worker count. c6288 is
+TEST(ThreadsOption, IgnoredBySalvageAndInsertion) {
+  // SalvageOptions::threads and InsertionOptions::threads are no-ops: both
+  // scans are one sequential walk, so accepted candidates, HT/victim/dummy
+  // choices and reported power are the same at threads {1, 2, 8}. c6288 is
   // the >2k-gate array-multiplier stress (rare cut relaxed as in the bench,
   // so the trigger search walks a real pool).
   struct Case {
@@ -541,8 +541,7 @@ TEST(EvalPlanFlow, SalvageAndInsertionMatchReference) {
   // must accept exactly the ties a naive apply-and-retest replay accepts,
   // and Algorithm 2 must make the choices (HT, victim, rejection counts) a
   // naive build-and-retest replay makes, with an N'' that passes the suite
-  // on the reference evaluator. The same cases' results are bit-identical at
-  // every thread count (ParallelScan.BitIdenticalAcrossThreadCounts).
+  // on the reference evaluator.
   struct Case {
     const char* name;
     double rare_p1;
@@ -562,11 +561,9 @@ TEST(EvalPlanFlow, SalvageAndInsertionMatchReference) {
     const PowerModel pm = model();
     SalvageOptions sopt;
     sopt.pth = spec_for(c.name).pth;
-    sopt.threads = 1;
     InsertionOptions iopt;
     iopt.rare_p1 = c.rare_p1;
     iopt.library = c.library;
-    iopt.threads = 1;
 
     const SalvageResult s = salvage_power_area(original, suite, pm, sopt);
     std::vector<std::string> accepted;
@@ -599,8 +596,8 @@ TEST(EvalPlanFlow, SalvageAndInsertionMatchReference) {
 TEST(EvalPlanFlow, FaultBackendBitIdenticalThroughFlow) {
   // The fault-simulation backend must be invisible end to end: the defender
   // suite ATPG generates and every downstream flow verdict (accepted ties,
-  // HT/victim choices, power numbers) are bit-identical across Event/Packed
-  // x threads {1, 2, 8}.
+  // HT/victim choices, power numbers) are bit-identical across Event and
+  // Packed.
   const Netlist original = make_benchmark("c880");
   const PowerModel pm = model();
   SalvageOptions sopt;
@@ -622,8 +619,8 @@ TEST(EvalPlanFlow, FaultBackendBitIdenticalThroughFlow) {
     }
   };
 
-  // Baseline: event backend, sequential. Its golden responses are held to
-  // the reference evaluator.
+  // Baseline: event backend. Its golden responses are held to the reference
+  // evaluator.
   DefenderSuite base_suite;
   SalvageResult s_base;
   InsertionResult r_base;
@@ -635,40 +632,21 @@ TEST(EvalPlanFlow, FaultBackendBitIdenticalThroughFlow) {
           ts.golden, reference_outputs(original, ts.patterns)))
           << ts.name;
     }
-    sopt.threads = 1;
-    iopt.threads = 1;
     s_base = salvage_power_area(original, base_suite, pm, sopt);
     r_base = insert_trojan(original, s_base, base_suite, pm, iopt);
   }
 
-  struct Combo {
-    int fault_mode;
-    std::vector<std::size_t> threads;
-  };
-  const Combo combos[] = {
-      {2, {1, 2, 8}},  // packed, every worker count
-      {1, {8}},        // event, parallel
-  };
-  for (const Combo& c : combos) {
-    const test::FaultModeGuard fguard(c.fault_mode);
-    const std::string base_label =
-        "fault_mode=" + std::to_string(c.fault_mode);
-    const DefenderSuite suite =
-        make_defender_suite(original, defender_defaults());
-    expect_same_suite(suite, base_suite, base_label);
-    for (const std::size_t t : c.threads) {
-      const std::string label = base_label + " threads=" + std::to_string(t);
-      sopt.threads = t;
-      iopt.threads = t;
-      const SalvageResult st = salvage_power_area(original, suite, pm, sopt);
-      expect_same_salvage(s_base, st, label);
-      const InsertionResult rt = insert_trojan(original, st, suite, pm, iopt);
-      expect_same_insertion(r_base, rt, label);
-    }
-  }
+  const test::FaultModeGuard packed(2);
+  const DefenderSuite suite =
+      make_defender_suite(original, defender_defaults());
+  expect_same_suite(suite, base_suite, "packed");
+  const SalvageResult sp = salvage_power_area(original, suite, pm, sopt);
+  expect_same_salvage(s_base, sp, "packed");
+  const InsertionResult rp = insert_trojan(original, sp, suite, pm, iopt);
+  expect_same_insertion(r_base, rp, "packed");
 }
 
-TEST(EvalPlanFlow, HundredKGateMatchesReferenceAcrossThreads) {
+TEST(EvalPlanFlow, HundredKGateMatchesReference) {
   // The 100k-gate scale proof for the compiled-plan engines on a generated
   // circuit: a fixed random DAG ("rand100k", 100,000 gates) with a bounded
   // random defender suite (full ATPG is out of the tier-1 budget at this
@@ -678,9 +656,8 @@ TEST(EvalPlanFlow, HundredKGateMatchesReferenceAcrossThreads) {
   //  2. a bounded Algorithm 1 walk (first 32 invisible ties, committed
   //     through the oracle's incremental plan patch): every verdict must
   //     match applying the tie and re-testing on the reference evaluator;
-  //  3. Algorithm 2 into that salvaged slack must pick the same HT, victim
-  //     and power numbers at threads {1, 2, 8}, and its N'' must pass the
-  //     suite on the reference evaluator.
+  //  3. Algorithm 2 into that salvaged slack must place an HT whose N''
+  //     passes the suite on the reference evaluator.
   const Netlist nl = make_benchmark("rand100k");
   ASSERT_EQ(nl.gate_count(), 100000u);
   DefenderSuite suite;
@@ -727,51 +704,16 @@ TEST(EvalPlanFlow, HundredKGateMatchesReferenceAcrossThreads) {
   }
   work.sweep_dead_gates();
 
-  // Layer 3: insertion into the salvaged slack at every thread count.
+  // Layer 3: insertion into the salvaged slack.
   SalvageResult sr;
   sr.modified = work.compact();
   const PowerModel pm = model();
   InsertionOptions iopt;
   iopt.rare_p1 = 0.05;
   iopt.library = {counter_trojan(3), counter_trojan(2)};
-  iopt.threads = 1;
-  const InsertionResult baseline = insert_trojan(nl, sr, suite, pm, iopt);
-  ASSERT_TRUE(baseline.success);
-  EXPECT_TRUE(test::reference_functional_test(baseline.infected, suite));
-  for (const std::size_t t : {std::size_t{2}, std::size_t{8}}) {
-    iopt.threads = t;
-    const InsertionResult r = insert_trojan(nl, sr, suite, pm, iopt);
-    expect_same_insertion(baseline, r,
-                          "rand100k threads=" + std::to_string(t));
-  }
-}
-
-TEST(ParallelScan, ConcurrentOracleMatchesBuiltinScratch) {
-  // The const judging API on per-thread scratch must agree verdict-for-
-  // verdict with the single-threaded convenience overloads.
-  const Netlist original = make_benchmark("c880");
-  const DefenderSuite suite =
-      make_defender_suite(original, defender_defaults());
-  const Netlist work = original.compact();
-  const SignalProb sp(work);
-  const auto cands = find_candidates(work, sp, 0.992, false);
-  ASSERT_FALSE(cands.empty());
-  SuiteOracle oracle(work, suite);
-  ASSERT_FALSE(oracle.sequential());
-  std::vector<char> expected(cands.size(), 0);
-  for (std::size_t i = 0; i < cands.size(); ++i) {
-    expected[i] = oracle.tie_visible(cands[i].node, cands[i].tie_value);
-  }
-  ThreadPool pool(4);
-  std::vector<ConeScratch> scratch;
-  for (std::size_t w = 0; w < pool.size(); ++w) scratch.emplace_back(oracle);
-  std::vector<char> got(cands.size(), 0);
-  const SuiteOracle& shared = oracle;
-  pool.parallel_for(cands.size(), [&](std::size_t i, std::size_t w) {
-    got[i] =
-        shared.tie_visible(cands[i].node, cands[i].tie_value, scratch[w]);
-  });
-  EXPECT_EQ(got, expected);
+  const InsertionResult r = insert_trojan(nl, sr, suite, pm, iopt);
+  ASSERT_TRUE(r.success);
+  EXPECT_TRUE(test::reference_functional_test(r.infected, suite));
 }
 
 // ---- consolidated collision-avoidance naming -------------------------------

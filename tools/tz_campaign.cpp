@@ -2,8 +2,8 @@
 // grid (campaign/driver.hpp).
 //
 //   tz_campaign run    --grid <preset|file.json> --out <dir>
-//                      [--shard i/N] [--threads T] [--job-threads J]
-//                      [--max-jobs M] [--verbose]
+//                      [--shard i/N] [--threads T] [--max-jobs M]
+//                      [--verbose]
 //   tz_campaign merge  --grid <preset|file.json> --out <dir>
 //                      [--shards N] [--output <file>]
 //   tz_campaign status --grid <preset|file.json> --out <dir> [--shards N]
@@ -19,6 +19,7 @@
 //
 // Exit status: 0 on success (status: campaign complete), 1 on failure
 // (status: incomplete), 2 on usage errors.
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <exception>
@@ -26,6 +27,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "campaign/driver.hpp"
 #include "verify/verify.hpp"
@@ -37,7 +39,7 @@ int usage() {
       stderr,
       "usage: tz_campaign <run|merge|status> --grid <preset|file.json> "
       "--out <dir> [options]\n"
-      "  run:    --shard i/N (default 0/1), --threads T, --job-threads J,\n"
+      "  run:    --shard i/N (default 0/1), --threads T (0 = all CPUs),\n"
       "          --max-jobs M (stop after M new jobs), --verbose\n"
       "  merge:  --shards N (default 1), --output <file> (default stdout)\n"
       "  status: --shards N (default 1)\n"
@@ -60,17 +62,20 @@ tz::CampaignGrid load_grid(const std::string& arg) {
   return tz::CampaignGrid::preset(arg);
 }
 
-bool parse_shard(const std::string& arg, std::size_t& index,
+/// The whole of `text` as an unsigned decimal.
+bool parse_count(std::string_view text, std::size_t& out) {
+  const char* end = text.data() + text.size();
+  const auto [p, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc() && p == end;
+}
+
+bool parse_shard(std::string_view arg, std::size_t& index,
                  std::size_t& count) {
   const std::size_t slash = arg.find('/');
-  if (slash == std::string::npos) return false;
-  try {
-    index = std::stoul(arg.substr(0, slash));
-    count = std::stoul(arg.substr(slash + 1));
-  } catch (const std::exception&) {
-    return false;
-  }
-  return count > 0 && index < count;
+  if (slash == std::string_view::npos) return false;
+  return parse_count(arg.substr(0, slash), index) &&
+         parse_count(arg.substr(slash + 1), count) && count > 0 &&
+         index < count;
 }
 
 }  // namespace
@@ -83,9 +88,11 @@ int main(int argc, char** argv) {
   std::string grid_arg, out_dir, output_file;
   tz::CampaignOptions opt;
   std::size_t shards = 1;
-  std::size_t job_threads = 0;  // 0 = keep the grid's setting
-  bool have_job_threads = false;
 
+  const auto reject = [](const char* flag, const char* want) {
+    std::fprintf(stderr, "tz_campaign: %s expects %s\n", flag, want);
+    return usage();
+  };
   for (int i = 2; i < argc; ++i) {
     const auto need_value = [&](const char* flag) -> const char* {
       if (i + 1 >= argc) {
@@ -105,26 +112,23 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--shard") == 0) {
       const char* v = need_value("--shard");
       if (v == nullptr || !parse_shard(v, opt.shard_index, opt.shard_count)) {
-        std::fprintf(stderr, "tz_campaign: --shard expects i/N\n");
-        return usage();
+        return reject("--shard", "i/N with i < N");
       }
     } else if (std::strcmp(argv[i], "--shards") == 0) {
       const char* v = need_value("--shards");
-      if (v == nullptr) return usage();
-      shards = std::stoul(v);
+      if (v == nullptr || !parse_count(v, shards) || shards == 0) {
+        return reject("--shards", "a count >= 1");
+      }
     } else if (std::strcmp(argv[i], "--threads") == 0) {
       const char* v = need_value("--threads");
-      if (v == nullptr) return usage();
-      opt.threads = std::stoul(v);
-    } else if (std::strcmp(argv[i], "--job-threads") == 0) {
-      const char* v = need_value("--job-threads");
-      if (v == nullptr) return usage();
-      job_threads = std::stoul(v);
-      have_job_threads = true;
+      if (v == nullptr || !parse_count(v, opt.threads)) {
+        return reject("--threads", "a count");
+      }
     } else if (std::strcmp(argv[i], "--max-jobs") == 0) {
       const char* v = need_value("--max-jobs");
-      if (v == nullptr) return usage();
-      opt.max_jobs = std::stoul(v);
+      if (v == nullptr || !parse_count(v, opt.max_jobs)) {
+        return reject("--max-jobs", "a count");
+      }
     } else if (std::strcmp(argv[i], "--output") == 0) {
       const char* v = need_value("--output");
       if (v == nullptr) return usage();
@@ -140,8 +144,7 @@ int main(int argc, char** argv) {
   opt.out_dir = out_dir;
 
   try {
-    tz::CampaignGrid grid = load_grid(grid_arg);
-    if (have_job_threads) grid.job_threads = job_threads;
+    const tz::CampaignGrid grid = load_grid(grid_arg);
 
     if (cmd == "run") {
       const tz::CampaignRunStats stats = tz::run_campaign(grid, opt);
