@@ -13,12 +13,13 @@
 //
 // Usage: tz_sat fuzz [--runs N] [--seed S] [--dump-dir DIR]
 //        tz_sat dump <spec-a> <spec-b> <out.cnf>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <random>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gen/iscas.hpp"
@@ -38,6 +39,14 @@ int usage() {
                "        across the prepass/structural-match option matrix\n"
                "  dump: write the miter CNF for two make_benchmark specs\n");
   return 2;
+}
+
+/// The whole of `text` as a decimal number.
+template <class T>
+bool parse_number(std::string_view text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [p, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc() && p == end;
 }
 
 /// Exhaustive oracle: equal iff all outputs agree on all 2^PI vectors
@@ -160,9 +169,9 @@ int main(int argc, char** argv) {
       std::string dump_dir;
       for (int i = 2; i < argc; ++i) {
         if (std::strcmp(argv[i], "--runs") == 0 && i + 1 < argc) {
-          runs = std::atoi(argv[++i]);
+          if (!parse_number(argv[++i], runs) || runs < 1) return usage();
         } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-          seed = std::strtoull(argv[++i], nullptr, 10);
+          if (!parse_number(argv[++i], seed)) return usage();
         } else if (std::strcmp(argv[i], "--dump-dir") == 0 && i + 1 < argc) {
           dump_dir = argv[++i];
         } else {
