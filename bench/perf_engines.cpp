@@ -1,6 +1,6 @@
 // google-benchmark microbenchmarks for the engine kernels: bit-parallel
-// simulation, signal probability, fault simulation, PODEM, SAT equivalence
-// and the two TrojanZero algorithms.
+// simulation, signal probability, fault simulation, PODEM and suite ATPG,
+// SAT equivalence and the two TrojanZero algorithms.
 #include <benchmark/benchmark.h>
 #include <malloc.h>
 #include <unistd.h>
@@ -261,6 +261,27 @@ void BM_AtpgFlow(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AtpgFlow)->Unit(benchmark::kMillisecond);
+
+// Defender-suite ATPG at campaign scale: generate_atpg_tests with the
+// testgen a seed-1 campaign job resolves for the circuit. PODEM aborts set
+// the cost on these circuits, so the rows are the same-run A/B for PODEM
+// changes (an incremental D-frontier, a SAT fallback for aborts).
+void BM_AtpgSuite(benchmark::State& state, const std::string& name) {
+  const tz::Netlist& nl = circuit(name);
+  tz::JobSpec spec;
+  spec.circuit = name;
+  spec.seed = 1;
+  const tz::TestGenOptions opt = spec.testgen();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tz::generate_atpg_tests(nl, opt));
+  }
+}
+BENCHMARK_CAPTURE(BM_AtpgSuite, rand2k, "rand2k")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_AtpgSuite, rand5k, "rand5k")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_AtpgSuite, wallace48, "wallace48")
+    ->Unit(benchmark::kMillisecond);
 
 // The arena CDCL solver driving the incremental cone-sliced miter, proving
 // the c880 self-miter UNSAT. The `search` row disables structural matching

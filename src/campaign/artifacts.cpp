@@ -1,6 +1,7 @@
 #include "campaign/artifacts.hpp"
 
 #include <charconv>
+#include <stdexcept>
 
 #include "gen/iscas.hpp"
 #include "verify/verify.hpp"
@@ -83,6 +84,14 @@ CircuitArtifacts build_circuit_artifacts(const std::string& name,
 void build_suite_artifacts(SuiteArtifacts& art,
                            const CircuitArtifacts& circuit,
                            const TestGenOptions& opt) {
+  // The oracle below rejects a host with DFFs; say so before paying for
+  // the suite.
+  if (!circuit.netlist.dffs().empty()) {
+    throw std::invalid_argument("build_suite_artifacts: circuit '" +
+                                circuit.name +
+                                "' has DFFs; only combinational hosts are "
+                                "supported");
+  }
   art.circuit = &circuit;
   art.suite = make_defender_suite(circuit.netlist, opt);
   if (!art.suite.algorithms.empty()) {
@@ -90,11 +99,8 @@ void build_suite_artifacts(SuiteArtifacts& art,
   }
   // The shared oracle: compiled plan + fused golden rows, built once, on the
   // compacted twin so its slot-major caches line up node-for-node with the
-  // `original_->compact()` every salvage performs. Sequential circuits
-  // (DFFs) get no oracle — the flow's functional_test fallback has nothing
-  // to share.
-  auto oracle = std::make_unique<SuiteOracle>(circuit.compacted, art.suite);
-  if (!oracle->sequential()) art.oracle = std::move(oracle);
+  // `original_->compact()` every salvage performs.
+  art.oracle = std::make_unique<SuiteOracle>(circuit.compacted, art.suite);
 }
 
 SalvageResult build_salvage_artifact(const SuiteArtifacts& suite,

@@ -70,9 +70,8 @@ struct CircuitArtifacts {
 struct SuiteArtifacts {
   const CircuitArtifacts* circuit = nullptr;
   DefenderSuite suite;
-  /// Oracle built on circuit->netlist + suite: compiled plan + golden rows.
-  /// Null when the oracle fell back to sequential mode (DFFs / interface
-  /// mismatch) — jobs then build their own.
+  /// Oracle built on circuit->compacted + suite: compiled plan + golden
+  /// rows. Never null in a built entry; every job's salvage clones it.
   std::unique_ptr<SuiteOracle> oracle;
   double atpg_coverage = 0.0;  ///< Front algorithm's coverage.
 };
@@ -184,7 +183,8 @@ class ArtifactStore {
 CircuitArtifacts build_circuit_artifacts(const std::string& name,
                                          const PowerModel& pm);
 /// Tier 2, filled in place: the entry points into `circuit`, and its oracle
-/// into the entry's own suite, so `art` must not move once built.
+/// into the entry's own suite, so `art` must not move once built. Throws
+/// std::invalid_argument, before any ATPG runs, when the circuit has DFFs.
 void build_suite_artifacts(SuiteArtifacts& art,
                            const CircuitArtifacts& circuit,
                            const TestGenOptions& opt);

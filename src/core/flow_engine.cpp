@@ -21,19 +21,26 @@ SuiteOracle::SuiteOracle(const Netlist& nl, const DefenderSuite& suite)
 SuiteOracle::SuiteOracle(const Netlist& nl, const DefenderSuite& suite,
                          const SuiteOracle* seed)
     : nl_(&nl), suite_(&suite) {
-  sequential_ = !nl.dffs().empty();
+  if (!nl.dffs().empty()) {
+    throw std::invalid_argument(
+        "SuiteOracle: the host netlist has " +
+        std::to_string(nl.dffs().size()) +
+        " DFF(s); only combinational hosts are supported");
+  }
   for (const DefenderTestSet& ts : suite.algorithms) {
-    // A suite generated for a different interface can never pass; keep the
-    // reference semantics by falling back to functional_test.
     if (ts.patterns.num_signals() != nl.inputs().size() ||
         ts.golden.num_signals() != nl.outputs().size()) {
-      sequential_ = true;
+      throw std::invalid_argument(
+          "SuiteOracle: test set '" + ts.name + "' maps " +
+          std::to_string(ts.patterns.num_signals()) + " inputs to " +
+          std::to_string(ts.golden.num_signals()) +
+          " outputs, but the netlist has " +
+          std::to_string(nl.inputs().size()) + " inputs and " +
+          std::to_string(nl.outputs().size()) + " outputs");
     }
   }
-  if (sequential_) return;
   if (seed != nullptr && seed_compatible(*seed)) {
     clone_from(*seed);
-    seeded_ = true;
     return;
   }
   build_caches();
@@ -44,7 +51,6 @@ bool SuiteOracle::seed_compatible(const SuiteOracle& seed) const {
   // identical netlist with the same suite; these guards catch the obvious
   // mismatches (different circuit, different suite shape) and fall back to
   // a full build rather than serving stale rows.
-  if (seed.sequential_) return false;
   if (seed.nl_->raw_size() != nl_->raw_size() ||
       seed.nl_->live_count() != nl_->live_count()) {
     return false;
@@ -250,7 +256,6 @@ void SuiteOracle::commit_tie(NodeId target, bool value) {
 }
 
 void SuiteOracle::resync_structure() {
-  if (sequential_) return;
   MutexLock lk(structure_mu_);
   grow();
   // Incremental plan patch for the ties committed since the last resync:
@@ -380,17 +385,25 @@ SalvageResult FlowEngine::salvage(const SalvageOptions& opt) {
   // clone falls back to a full build when anything disagrees.
   SuiteOracle oracle(work, *suite_,
                      shared_ != nullptr ? shared_->salvage_oracle : nullptr);
-  // TZ_CHECK boundary checks: NetlistChecker after every commit/rollback,
-  // PlanChecker (with the patched-vs-recompiled equivalence diff) whenever
-  // the oracle holds a compiled plan. Captured once — the gate must not
-  // flip mid-flow. Salvage adds no dummies, so the netlist is held to the
-  // strict lint: a gate left unread means the cone sweep missed it, or the
-  // input broke tie_to_constant's no-unread-gate precondition.
+  // TZ_CHECK boundary checks after every commit: NetlistChecker, and
+  // PlanChecker on the oracle's patched plan (with the patched-vs-recompiled
+  // equivalence diff). Captured once — the gate must not flip mid-flow.
+  // Salvage adds no dummies, so the netlist is held to the strict lint: a
+  // gate left unread means the cone sweep missed it, or the input broke
+  // tie_to_constant's no-unread-gate precondition.
   const bool chk = check_enabled();
   const NetlistCheckOptions nopt{.allow_unread_gates = false};
 
-  // Fold one accepted (invisible) candidate into the cache and the netlist.
-  const auto accept = [&](const Candidate& c) {
+  // Judge each candidate on the cached rows before touching the netlist: a
+  // rejected tie costs one fanout-cone re-simulation and leaves no
+  // structural trace at all.
+  for (const Candidate& c : cands) {
+    if (!work.is_alive(c.node)) continue;  // removed with an earlier cone
+    if (oracle.tie_visible(c.node, c.tie_value)) {
+      ++result.rejected;
+      continue;
+    }
+    // Invisible: fold the tie into the cache, then into the netlist.
     const std::string name = work.node(c.node).name;
     oracle.commit_tie(c.node, c.tie_value);
     const TieResult tie = tie_to_constant(work, c.node, c.tie_value);
@@ -399,39 +412,6 @@ SalvageResult FlowEngine::salvage(const SalvageOptions& opt) {
     result.accepted.push_back(
         {name, c.tie_value, c.probability, tie.gates_removed});
     result.expendable_gates += tie.gates_removed;
-  };
-
-  if (oracle.sequential()) {
-    // Sequential fallback: apply, stream the full suite, revert through
-    // the tie's undo log (Algorithm 1 line 20) when caught.
-    for (const Candidate& c : cands) {
-      if (!work.is_alive(c.node)) continue;  // removed with an earlier cone
-      const std::string name = work.node(c.node).name;
-      TieUndo undo;
-      const TieResult tie = tie_to_constant(work, c.node, c.tie_value, &undo);
-      if (functional_test(work, *suite_)) {
-        if (chk) verify_or_throw(work, nullptr, "salvage commit", nopt);
-        result.accepted.push_back(
-            {name, c.tie_value, c.probability, tie.gates_removed});
-        result.expendable_gates += tie.gates_removed;
-      } else {
-        undo_tie(work, undo);
-        if (chk) verify_or_throw(work, nullptr, "salvage rollback", nopt);
-        ++result.rejected;
-      }
-    }
-  } else {
-    // Oracle path: judge each candidate on the cached rows before touching
-    // the netlist — a rejected tie costs one fanout-cone re-simulation and
-    // leaves no structural trace at all.
-    for (const Candidate& c : cands) {
-      if (!work.is_alive(c.node)) continue;
-      if (oracle.tie_visible(c.node, c.tie_value)) {
-        ++result.rejected;
-        continue;
-      }
-      accept(c);
-    }
   }
 
   work = work.compact();
@@ -618,10 +598,8 @@ InsertionResult FlowEngine::insert(const SalvageResult& salvaged,
       return false;
     }
 
-    // Defender validation (Algorithm 2 lines 3-7) — before materialising
-    // when the oracle applies.
-    if (!oracle.sequential() &&
-        oracle.ht_visible(
+    // Defender validation (Algorithm 2 lines 3-7), before materialising.
+    if (oracle.ht_visible(
             std::span<const NodeId>(
                 vpool.data(), static_cast<std::size_t>(desc.trigger_width)),
             desc.counter_bits, victim)) {
@@ -645,13 +623,6 @@ InsertionResult FlowEngine::insert(const SalvageResult& salvaged,
       }
       return false;  // structural rejection (loop, arity, ...)
     }
-    if (oracle.sequential() && !functional_test(work, *suite_)) {
-      ++result.fail_test;
-      unbuild_trojan(work, victim, readers, size_before);
-      if (chk) verify_or_throw(work, nullptr, "insertion rollback", nopt);
-      return false;
-    }
-
     // Power/area caps (lines 11-13) on tracker deltas instead of a
     // from-scratch analyze.
     tracker.begin();

@@ -23,8 +23,9 @@
 //    cap checks and the dummy-balancing loop stop re-running
 //    analyze→SignalProb from scratch.
 //
-//  - Rejected edits roll back through undo logs (TieUndo for Algorithm 1,
-//    the added-node range for Algorithm 2) instead of netlist snapshots.
+//  - A rejected tie is never applied (the oracle judges it first); a
+//    materialised HT or dummy that fails the caps rolls back through the
+//    added-node range instead of a netlist snapshot.
 //
 // Results are semantically identical to the reference implementations: the
 // same candidates are accepted, the same HT/victim/dummy choices are made
@@ -50,10 +51,12 @@
 
 namespace tz {
 
-/// Cached-row defender oracle over one work netlist. The netlist must stay
-/// owned by the caller; structural edits are reported through the tie/commit
-/// API. Only combinational netlists are cached — construction on a netlist
-/// with DFFs sets sequential() and the caller falls back to functional_test.
+/// Cached-row defender oracle over one combinational work netlist. The
+/// netlist must stay owned by the caller; structural edits are reported
+/// through the tie/commit API. Construction throws std::invalid_argument on
+/// a netlist with DFFs or a test set whose width does not match its
+/// inputs/outputs. The only DFFs in the flow are the inserted HT's counter,
+/// which ht_visible replays.
 ///
 /// The oracle indexes sim/eval_plan.hpp slots: cached rows are slot-major,
 /// slot ids double as topological ranks and the fused cone pass evaluates
@@ -75,7 +78,7 @@ class SuiteOracle {
   /// the plan (resync_structure patches it in place) and all row caches, so
   /// the seed stays const and may be shared by any number of concurrent
   /// clones. Falls back to the full build when the seed does not match or is
-  /// null; seeded() reports which path ran.
+  /// null.
   SuiteOracle(const Netlist& nl, const DefenderSuite& suite,
               const SuiteOracle* seed);
 
@@ -84,10 +87,9 @@ class SuiteOracle {
   SuiteOracle(const SuiteOracle&) = delete;
   SuiteOracle& operator=(const SuiteOracle&) = delete;
 
-  /// True when this oracle was cloned from a compatible seed.
-  bool seeded() const { return seeded_; }
-
-  bool sequential() const { return sequential_; }
+  /// Always false: construction rejects hosts with DFFs. Kept while tzbench
+  /// calls it.
+  bool sequential() const { return false; }
 
   /// Would tying `target` to constant `value` change any defender response?
   /// Judged BEFORE the structural rewrite by forcing the constant at the
@@ -112,8 +114,8 @@ class SuiteOracle {
   /// the caller mutated the netlist with a committed edit.
   void resync_structure();
 
-  /// The compiled plan the oracle judges through, or nullptr when the oracle
-  /// is sequential(). FlowEngine hands it to PlanChecker at every commit
+  /// The compiled plan the oracle judges through, patched in place by
+  /// resync_structure(). FlowEngine hands it to PlanChecker at every commit
   /// boundary under TZ_CHECK.
   const EvalPlan* plan() const { return plan_.get(); }
 
@@ -160,9 +162,7 @@ class SuiteOracle {
 
   const Netlist* nl_;
   const DefenderSuite* suite_;
-  bool sequential_ = false;
-  bool seeded_ = false;
-  std::shared_ptr<EvalPlan> plan_;  ///< nullptr only when sequential_
+  std::shared_ptr<EvalPlan> plan_;
   std::size_t cap_ = 0;       ///< slot capacity of rows/scratch
   std::size_t node_cap_ = 0;  ///< raw node ids covered by grow()
   std::size_t words_ = 0;     ///< fused row width: sum of set widths
@@ -216,15 +216,18 @@ class FlowEngine {
   /// engine to that.
   void set_shared(const FlowSharedInputs* shared) { shared_ = shared; }
 
-  /// Algorithm 1 on a SuiteOracle: tie, O(cone) recheck, undo-log revert.
-  /// One in-order walk: an accepted tie changes the netlist every later
-  /// candidate is judged on.
+  /// Algorithm 1 on a SuiteOracle: each tie is judged by an O(cone)
+  /// re-simulation before it is applied, and only invisible ties are
+  /// committed. One in-order walk: an accepted tie changes the netlist every
+  /// later candidate is judged on. Throws std::invalid_argument, from the
+  /// oracle, on a host with DFFs or a suite of the wrong width.
   SalvageResult salvage(const SalvageOptions& opt = {});
 
-  /// Algorithm 2 on the oracle + PowerTracker: candidates are rejected
-  /// before materialisation where possible; materialised rejects roll back
-  /// through the added-node range. HTs and victims are tried in order and
-  /// the first placement that passes the suite and the caps wins.
+  /// Algorithm 2 on the oracle + PowerTracker: the suite judges each HT
+  /// before it is materialised; one that breaks a cap rolls back through
+  /// the added-node range. HTs and victims are tried in order and the first
+  /// placement that passes the suite and the caps wins. Throws like
+  /// salvage().
   InsertionResult insert(const SalvageResult& salvaged,
                          const InsertionOptions& opt = {});
 

@@ -171,6 +171,23 @@ TEST(CampaignArtifacts, StoreBuildsOnceAndSharesAcrossJobs) {
   EXPECT_EQ(store.suite_count(), 2u);
 }
 
+TEST(CampaignArtifacts, SuiteTierRejectsSequentialCircuitBeforeAtpg) {
+  // A host with DFFs fails at the suite tier before test generation runs:
+  // the entry is left exactly as it came in.
+  CircuitArtifacts circuit;
+  circuit.name = "c17+dff";
+  circuit.netlist = make_benchmark("c17");
+  circuit.netlist.add_gate(GateType::Dff, "q",
+                           {circuit.netlist.outputs().front()});
+  circuit.compacted = circuit.netlist.compact();
+  SuiteArtifacts art;
+  EXPECT_THROW(build_suite_artifacts(art, circuit, TestGenOptions{}),
+               std::invalid_argument);
+  EXPECT_EQ(art.circuit, nullptr);
+  EXPECT_TRUE(art.suite.algorithms.empty());
+  EXPECT_EQ(art.oracle, nullptr);
+}
+
 TEST(CampaignArtifacts, SalvageTierSharedAcrossHtShapes) {
   // Algorithm 1 sees N, the suite, Pth and the visit order; the HT shape
   // only enters Algorithm 2, and threads never change a result.

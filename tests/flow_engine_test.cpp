@@ -1,11 +1,12 @@
 // Tests for the incremental FlowEngine layer: SuiteOracle equivalence with
-// a full functional test on the reference evaluator, PowerTracker parity
-// with from-scratch analysis, tie undo logs, and the dummy-balancing loop's
-// cap discipline.
+// a full functional test on the reference evaluator and its
+// combinational-host contract, PowerTracker parity with from-scratch
+// analysis, tie undo logs, and the dummy-balancing loop's cap discipline.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -40,7 +41,6 @@ TEST(SuiteOracle, TieVerdictMatchesFullFunctionalTest) {
     const auto cands = find_candidates(work, sp, spec_for(name).pth, false);
     ASSERT_FALSE(cands.empty());
     SuiteOracle oracle(work, suite);
-    ASSERT_FALSE(oracle.sequential());
     for (const Candidate& c : cands) {
       Netlist reference = work;
       tie_to_constant(reference, c.node, c.tie_value);
@@ -100,7 +100,6 @@ TEST(SuiteOracle, HtVerdictMatchesMaterializedFunctionalTest) {
     const SignalProb sp(nprime);
     const auto locations = payload_locations(nprime, 8);
     SuiteOracle oracle(nprime, suite);
-    ASSERT_FALSE(oracle.sequential());
     for (const TrojanDesc& desc :
          {counter_trojan(2), counter_trojan(3), counter_trojan(0, 2)}) {
       for (NodeId victim : locations) {
@@ -128,6 +127,53 @@ TEST(SuiteOracle, HtVerdictMatchesMaterializedFunctionalTest) {
   // admits triggers the suite fires).
   EXPECT_GT(visible, 0);
   EXPECT_GT(hidden, 0);
+}
+
+// The message of the std::invalid_argument `fn` throws ("" when it does
+// not throw one).
+template <class Fn>
+std::string invalid_argument_message(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(SuiteOracle, RejectsSequentialHostsAndMismatchedSuites) {
+  // TrojanZero's hosts are combinational. A host with DFFs, or a suite
+  // generated for another interface, is a caller error: the oracle and
+  // every FlowEngine phase that builds one throw, and the message names the
+  // case.
+  const PowerModel pm = model();
+  const Netlist c17 = make_benchmark("c17");
+  const DefenderSuite suite = make_defender_suite(c17, defender_defaults());
+  const DefenderSuite wide =
+      make_defender_suite(make_benchmark("c432"), defender_defaults());
+  // Same interface as c17, plus one register nobody reads.
+  Netlist seq = c17;
+  seq.add_gate(GateType::Dff, "q", {seq.outputs().front()});
+  ASSERT_EQ(seq.inputs().size(), c17.inputs().size());
+  ASSERT_EQ(seq.outputs().size(), c17.outputs().size());
+
+  const auto dff = [](const std::string& msg) {
+    return msg.find("DFF") != std::string::npos;
+  };
+  const auto width = [](const std::string& msg) {
+    return msg.find("inputs") != std::string::npos;
+  };
+  EXPECT_TRUE(
+      dff(invalid_argument_message([&] { SuiteOracle o(seq, suite); })));
+  EXPECT_TRUE(
+      width(invalid_argument_message([&] { SuiteOracle o(c17, wide); })));
+  EXPECT_TRUE(dff(invalid_argument_message(
+      [&] { FlowEngine(seq, suite, pm).salvage(); })));
+  EXPECT_TRUE(width(invalid_argument_message(
+      [&] { FlowEngine(c17, wide, pm).salvage(); })));
+  const SalvageResult salvaged = FlowEngine(c17, suite, pm).salvage();
+  EXPECT_TRUE(width(invalid_argument_message(
+      [&] { FlowEngine(c17, wide, pm).insert(salvaged); })));
 }
 
 // ---- TieUndo ---------------------------------------------------------------

@@ -55,29 +55,35 @@ std::string run_and_merge(const CampaignGrid& grid) {
   return merged;
 }
 
-std::string line_at(const std::string& text, std::size_t begin) {
-  const std::size_t end = text.find('\n', begin);
-  return text.substr(begin, end == std::string::npos ? end : end - begin);
+// Up to 160 bytes of `text` from `from`, stopping at the end of the line.
+std::string excerpt(const std::string& text, std::size_t from) {
+  if (from >= text.size()) return "<end of file>";
+  const std::size_t end = std::min(text.find('\n', from), from + 160);
+  return text.substr(from, end - from);
 }
 
-// Compare `got` with the golden file line by line; report the first row
-// that differs (line 1 is the grid header).
+// Compare `got` with the golden file; on a mismatch report the first
+// differing row (line 1 is the grid header), its job id and both texts from
+// shortly before the first differing byte.
 void expect_golden(const std::string& got, const std::string& file) {
   const fs::path path = kGoldenDir / file;
   ASSERT_TRUE(fs::exists(path)) << "missing golden " << path;
   const std::string want = read_file(path);
   if (got == want) return;
-  std::size_t line = 1, begin = 0;
-  const std::size_t n = std::min(got.size(), want.size());
-  for (std::size_t i = 0; i < n && got[i] == want[i]; ++i) {
+  std::size_t line = 1, begin = 0, i = 0;
+  for (; i < std::min(got.size(), want.size()) && got[i] == want[i]; ++i) {
     if (got[i] == '\n') {
       ++line;
       begin = i + 1;
     }
   }
-  ADD_FAILURE() << file << " differs at line " << line << "\n  golden: "
-                << line_at(want, begin) << "\n  got:    "
-                << line_at(got, begin);
+  const std::size_t from = std::max(begin, i >= 40 ? i - 40 : 0);
+  const std::string row = excerpt(want, begin);
+  ADD_FAILURE() << file << " differs at line " << line << ", column "
+                << i - begin + 1 << "\n  row:    "
+                << row.substr(0, row.find(",\"spec\""))
+                << "\n  golden: " << excerpt(want, from)
+                << "\n  got:    " << excerpt(got, from);
 }
 
 TEST(Golden, Table1Preset) {

@@ -2,6 +2,7 @@
 # to equal the GOLDEN file byte for byte; reports the first differing line.
 #
 #   cmake -DBIN=<exe> -DGOLDEN=<file> "-DTHREADS=1;4" -P stdout_golden.cmake
+cmake_minimum_required(VERSION 3.20)
 file(READ "${GOLDEN}" want)
 foreach(t IN LISTS THREADS)
   execute_process(
