@@ -22,8 +22,8 @@ int run(int argc, char** argv) {
   std::cout << "fault universe: " << universe.size() << " -> "
             << faults.size() << " after collapsing\n";
 
-  // Random grading through a reusable backend (TZ_FAULT_MODE picks between
-  // the event-driven and word-packed engines; Auto measures the workload):
+  // Random grading through a reusable backend (Auto picks between the
+  // event-driven and word-packed engines by measuring the workload):
   // the good machine is simulated once and shared by every fault, and the
   // same backend answers the per-fault queries below without re-running it.
   const PatternSet rnd = random_patterns(nl.inputs().size(), 64, 1);

@@ -5,7 +5,7 @@
 // sets (fault coverage), to drop detected faults during ATPG, and by tests
 // to prove the defender's patterns still detect all testable faults after a
 // TrojanZero insertion. Each call routes through make_fault_sim_backend
-// (atpg/fault_sim_backend.hpp), honoring FaultSimMode / TZ_FAULT_MODE;
+// (atpg/fault_sim_backend.hpp), honoring FaultSimMode / set_fault_sim_mode;
 // callers simulating many pattern sets or dropping faults incrementally
 // should hold a backend (or a concrete engine) directly so the static
 // analyses and the compiled plan are reused.

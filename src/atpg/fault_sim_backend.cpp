@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <numeric>
 #include <string_view>
 
@@ -13,19 +12,8 @@ namespace tz {
 
 namespace {
 
-/// TZ_FAULT_MODE: "event"/"1" and "packed"/"2" force a backend, anything
-/// else (including unset) means Auto. Read once per process.
-int read_env_fault_mode() {
-  if (const char* env = std::getenv("TZ_FAULT_MODE")) {
-    const std::string_view v(env);
-    if (v == "event" || v == "1") return 1;
-    if (v == "packed" || v == "2") return 2;
-  }
-  return 0;
-}
-
 std::atomic<int>& fault_mode_override() {
-  static std::atomic<int> mode{-1};
+  static std::atomic<int> mode{0};
   return mode;
 }
 
@@ -41,14 +29,12 @@ std::string_view to_string(FaultSimMode mode) {
 }
 
 FaultSimMode fault_sim_mode() {
-  const int ovr = fault_mode_override().load(std::memory_order_relaxed);
-  if (ovr >= 0) return static_cast<FaultSimMode>(ovr);
-  static const int env_mode = read_env_fault_mode();
-  return static_cast<FaultSimMode>(env_mode);
+  return static_cast<FaultSimMode>(
+      fault_mode_override().load(std::memory_order_relaxed));
 }
 
 void set_fault_sim_mode(int mode) {
-  fault_mode_override().store(mode < 0 ? -1 : std::clamp(mode, 0, 2),
+  fault_mode_override().store(std::clamp(mode, 0, 2),
                               std::memory_order_relaxed);
 }
 

@@ -9,8 +9,8 @@
 // once for 64 faults at a time.
 //
 // This header owns the pieces both engines share:
-//  - FaultSimMode / TZ_FAULT_MODE: the process-wide backend selector (env
-//    read once, test hook overrides atomically);
+//  - FaultSimMode / set_fault_sim_mode: the process-wide backend selector
+//    (Auto unless a test or bench forces an engine, atomically);
 //  - FaultSimContext: the static analyses (topological ranks, fanout-cone ->
 //    PO reachability) and the good-machine simulation, computed once per
 //    netlist and cached across backend calls — constructing engines per call
@@ -38,12 +38,11 @@ enum class FaultSimMode : std::uint8_t { Auto = 0, Event = 1, Packed = 2 };
 
 std::string_view to_string(FaultSimMode mode);
 
-/// Process-wide backend mode. Reads TZ_FAULT_MODE once ("event"/"1",
-/// "packed"/"2", anything else or unset = Auto) unless overridden from code.
+/// Process-wide backend mode: Auto unless set_fault_sim_mode forced one.
 FaultSimMode fault_sim_mode();
 
-/// Test/bench hook: -1 restores the TZ_FAULT_MODE env behavior, 0/1/2 force
-/// Auto/Event/Packed for the whole process.
+/// Test/bench hook: 0/1/2 force Auto/Event/Packed for the whole process
+/// (out-of-range values clamp); -1 restores the Auto default.
 void set_fault_sim_mode(int mode);
 
 /// Static analyses + good machine shared by every fault-simulation backend.
@@ -158,7 +157,7 @@ class FaultSimBackend {
 
 /// Build a backend over a fresh context for `nl`. Mode Auto returns the
 /// measured selector; Event/Packed force the concrete engine. The default
-/// mode argument resolves TZ_FAULT_MODE / set_fault_sim_mode.
+/// mode argument resolves set_fault_sim_mode.
 std::unique_ptr<FaultSimBackend> make_fault_sim_backend(
     const Netlist& nl, FaultSimMode mode = fault_sim_mode());
 

@@ -35,16 +35,16 @@ struct TestGenOptions {
   /// pattern budget is reached, whichever comes first.
   std::size_t max_patterns = 96;
   /// Deterministic-phase fault ordering. TestabilityFirst (default) models
-  /// SCOAP-guided production ATPG: easily-excitable, high-collateral faults
-  /// are targeted first, so a coverage/pattern budget is exhausted before
+  /// testability-guided production ATPG: faults whose site signal
+  /// probability makes them easy to excite are targeted first, so a coverage/pattern budget is exhausted before
   /// the rarely-excited faults — the precise gap Algorithm 1 exploits.
   /// Shuffled is the defender-strength ablation (uniformly random order).
   enum class FaultOrder { TestabilityFirst, Shuffled } fault_order =
       FaultOrder::TestabilityFirst;
   std::uint64_t fault_order_seed = 7;  ///< Used by FaultOrder::Shuffled.
   /// Fault-simulation backend for both ATPG phases (bootstrap grading and
-  /// deterministic-phase dropping). Auto defers to TZ_FAULT_MODE /
-  /// set_fault_sim_mode, falling back to the measured per-workload selector.
+  /// deterministic-phase dropping). Auto defers to set_fault_sim_mode,
+  /// falling back to the measured per-workload selector.
   FaultSimMode fault_mode = FaultSimMode::Auto;
   // ---- suite composition (the defender's q algorithms) ----
   bool with_random_validation = true;   ///< Bespoke random vectors.

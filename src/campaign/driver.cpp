@@ -121,7 +121,11 @@ CampaignGrid CampaignGrid::from_json(const Json& j) {
     g.orders.clear();
     for (const Json& o : v->as_array()) {
       const std::string& s = o.as_string();
-      g.orders.push_back(s.empty() ? 'p' : s[0]);
+      if (s != "p" && s != "l") {
+        throw std::runtime_error("campaign grid: order \"" + s +
+                                 "\" is not \"p\" or \"l\"");
+      }
+      g.orders.push_back(s[0]);
     }
   }
   if (const Json* v = j.find("job_threads")) {
@@ -318,17 +322,16 @@ CampaignRunStats run_campaign(const CampaignGrid& grid,
   CampaignRunStats stats;
   stats.total_jobs = jobs.size();
 
-  if (check_enabled()) {
-    // Partition sanity before any work: the same expansion must yield the
-    // same assignment in every process of this campaign.
-    CampaignView view;
-    view.num_shards = opt.shard_count;
-    view.job_ids = ids;
-    view.job_shard = assign;
-    const VerifyReport report = CampaignChecker::run(view);
-    if (!report.ok()) {
-      throw VerifyError("campaign shard assignment", report);
-    }
+  // Partition sanity before any work, with or without TZ_CHECK: a grid that
+  // expands one job id twice (say `"seeds":[1,1]`) would otherwise run both
+  // jobs and fail only at the merge. O(jobs).
+  CampaignView view;
+  view.num_shards = opt.shard_count;
+  view.job_ids = ids;
+  view.job_shard = assign;
+  const VerifyReport report = CampaignChecker::run(view);
+  if (!report.ok()) {
+    throw VerifyError("campaign shard assignment", report);
   }
 
   fs::create_directories(opt.out_dir);

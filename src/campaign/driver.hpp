@@ -59,6 +59,8 @@ struct CampaignGrid {
   std::vector<JobSpec> expand() const;
 
   Json to_json() const;
+
+  /// Throws on an order other than "p" or "l".
   static CampaignGrid from_json(const Json& j);
 
   /// Built-in grids: "table1" / "fig7" (the five Table-I circuits),
@@ -101,7 +103,8 @@ std::string shard_file(const std::string& dir, std::size_t index,
 /// jobs, fan the rest out on `opt.threads`, append one JSONL row per job.
 /// A job that throws is recorded as an error row (and counted in `failed`)
 /// rather than aborting the shard. The pending jobs' artifact entries are
-/// retained before fan-out, so each is freed when its last job ends.
+/// retained before fan-out, so each is freed when its last job ends. Throws
+/// VerifyError before any job runs when the expansion repeats a job id.
 CampaignRunStats run_campaign(const CampaignGrid& grid,
                               const CampaignOptions& opt);
 

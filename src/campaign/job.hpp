@@ -5,7 +5,7 @@
 // salvage order. run_flow_job(spec, artifacts) is the pure function the
 // scheduler layer (campaign/driver.hpp) fans out: same spec + same artifact
 // content => bit-identical FlowResult, at every thread count, shard count
-// and TZ_FAULT_MODE setting that the engine stack already guarantees
+// and fault-simulation backend, which the engine stack already guarantees
 // bit-identity for. run_trojanzero_flow is the same path on artifacts it
 // builds for itself.
 //

@@ -231,13 +231,6 @@ std::string Netlist::unique_name(const std::string& base) const {
   return name;
 }
 
-void Netlist::restore_output(std::size_t index, NodeId id) {
-  if (index >= outputs_.size() || !is_alive(id)) {
-    throw std::runtime_error("netlist: bad restore_output");
-  }
-  outputs_[index] = id;
-}
-
 bool Netlist::is_output(NodeId id) const {
   return std::find(outputs_.begin(), outputs_.end(), id) != outputs_.end();
 }
@@ -274,8 +267,9 @@ void Netlist::remove_node(NodeId id) {
     auto& fo = nodes_[f].fanout;
     fo.erase(std::remove(fo.begin(), fo.end(), id), fo.end());
   }
-  // The fanin list stays in the tombstone so restore_node can undo the
-  // removal; every traversal already skips dead nodes.
+  // The fanin list stays in the tombstone: sweep_dead_cone and
+  // tie_to_constant read it to find the fanins the removal may orphan, and
+  // every traversal already skips dead nodes.
   unindex_name(id);
   n.dead = true;
   --live_count_;
@@ -292,31 +286,6 @@ void Netlist::remove_node(NodeId id) {
 void Netlist::rewire_and_remove(NodeId id, NodeId replacement) {
   replace_uses(id, replacement);
   remove_node(id);
-}
-
-void Netlist::restore_node(NodeId id) {
-  if (id >= nodes_.size() || !nodes_[id].dead) {
-    throw std::runtime_error("netlist: restore_node on live or invalid node");
-  }
-  Node& n = nodes_[id];
-  if (find(n.name) != kNoNode) {
-    throw std::runtime_error("netlist: restore_node name '" + n.name +
-                             "' was retaken");
-  }
-  for (NodeId f : n.fanin) {
-    if (!is_alive(f)) {
-      throw std::runtime_error("netlist: restore_node fanin of '" + n.name +
-                               "' is dead (restore in reverse removal order)");
-    }
-  }
-  for (NodeId f : n.fanin) nodes_[f].fanout.push_back(id);
-  n.dead = false;
-  index_name(id);
-  ++live_count_;
-  if (n.type == GateType::Dff) dffs_.push_back(id);
-  if (n.type == GateType::Input) inputs_.push_back(id);
-  if (n.type == GateType::Const0 && const0_ == kNoNode) const0_ = id;
-  if (n.type == GateType::Const1 && const1_ == kNoNode) const1_ = id;
 }
 
 std::size_t Netlist::sweep_dead_gates(std::vector<NodeId>* removed_log) {

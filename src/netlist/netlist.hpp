@@ -214,10 +214,6 @@ class Netlist {
   /// shared by every rewrite that materialises new cells.
   std::string unique_name(const std::string& base) const;
 
-  /// Replace the driver recorded at `outputs()[index]` (undo helper for
-  /// rewrites that retargeted a primary output). `id` must be alive.
-  void restore_output(std::size_t index, NodeId id);
-
   /// True if `id` is a primary output.
   bool is_output(NodeId id) const;
 
@@ -234,16 +230,11 @@ class Netlist {
   /// fanin entry is rewired to `replacement`. Used for constant tying.
   void rewire_and_remove(NodeId id, NodeId replacement);
 
-  /// Resurrect a tombstoned node (undo of remove_node). The tombstone keeps
-  /// its fanin list, which must reference live nodes — when undoing a batch
-  /// of removals, restore in reverse removal order.
-  void restore_node(NodeId id);
-
   /// Remove nodes with no live readers that are not outputs, transitively.
   /// Returns the number of nodes removed. PIs are never removed (they are
   /// part of the interface); orphaned tie cells and DFFs are. When `removed`
-  /// is given, the ids are appended in removal order (the order restore_node
-  /// undoes when walked backwards). One O(V) scan plus O(log V) per removal.
+  /// is given, the ids are appended in removal order. One O(V) scan plus
+  /// O(log V) per removal.
   std::size_t sweep_dead_gates(std::vector<NodeId>* removed = nullptr);
 
   /// sweep_dead_gates restricted to `seeds` and the fanin cone they free:

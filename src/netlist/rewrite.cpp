@@ -1,12 +1,10 @@
 #include "netlist/rewrite.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace tz {
 
-TieResult tie_to_constant(Netlist& nl, NodeId target, bool value,
-                          TieUndo* undo) {
+TieResult tie_to_constant(Netlist& nl, NodeId target, bool value) {
   if (!nl.is_alive(target)) {
     throw std::runtime_error("tie_to_constant: dead target");
   }
@@ -16,46 +14,12 @@ TieResult tie_to_constant(Netlist& nl, NodeId target, bool value,
                              "' is not a combinational gate");
   }
   TieResult res;
-  const std::size_t size_before = nl.raw_size();
   // A tied primary output keeps its tie cell as the new driver.
   res.tie = nl.const_node(value);
-  if (undo) {
-    undo->target = target;
-    undo->tie = res.tie;
-    undo->tie_created = nl.raw_size() > size_before;
-    for (NodeId reader : nl.node(target).fanout) {
-      const auto& fi = nl.node(reader).fanin;
-      for (std::size_t slot = 0; slot < fi.size(); ++slot) {
-        if (fi[slot] == target) undo->rewired.emplace_back(reader, slot);
-      }
-    }
-    for (std::size_t o = 0; o < nl.outputs().size(); ++o) {
-      if (nl.outputs()[o] == target) undo->output_slots.push_back(o);
-    }
-    undo->removed.push_back(target);
-  }
   nl.rewire_and_remove(target, res.tie);
   // The tombstone keeps its fanin: exactly the nodes the tie may orphan.
-  res.gates_removed =
-      1 + nl.sweep_dead_cone(nl.node(target).fanin,
-                             undo ? &undo->removed : nullptr);
+  res.gates_removed = 1 + nl.sweep_dead_cone(nl.node(target).fanin);
   return res;
-}
-
-void undo_tie(Netlist& nl, const TieUndo& undo) {
-  // Tombstones keep their fanin, so reverse removal order guarantees every
-  // fanin is alive again by the time its reader is resurrected.
-  for (auto it = undo.removed.rbegin(); it != undo.removed.rend(); ++it) {
-    nl.restore_node(*it);
-  }
-  for (const auto& [reader, slot] : undo.rewired) {
-    nl.relink_fanin(reader, slot, undo.target);
-  }
-  for (std::size_t o : undo.output_slots) nl.restore_output(o, undo.target);
-  if (undo.tie_created && nl.is_alive(undo.tie) &&
-      nl.node(undo.tie).fanout.empty() && !nl.is_output(undo.tie)) {
-    nl.remove_node(undo.tie);
-  }
 }
 
 namespace {
@@ -175,14 +139,6 @@ std::size_t propagate_constants(Netlist& nl) {
     }
   }
   return folded;
-}
-
-std::size_t tie_cell_count(const Netlist& nl) {
-  std::size_t n = 0;
-  for (NodeId id = 0; id < nl.raw_size(); ++id) {
-    if (nl.is_alive(id) && is_const(nl.node(id).type)) ++n;
-  }
-  return n;
 }
 
 }  // namespace tz

@@ -1,8 +1,5 @@
 #include "sat/equivalence.hpp"
 
-#include <cstdlib>
-#include <string_view>
-
 #include "sat/miter.hpp"
 
 namespace tz::sat {
@@ -11,12 +8,6 @@ EquivalenceResult check_equivalence(const Netlist& a, const Netlist& b,
                                     std::int64_t conflict_limit) {
   MiterOptions opts;
   opts.conflict_limit = conflict_limit;
-  if (const char* e = std::getenv("TZ_SAT_PREPASS")) {
-    opts.prepass = std::string_view(e) != "0";
-  }
-  if (const char* e = std::getenv("TZ_SAT_DIMACS")) {
-    opts.dimacs_path = e;
-  }
   IncrementalMiter miter(a, b, std::move(opts));
   return miter.check();
 }

@@ -10,8 +10,9 @@
 // check_equivalence is a thin wrapper over sat::IncrementalMiter
 // (sat/miter.hpp): per-output cone-sliced queries on one persistent arena
 // solver, structural sharing between the two netlists, and a BitSimulator
-// random-pattern pre-pass. Env knobs (see README env matrix): TZ_SAT_PREPASS=0
-// disables the pre-pass, TZ_SAT_DIMACS=<path> dumps the final CNF.
+// random-pattern pre-pass, all at the default MiterOptions. IncrementalMiter
+// takes the options directly: `prepass` turns the pre-pass off, `dimacs_path`
+// dumps the final CNF.
 #pragma once
 
 #include <cstdint>

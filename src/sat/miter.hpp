@@ -39,8 +39,8 @@ namespace tz::sat {
 struct MiterOptions {
   /// Total conflict budget across all per-output queries; < 0 = unlimited.
   std::int64_t conflict_limit = -1;
-  /// BitSimulator random-pattern pre-pass (TZ_SAT_PREPASS=0 turns it off in
-  /// the check_equivalence wrapper).
+  /// BitSimulator random-pattern pre-pass (`tz_sat fuzz` runs both
+  /// settings).
   bool prepass = true;
   /// Pre-pass width in 64-pattern words.
   int prepass_words = 4;
@@ -54,7 +54,7 @@ struct MiterOptions {
   std::int64_t sweep_conflict_limit = 1000;
   /// When non-empty: dump the final CNF (problem clauses + committed units)
   /// in DIMACS to this path when check() finishes, so a failing instance can
-  /// be exported and minimized offline (TZ_SAT_DIMACS in the wrapper).
+  /// be exported and minimized offline (`tz_sat dump` sets it).
   std::string dimacs_path;
 };
 

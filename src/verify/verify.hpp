@@ -1,11 +1,11 @@
 // tz::verify — static invariant checkers for Netlist and EvalPlan.
 //
-// After PRs 3-6 every flow commit goes through subtle in-place machinery
-// (TieUndo cone resurrection, added-range rollback, SuiteOracle's
-// resync_structure CSR rewrites and slot tombstoning) whose invariants were
-// enforced by nothing but end-to-end bit-identity tests. The two checkers
-// here are cheap O(V+E) sweeps that catch a corrupted netlist or plan at the
-// mutation that caused it, not three engines later:
+// Every flow commit goes through subtle in-place machinery (dead-cone
+// sweeps, added-range rollback, SuiteOracle's resync_structure CSR rewrites
+// and slot tombstoning) whose invariants were enforced by nothing but
+// end-to-end bit-identity tests. The two checkers here are cheap O(V+E)
+// sweeps that catch a corrupted netlist or plan at the mutation that caused
+// it, not three engines later:
 //
 //  - NetlistChecker validates structural sanity of a Netlist: every fanin
 //    refers to a live node, the name index matches the live nodes, PI/PO/DFF

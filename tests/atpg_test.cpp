@@ -363,7 +363,7 @@ TEST(FaultBackend, ModeSelectionAndFactoryNames) {
   EXPECT_EQ(make_fault_sim_backend(nl, FaultSimMode::Auto)->name(), "auto");
 
   // The process-wide override: 0/1/2 force a mode (out-of-range clamps), -1
-  // restores the env default.
+  // restores the Auto default.
   {
     const test::FaultModeGuard packed(2);
     EXPECT_EQ(fault_sim_mode(), FaultSimMode::Packed);
@@ -375,6 +375,7 @@ TEST(FaultBackend, ModeSelectionAndFactoryNames) {
     set_fault_sim_mode(99);
     EXPECT_EQ(fault_sim_mode(), FaultSimMode::Packed);
   }
+  EXPECT_EQ(fault_sim_mode(), FaultSimMode::Auto);
 
   // Both engines bind to one shared context: the static analyses and the
   // good machine are computed once no matter how many backends consume them.
@@ -550,11 +551,11 @@ TEST(TestGen, AtpgBitIdenticalAcrossBackends) {
     expect_same(generate_atpg_tests(nl, opt),
                 "mode=" + std::string(to_string(mode)));
   }
-  // The TZ_FAULT_MODE process override must reach the flow when the options
-  // leave the mode at Auto.
+  // The process-wide set_fault_sim_mode override must reach the flow when
+  // the options leave the mode at Auto.
   opt.fault_mode = FaultSimMode::Auto;
   const test::FaultModeGuard packed(2);
-  expect_same(generate_atpg_tests(nl, opt), "TZ_FAULT_MODE override");
+  expect_same(generate_atpg_tests(nl, opt), "process override");
 }
 
 TEST(FaultSimEngine, DffBlocksPropagationLikeBitSimulator) {

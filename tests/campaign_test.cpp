@@ -521,6 +521,39 @@ TEST(CampaignDriver, ZeroShardCountIsRejected) {
   EXPECT_THROW(merge_campaign(grid, dir.string(), 0), std::invalid_argument);
 }
 
+TEST(CampaignDriver, DuplicateJobIdsRejectedBeforeAnyRow) {
+  // With TZ_CHECK off (the Release default), a grid that expands one job id
+  // twice must still fail before any row is written, not only at the merge.
+  struct CheckOff {
+    CheckOff() { set_check_enabled(0); }
+    ~CheckOff() { set_check_enabled(-1); }
+  } check_off;
+  const char* grids[] = {
+      // JobSpec resolves every order but "l" to "p": "x" repeats the "p" job.
+      R"({"name":"dup","circuits":["c17"],"orders":["x","p"]})",
+      R"({"name":"dup","circuits":["c17"],"seeds":[1,1]})",
+  };
+  int k = 0;
+  for (const char* text : grids) {
+    const fs::path dir = scratch_dir("dup" + std::to_string(k++));
+    CampaignOptions opt;
+    opt.out_dir = dir.string();
+    opt.threads = 1;
+    EXPECT_THROW(run_campaign(CampaignGrid::from_json(Json::parse(text)), opt),
+                 std::runtime_error)
+        << text;
+    const fs::path shard = shard_file(dir.string(), 0, 1);
+    EXPECT_TRUE(!fs::exists(shard) || fs::file_size(shard) == 0) << text;
+  }
+  try {
+    CampaignGrid::from_json(Json::parse(grids[0]));
+    ADD_FAILURE() << "order \"x\" accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("\"x\""), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(CampaignDriver, MergeOfIncompleteCampaignFailsTheChecker) {
   const CampaignGrid grid = small_grid();
   const fs::path dir = scratch_dir("incomplete");

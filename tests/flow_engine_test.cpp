@@ -1,7 +1,7 @@
 // Tests for the incremental FlowEngine layer: SuiteOracle equivalence with
 // a full functional test on the reference evaluator and its
 // combinational-host contract, PowerTracker parity with from-scratch
-// analysis, tie undo logs, and the dummy-balancing loop's cap discipline.
+// analysis, and the dummy-balancing loop's cap discipline.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -174,50 +174,6 @@ TEST(SuiteOracle, RejectsSequentialHostsAndMismatchedSuites) {
   const SalvageResult salvaged = FlowEngine(c17, suite, pm).salvage();
   EXPECT_TRUE(width(invalid_argument_message(
       [&] { FlowEngine(c17, wide, pm).insert(salvaged); })));
-}
-
-// ---- TieUndo ---------------------------------------------------------------
-
-TEST(TieUndo, RevertRestoresStructureAndFunction) {
-  const Netlist original = make_benchmark("c432").compact();
-  const DefenderSuite suite = make_defender_suite(original, defender_defaults());
-  Netlist work = original;
-  const SignalProb sp(work);
-  const auto cands = find_candidates(work, sp, 0.975, false);
-  ASSERT_GE(cands.size(), 3u);
-  const PatternSet probe = random_patterns(work.inputs().size(), 128, 7);
-  const PatternSet golden = BitSimulator(original).outputs(probe);
-  for (const Candidate& c : cands) {
-    TieUndo undo;
-    const TieResult tie = tie_to_constant(work, c.node, c.tie_value, &undo);
-    EXPECT_EQ(undo.removed.size(), tie.gates_removed);
-    undo_tie(work, undo);
-    work.check();
-  }
-  // After every tie was reverted the netlist computes the original function
-  // and carries the original cell population.
-  EXPECT_EQ(work.live_count(), original.live_count());
-  EXPECT_EQ(work.gate_count(), original.gate_count());
-  EXPECT_TRUE(BitSimulator::responses_equal(BitSimulator(work).outputs(probe),
-                                            golden));
-}
-
-TEST(TieUndo, RevertHandlesTiedPrimaryOutput) {
-  // include_outputs salvage ties an output: the tie cell takes over the PO
-  // slot; the revert must hand it back.
-  Netlist nl("po");
-  const auto ins = test::add_inputs(nl, 2);
-  const NodeId g = nl.add_gate(GateType::And, "g", {ins[0], ins[1]});
-  const NodeId o = nl.add_gate(GateType::Or, "o", {g, ins[0]});
-  nl.mark_output(o);
-  TieUndo undo;
-  tie_to_constant(nl, o, true, &undo);
-  EXPECT_NE(nl.outputs()[0], o);
-  undo_tie(nl, undo);
-  nl.check();
-  ASSERT_EQ(nl.outputs().size(), 1u);
-  EXPECT_EQ(nl.outputs()[0], o);
-  EXPECT_EQ(nl.find("g"), g);
 }
 
 // ---- PowerTracker ----------------------------------------------------------

@@ -452,14 +452,13 @@ void run_name_index_sequence(const std::string& circuit, std::uint64_t seed) {
 
   std::mt19937_64 rng(seed);
   auto pick = [&](const std::vector<NodeId>& v) { return v[rng() % v.size()]; };
-  std::vector<NodeId> removed;  // restore_node undoes these LIFO
   std::vector<std::string> dead_names;
-  std::size_t retaken = 0, restored = 0, refused = 0;
+  std::size_t retaken = 0;
 
   for (int step = 0; step < 600; ++step) {
     SCOPED_TRACE(step);
     const std::vector<NodeId> live = nl.live_nodes();
-    switch (rng() % 5) {
+    switch (rng() % 4) {
       case 0: {  // add_gate under a fresh, a retaken or a derived name
         std::string name = "idx" + std::to_string(step);
         const int kind = static_cast<int>(rng() % 3);
@@ -496,28 +495,10 @@ void run_name_index_sequence(const std::string& circuit, std::uint64_t seed) {
         const std::string name = nl.node(id).name;
         nl.remove_node(id);
         ref.erase(name);
-        removed.push_back(id);
         dead_names.push_back(name);
         break;
       }
-      case 2: {  // restore the latest removal, refused once its name is retaken
-        if (removed.empty()) break;
-        const NodeId id = removed.back();
-        removed.pop_back();
-        const Node& n = nl.node(id);
-        bool fanin_alive = true;
-        for (const NodeId f : n.fanin) fanin_alive &= nl.is_alive(f);
-        if (ref.contains(n.name) || !fanin_alive) {
-          EXPECT_THROW(nl.restore_node(id), std::runtime_error);
-          ++refused;
-          break;
-        }
-        nl.restore_node(id);
-        ref.emplace(n.name, id);
-        ++restored;
-        break;
-      }
-      case 3: {  // unique_name from a live, a dead or a tie base
+      case 2: {  // unique_name from a live, a dead or a tie base
         std::string base = nl.node(pick(live)).name;
         if (rng() % 3 == 0 && !dead_names.empty()) {
           base = dead_names[rng() % dead_names.size()];
@@ -527,7 +508,7 @@ void run_name_index_sequence(const std::string& circuit, std::uint64_t seed) {
         EXPECT_EQ(nl.unique_name(base), ref_unique(ref, base)) << base;
         break;
       }
-      case 4: {  // const_node: cached, or a new tie named through unique_name
+      case 3: {  // const_node: cached, or a new tie named through unique_name
         const bool value = rng() % 2 == 1;
         const std::string expect = ref_unique(ref, value ? "tie1" : "tie0");
         const std::size_t before = nl.raw_size();
@@ -555,8 +536,6 @@ void run_name_index_sequence(const std::string& circuit, std::uint64_t seed) {
   expect_compact_keeps_names(nl, ref);
   // The sequence exercised every path the index has.
   EXPECT_GT(retaken, 0u);
-  EXPECT_GT(restored, 0u);
-  EXPECT_GT(refused, 0u);
 }
 
 TEST(NameIndex, MatchesReferenceMapOnRand1k) {

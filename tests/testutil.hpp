@@ -20,9 +20,9 @@ namespace tz::test {
 inline constexpr std::uint64_t kTestSeed = 0xC0FFEE;
 
 // Forces the fault-simulation backend (0 = Auto, 1 = Event, 2 = Packed) for
-// the guarded scope and restores the TZ_FAULT_MODE environment default
-// afterwards — RAII so a throw or fatal assertion cannot leak a forced mode
-// into later tests of the aggregated runner.
+// the guarded scope and restores the Auto default afterwards — RAII so a
+// throw or fatal assertion cannot leak a forced mode into later tests of the
+// aggregated runner.
 struct FaultModeGuard {
   explicit FaultModeGuard(int mode) { set_fault_sim_mode(mode); }
   ~FaultModeGuard() { set_fault_sim_mode(-1); }

@@ -21,6 +21,7 @@
 #include <sys/stat.h>
 #include <vector>
 
+#include "campaign/json.hpp"
 #include "gen/iscas.hpp"
 #include "netlist/bench_io.hpp"
 #include "verify/verify.hpp"
@@ -30,17 +31,6 @@ namespace {
 bool is_file(const char* path) {
   struct stat st {};
   return ::stat(path, &st) == 0 && S_ISREG(st.st_mode);
-}
-
-/// Escape a target name for embedding in the JSON output (paths can carry
-/// quotes/backslashes; violation messages are escaped by VerifyReport).
-std::string json_escape(const char* s) {
-  std::string out;
-  for (; *s; ++s) {
-    if (*s == '"' || *s == '\\') out.push_back('\\');
-    out.push_back(*s);
-  }
-  return out;
 }
 
 int usage() {
@@ -90,8 +80,11 @@ int main(int argc, char** argv) {
                            : tz::make_benchmark(target);
     } catch (const std::exception& e) {
       if (json) {
-        std::printf("{\"target\": \"%s\", \"ok\": false, \"error\": \"%s\"}",
-                    json_escape(target).c_str(), json_escape(e.what()).c_str());
+        // Paths and parse errors can carry quotes, backslashes and control
+        // bytes; Json::dump escapes them all.
+        std::printf("{\"target\": %s, \"ok\": false, \"error\": %s}",
+                    tz::Json(target).dump().c_str(),
+                    tz::Json(e.what()).dump().c_str());
       } else {
         std::fprintf(stderr, "tz_check: %s: %s\n", target, e.what());
       }
@@ -114,9 +107,9 @@ int main(int argc, char** argv) {
 
     if (json) {
       std::printf(
-          "{\"target\": \"%s\", \"ok\": %s, \"live_nodes\": %zu, "
+          "{\"target\": %s, \"ok\": %s, \"live_nodes\": %zu, "
           "\"report\": %s}",
-          json_escape(target).c_str(), report.ok() ? "true" : "false",
+          tz::Json(target).dump().c_str(), report.ok() ? "true" : "false",
           nl.live_count(), report.to_json().c_str());
       if (!report.ok()) ++dirty;
     } else if (report.ok()) {

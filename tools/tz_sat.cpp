@@ -8,8 +8,7 @@
 // smoke run leaves a reproducer behind.
 //
 // `dump` writes the miter CNF for two benchmark specs to a DIMACS file via
-// the same hook TZ_SAT_DIMACS exposes, for offline debugging with external
-// solvers.
+// MiterOptions::dimacs_path, for offline debugging with external solvers.
 //
 // Usage: tz_sat fuzz [--runs N] [--seed S] [--dump-dir DIR]
 //        tz_sat dump <spec-a> <spec-b> <out.cnf>
