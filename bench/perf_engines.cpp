@@ -51,39 +51,27 @@ void BM_BitSimulator(benchmark::State& state) {
 }
 BENCHMARK(BM_BitSimulator)->Arg(64)->Arg(1024)->Arg(8192);
 
-// 100k-gate proof of the stripe-major + SIMD evaluation path: the pair below
-// is a same-run A/B on the mult96 array multiplier (108,960 gates) over
-// 32,768 patterns — a 512-word row width whose value matrix (~427 MB) falls
-// far out of LLC, exactly the regime the layout targets. run_into() reuses
-// one warm matrix so the pair times the evaluation walk itself; a fresh
-// allocation per iteration would add ~400 MB of kernel page-fault zeroing to
-// both sides equally and compress the ratio.
-//
-// Machine context for the checked-in numbers (single-core container,
-// ~16.6 GB/s DRAM read+write roofline): the contiguous slot-major walk moves
-// ~3.3 GB/s effective (row-stride TLB misses on 4 KB pages), stripe-major +
-// AVX2 ~14 GB/s — a 2.2-2.3x same-run ratio, which IS this machine's
-// ceiling: with the baseline already at >3.2 GB/s, a 4x win would need
-// >26 GB/s of bandwidth. The gap widens with the memory system.
-void BM_BitSimulator100k(benchmark::State& state, tz::ValueLayout layout) {
+// 100k-gate run of the stripe-major + SIMD evaluation path on the mult96
+// array multiplier (108,960 gates) over 32,768 patterns — a 512-word row
+// width whose value matrix (~427 MB) falls far out of LLC, so the stripes
+// are what keep the walk cache-resident. run_into() reuses one warm matrix
+// so the row times the evaluation walk itself; a fresh allocation per
+// iteration would add ~400 MB of kernel page-fault zeroing.
+void BM_BitSimulator100k(benchmark::State& state) {
   const tz::Netlist& nl = circuit("mult96");
   const tz::PatternSet ps =
       tz::random_patterns(nl.inputs().size(), 64 * 512, 1);
   tz::BitSimulator sim(nl);
   tz::NodeValues vals;
-  sim.run_into(vals, ps, nullptr, layout);  // warm-up: allocate + fault in
+  sim.run_into(vals, ps);  // warm-up: allocate + fault in
   for (auto _ : state) {
-    sim.run_into(vals, ps, nullptr, layout);
+    sim.run_into(vals, ps);
     benchmark::DoNotOptimize(vals.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * 64 * 512);
 }
-BENCHMARK_CAPTURE(BM_BitSimulator100k, contiguous,
-                  tz::ValueLayout::Contiguous)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_BitSimulator100k, striped, tz::ValueLayout::Striped)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_BitSimulator100k)->Unit(benchmark::kMillisecond);
 
 // Regression guard for the quadratic PatternSet::append: one pattern at a
 // time into an initially empty set, the ATPG top-up access pattern. With

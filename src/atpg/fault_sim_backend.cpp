@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <string_view>
 
 #include "atpg/fault_sim_engine.hpp"
@@ -39,10 +41,6 @@ void set_fault_sim_mode(int mode) {
 }
 
 FaultSimContext::FaultSimContext(const Netlist& nl) : nl_(&nl), sim_(nl) {
-  rebuild_static();
-}
-
-void FaultSimContext::rebuild_static() {
   // Reachability is one reverse sweep over the fanout CSR, which already
   // excludes DFF readers — they block a single pass exactly as they do in
   // BitSimulator::run.
@@ -61,30 +59,20 @@ void FaultSimContext::rebuild_static() {
       }
     }
   }
-  mean_cone_ = -1.0;
-  eval_slots_ = 0;
 }
 
 void FaultSimContext::set_patterns(const PatternSet& patterns) {
-  // The cone kernels read whole good-machine rows via data() + ix * words;
-  // opt out of the stripe-major layout for this matrix.
-  good_ = sim_.run(patterns, nullptr, ValueLayout::Contiguous);
+  // The cone kernels read whole good-machine rows via good_row(s); gather
+  // them out of the (possibly stripe-major) run, as SuiteOracle's caches do.
+  const NodeValues vals = sim_.run(patterns);
   words_ = patterns.num_words();
+  good_.resize(plan().num_slots() * words_);
+  for (std::size_t s = 0; s < plan().num_slots(); ++s) {
+    vals.copy_slot_row(s, good_.data() + s * words_);
+  }
   tail_ = patterns.tail_mask();
   num_patterns_ = patterns.num_patterns();
   has_patterns_ = true;
-  ++pattern_epoch_;
-}
-
-void FaultSimContext::resync_structure() {
-  sim_ = BitSimulator(*nl_);
-  rebuild_static();
-  good_ = NodeValues();
-  words_ = 0;
-  tail_ = 0;
-  num_patterns_ = 0;
-  has_patterns_ = false;
-  ++structure_epoch_;
   ++pattern_epoch_;
 }
 
@@ -145,6 +133,15 @@ std::size_t FaultSimContext::eval_slot_count() {
   return eval_slots_;
 }
 
+void FaultSimBackend::check_drop_flags(std::span<const Fault> faults,
+                                       const std::vector<bool>& detected) {
+  if (detected.size() != faults.size()) {
+    throw std::invalid_argument(
+        "drop_sim: detected has " + std::to_string(detected.size()) +
+        " flags for " + std::to_string(faults.size()) + " faults");
+  }
+}
+
 namespace {
 
 /// The measured auto-selector. Holds both engines lazily over one shared
@@ -181,6 +178,7 @@ class AutoFaultSimBackend final : public FaultSimBackend {
 
   std::size_t drop_sim(std::span<const Fault> faults,
                        std::vector<bool>& detected) override {
+    check_drop_flags(faults, detected);
     // Cost tracks the faults still alive, not the span size.
     std::size_t live = 0;
     for (std::size_t i = 0; i < faults.size(); ++i) {

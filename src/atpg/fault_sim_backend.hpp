@@ -12,9 +12,8 @@
 //  - FaultSimMode / set_fault_sim_mode: the process-wide backend selector
 //    (Auto unless a test or bench forces an engine, atomically);
 //  - FaultSimContext: the static analyses (topological ranks, fanout-cone ->
-//    PO reachability) and the good-machine simulation, computed once per
-//    netlist and cached across backend calls — constructing engines per call
-//    used to recompute these every time;
+//    PO reachability) and the good-machine rows, computed once per netlist
+//    (the rows once per pattern set) and cached across backend calls;
 //  - FaultSimBackend: the abstract contract (detects / simulate / drop_sim /
 //    detection_matrix) every consumer is wired through;
 //  - make_fault_sim_backend: the factory, returning the concrete engine for
@@ -50,19 +49,15 @@ void set_fault_sim_mode(int mode);
 /// Constructed once per netlist and reused across calls and across backends
 /// (the Auto selector runs both engines off one context): topological ranks,
 /// the fanout-cone -> PO reachability bitset and the compiled plan survive
-/// between pattern-set swaps, and `resync_structure()` is the single
-/// invalidation point after structural netlist edits.
+/// between pattern-set swaps. The netlist must not change structurally
+/// while a context is bound to it.
 class FaultSimContext {
  public:
   explicit FaultSimContext(const Netlist& nl);
 
-  /// Re-run the good machine on a new pattern set; static analyses are kept.
+  /// Re-run the good machine on a new pattern set and gather its rows;
+  /// static analyses are kept.
   void set_patterns(const PatternSet& patterns);
-
-  /// Recompute every static analysis (plan, ranks, PO reachability, cone
-  /// statistics) after the netlist changed structurally. Also drops the good
-  /// machine — call set_patterns() again before simulating.
-  void resync_structure();
 
   const Netlist& netlist() const { return *nl_; }
   /// The shared compiled plan; the cone walk's index space is its slots.
@@ -80,7 +75,7 @@ class FaultSimContext {
   }
 
   bool has_patterns() const { return has_patterns_; }
-  const NodeValues& good() const { return good_; }
+  /// Good-machine row of slot `s`: words() contiguous words.
   const std::uint64_t* good_row(SlotId s) const {
     return good_.data() + std::size_t{s} * words_;
   }
@@ -88,38 +83,34 @@ class FaultSimContext {
   std::uint64_t tail_mask() const { return tail_; }
   std::size_t num_patterns() const { return num_patterns_; }
 
-  /// Mean fanout-cone size over sampled PO-reachable sites (lazily computed,
-  /// cached until resync_structure). Drives the Auto backend selector.
+  /// Mean fanout-cone size over sampled PO-reachable sites (lazily computed
+  /// and cached). Drives the Auto backend selector.
   double mean_cone_size();
   /// Slots the packed sweep actually evaluates (non-source, non-dead).
   std::size_t eval_slot_count();
 
-  /// Bumped by resync_structure / set_patterns; backends compare these to
-  /// lazily refresh per-engine scratch sized off the context.
-  std::uint64_t structure_epoch() const { return structure_epoch_; }
+  /// Bumped by set_patterns; backends compare it to lazily refresh the
+  /// per-engine scratch sized off the pattern set.
   std::uint64_t pattern_epoch() const { return pattern_epoch_; }
 
  private:
-  void rebuild_static();
-
   const Netlist* nl_;
   BitSimulator sim_;
   std::vector<std::uint32_t> rank_;  ///< worklist order (identity over slots)
   std::vector<char> po_reach_;       ///< static cone -> PO reachability
-  NodeValues good_;
+  std::vector<std::uint64_t> good_;  ///< slot-major rows of words_ words
   std::size_t words_ = 0;
   std::uint64_t tail_ = 0;
   std::size_t num_patterns_ = 0;
   bool has_patterns_ = false;
   double mean_cone_ = -1.0;          ///< < 0: not sampled yet
   std::size_t eval_slots_ = 0;       ///< 0: not counted yet
-  std::uint64_t structure_epoch_ = 1;
   std::uint64_t pattern_epoch_ = 0;
 };
 
 /// The backend contract every fault-simulation consumer is wired through.
 /// One backend is bound to one FaultSimContext; patterns are swapped via
-/// set_patterns and structural edits signalled via resync_structure.
+/// set_patterns.
 class FaultSimBackend {
  public:
   virtual ~FaultSimBackend() = default;
@@ -134,6 +125,7 @@ class FaultSimBackend {
 
   /// Fault dropping: simulate only faults with `!detected[i]`, setting their
   /// flag once detected. Returns the number of newly detected faults.
+  /// Throws std::invalid_argument unless `detected` is parallel to `faults`.
   virtual std::size_t drop_sim(std::span<const Fault> faults,
                                std::vector<bool>& detected) = 0;
 
@@ -145,12 +137,15 @@ class FaultSimBackend {
   FaultSimContext& context() { return *ctx_; }
   const FaultSimContext& context() const { return *ctx_; }
   void set_patterns(const PatternSet& patterns) { ctx_->set_patterns(patterns); }
-  void resync_structure() { ctx_->resync_structure(); }
   bool po_reachable(NodeId id) const { return ctx_->po_reachable(id); }
 
  protected:
   explicit FaultSimBackend(std::shared_ptr<FaultSimContext> ctx)
       : ctx_(std::move(ctx)) {}
+
+  /// drop_sim's precondition, checked before any flag is read.
+  static void check_drop_flags(std::span<const Fault> faults,
+                               const std::vector<bool>& detected);
 
   std::shared_ptr<FaultSimContext> ctx_;
 };

@@ -6,7 +6,11 @@
 namespace tz {
 
 FaultSimEngine::FaultSimEngine(std::shared_ptr<FaultSimContext> ctx)
-    : FaultSimBackend(std::move(ctx)), worklist_(ctx_->rank()) {}
+    : FaultSimBackend(std::move(ctx)),
+      touched_(ctx_->plan().num_slots(), 0),
+      worklist_(ctx_->rank()) {
+  worklist_.resize(ctx_->plan().num_slots());
+}
 
 FaultSimEngine::FaultSimEngine(const Netlist& nl)
     : FaultSimEngine(std::make_shared<FaultSimContext>(nl)) {}
@@ -17,12 +21,6 @@ FaultSimEngine::FaultSimEngine(const Netlist& nl, const PatternSet& patterns)
 }
 
 void FaultSimEngine::sync_scratch() {
-  if (synced_structure_ != ctx_->structure_epoch()) {
-    const std::size_t n = ctx_->plan().num_slots();
-    touched_.assign(n, 0);
-    worklist_.resize(n);
-    synced_structure_ = ctx_->structure_epoch();
-  }
   if (synced_patterns_ != ctx_->pattern_epoch()) {
     words_ = ctx_->words();
     tail_ = ctx_->tail_mask();
@@ -127,6 +125,7 @@ std::vector<bool> FaultSimEngine::simulate(std::span<const Fault> faults) {
 
 std::size_t FaultSimEngine::drop_sim(std::span<const Fault> faults,
                                      std::vector<bool>& detected) {
+  check_drop_flags(faults, detected);
   std::size_t newly = 0;
   for (std::size_t i = 0; i < faults.size(); ++i) {
     if (detected[i]) continue;

@@ -39,8 +39,7 @@ namespace tz {
 class FaultSimEngine final : public FaultSimBackend {
  public:
   /// Binds the netlist and runs the good machine on `patterns`. The netlist
-  /// must outlive the engine and stay structurally unchanged while in use
-  /// (call resync_structure() after structural edits).
+  /// must outlive the engine and stay structurally unchanged while in use.
   FaultSimEngine(const Netlist& nl, const PatternSet& patterns);
 
   /// Netlist-only construction (static analyses run, no good machine yet);
@@ -73,15 +72,14 @@ class FaultSimEngine final : public FaultSimBackend {
       std::span<const Fault> faults) override;
 
   std::size_t num_words() const { return ctx_->words(); }
-  const NodeValues& good() const { return ctx_->good(); }
 
  private:
   /// Event-driven faulty-machine evaluation; leaves the detection bitmap in
   /// `bits_` when `want_bits`, else exits early on the first detecting word.
   bool simulate_fault(const Fault& f, bool want_bits);
 
-  /// Lazily resize the per-fault scratch after the context's structure or
-  /// pattern epoch moved (shared contexts advance underneath the engine).
+  /// Lazily resize the per-fault scratch after the context's pattern epoch
+  /// moved (shared contexts advance underneath the engine).
   void sync_scratch();
 
   std::uint64_t* frow(SlotId s) { return faulty_.data() + s * words_; }
@@ -89,7 +87,6 @@ class FaultSimEngine final : public FaultSimBackend {
   // Cached off the context by sync_scratch (hot-loop locals).
   std::size_t words_ = 0;
   std::uint64_t tail_ = 0;
-  std::uint64_t synced_structure_ = 0;
   std::uint64_t synced_patterns_ = 0;
   // Per-fault scratch, reset via `visited_` so cost tracks the cone size.
   std::vector<std::uint64_t> faulty_;  ///< rows valid only where touched_

@@ -11,7 +11,10 @@
 namespace tz {
 
 PackedFaultSimEngine::PackedFaultSimEngine(std::shared_ptr<FaultSimContext> ctx)
-    : FaultSimBackend(std::move(ctx)) {}
+    : FaultSimBackend(std::move(ctx)),
+      plan_(&ctx_->plan()),
+      matrix_(plan_->num_slots() * kBlock, 0),
+      acc_(kBlock, 0) {}
 
 PackedFaultSimEngine::PackedFaultSimEngine(const Netlist& nl)
     : PackedFaultSimEngine(std::make_shared<FaultSimContext>(nl)) {}
@@ -23,13 +26,6 @@ PackedFaultSimEngine::PackedFaultSimEngine(const Netlist& nl,
 }
 
 void PackedFaultSimEngine::sync_scratch() {
-  if (synced_structure_ != ctx_->structure_epoch()) {
-    plan_ = &ctx_->plan();
-    matrix_.assign(plan_->num_slots() * kBlock, 0);
-    acc_.assign(kBlock, 0);
-    synced_structure_ = ctx_->structure_epoch();
-    synced_patterns_ = 0;
-  }
   if (synced_patterns_ != ctx_->pattern_epoch()) {
     words_ = ctx_->words();
     num_patterns_ = ctx_->num_patterns();
@@ -64,7 +60,7 @@ bool PackedFaultSimEngine::screened_out(const Fault& f) const {
   if (!ctx_->po_reachable(f.node)) return true;
   const std::uint64_t inject =
       f.value == StuckAt::One ? ~std::uint64_t{0} : 0;
-  const std::uint64_t* g = ctx_->good().row(f.node);
+  const std::uint64_t* g = ctx_->good_row(plan_->slot_of(f.node));
   for (std::size_t w = 0; w < words_; ++w) {
     std::uint64_t diff = inject ^ g[w];
     if (w + 1 == words_) diff &= tail_;
@@ -237,6 +233,7 @@ std::vector<bool> PackedFaultSimEngine::simulate(
 
 std::size_t PackedFaultSimEngine::drop_sim(std::span<const Fault> faults,
                                            std::vector<bool>& detected) {
+  check_drop_flags(faults, detected);
   return run_all(faults, detected, nullptr, /*dropping=*/true);
 }
 

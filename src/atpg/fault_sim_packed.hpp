@@ -62,7 +62,8 @@ class PackedFaultSimEngine final : public FaultSimBackend {
   /// lanes per pattern.
   static constexpr std::size_t kBlock = 64;
 
-  /// Lazily refresh plan/scratch after the shared context's epochs moved.
+  /// Lazily refresh the pattern-set scratch after the shared context's
+  /// pattern epoch moved.
   void sync_scratch();
 
   /// True when the event engine would skip this fault entirely (dead node,
@@ -87,8 +88,7 @@ class PackedFaultSimEngine final : public FaultSimBackend {
                       std::vector<std::vector<std::uint64_t>>* rows,
                       bool dropping);
 
-  const EvalPlan* plan_ = nullptr;  ///< the packed evaluation plan
-  std::uint64_t synced_structure_ = 0;
+  const EvalPlan* plan_;  ///< the packed evaluation plan
   std::uint64_t synced_patterns_ = 0;
   std::size_t words_ = 0;        ///< pattern words (ceil(P/64))
   std::size_t num_patterns_ = 0;

@@ -20,11 +20,9 @@ DefenderTestSet generate_atpg_tests(const Netlist& nl,
 
   // One fault-simulation backend serves both phases: the static netlist
   // analyses and the compiled plan are computed once and carried from the
-  // bootstrap detection matrix through deterministic-phase dropping.
-  const FaultSimMode mode = opt.fault_mode != FaultSimMode::Auto
-                                ? opt.fault_mode
-                                : fault_sim_mode();
-  const auto backend = make_fault_sim_backend(nl, mode);
+  // bootstrap detection matrix through deterministic-phase dropping. The
+  // engine is the process-wide set_fault_sim_mode choice (Auto by default).
+  const auto backend = make_fault_sim_backend(nl);
 
   // Phase 1: random bootstrap with static compaction — only patterns that
   // contribute a first detection are kept in the shipped TP set, as a

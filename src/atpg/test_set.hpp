@@ -42,10 +42,6 @@ struct TestGenOptions {
   enum class FaultOrder { TestabilityFirst, Shuffled } fault_order =
       FaultOrder::TestabilityFirst;
   std::uint64_t fault_order_seed = 7;  ///< Used by FaultOrder::Shuffled.
-  /// Fault-simulation backend for both ATPG phases (bootstrap grading and
-  /// deterministic-phase dropping). Auto defers to set_fault_sim_mode,
-  /// falling back to the measured per-workload selector.
-  FaultSimMode fault_mode = FaultSimMode::Auto;
   // ---- suite composition (the defender's q algorithms) ----
   bool with_random_validation = true;   ///< Bespoke random vectors.
   std::size_t validation_patterns = 128;

@@ -210,10 +210,8 @@ bool IncrementalMiter::run_prepass(EquivalenceResult& res) {
   // must not report differences the miter would rule out.
   const BitSimulator sim_a(a_);
   const BitSimulator sim_b(b_);
-  const NodeValues vals_a =
-      sim_a.run(pats, st_a.empty() ? nullptr : &st_a, ValueLayout::Contiguous);
-  const NodeValues vals_b =
-      sim_b.run(pats, st_b.empty() ? nullptr : &st_b, ValueLayout::Contiguous);
+  const NodeValues vals_a = sim_a.run(pats, st_a.empty() ? nullptr : &st_a);
+  const NodeValues vals_b = sim_b.run(pats, st_b.empty() ? nullptr : &st_b);
 
   for (std::size_t o = 0; o < a_.outputs().size(); ++o) {
     const NodeId oa = a_.outputs()[o];

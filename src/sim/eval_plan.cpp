@@ -132,15 +132,6 @@ void EvalPlan::evaluate(std::uint64_t* values, std::size_t words) const {
     evaluate_scalar(values);
     return;
   }
-  const std::size_t block = block_words(words);
-  for (std::size_t w0 = 0; w0 < words; w0 += block) {
-    evaluate_block(values, words, w0, std::min(block, words - w0));
-  }
-}
-
-void EvalPlan::evaluate_striped(std::uint64_t* values,
-                                std::size_t words) const {
-  if (words == 0) return;
   const std::size_t bw = block_words(words);
   const detail::StripeKernelFn kern = detail::stripe_kernel();
   const auto n = static_cast<std::uint32_t>(num_slots());
@@ -182,22 +173,6 @@ void EvalPlan::evaluate_scalar(std::uint64_t* values) const {
     const EvalOp op = ops_[s];
     if (op == EvalOp::Source || op == EvalOp::Dead) continue;
     eval_plan_slot(*this, s, 1, get, values + s);
-  }
-}
-
-void EvalPlan::evaluate_block(std::uint64_t* values, std::size_t words,
-                              std::size_t w0, std::size_t bw) const {
-  // Row pointers stride by the full row width while the kernels run over
-  // the stripe's bw words; eval_plan_slot inlines to the same straight-line
-  // bitwise loops a hand-specialized switch would produce.
-  const std::size_t n = ops_.size();
-  const auto row = [&](SlotId f) {
-    return values + std::size_t{f} * words + w0;
-  };
-  for (SlotId s = 0; s < n; ++s) {
-    const EvalOp op = ops_[s];
-    if (op == EvalOp::Source || op == EvalOp::Dead) continue;
-    eval_plan_slot(*this, s, bw, row, row(s));
   }
 }
 

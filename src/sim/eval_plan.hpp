@@ -4,7 +4,7 @@
 // slots: a per-slot opcode stream with arity-specialized entries (dedicated
 // 2-input AND/NAND/OR/NOR/XOR/XNOR, NOT/BUF/MUX, generic N-ary fallback) and
 // CSR fanin/fanout slot arrays in single contiguous allocations. Evaluating a
-// netlist becomes a straight walk of the opcode stream over a slot-major
+// netlist becomes a straight walk of the opcode stream over a stripe-major
 // value matrix — no Node dereferences, no per-node std::vector fanin heaps on
 // the hottest loop — and wide pattern sets are processed in word stripes
 // sized so the streaming working set stays inside the fast cache levels.
@@ -108,29 +108,24 @@ class EvalPlan {
   }
   const SlotId* fanin_slots_data() const { return fanin_slots_.data(); }
 
-  /// Full evaluation: walk the opcode stream over the slot-major matrix
-  /// `values` (num_slots rows of `words` machine words). Source slot rows
-  /// must be pre-filled by the caller; Const slots are filled by the walk.
-  /// Every non-source slot row is fully written before any reader reads it,
-  /// so the matrix may be allocated uninitialized. Wide rows are processed
-  /// in cache-sized word stripes (see block_words).
+  /// Full evaluation: walk the opcode stream over the stripe-major matrix
+  /// `values`, which holds ceil(words / block_words(words)) stripe blocks,
+  /// stripe b covering words [b*bw, ...) with row r at
+  /// `values + num_slots*b*bw + r*stripe_width` (a single stripe is plain
+  /// slot-major rows of `words` words). Source slot rows must be pre-filled
+  /// by the caller (see BitSimulator::run); Const slots are filled by the
+  /// walk. Every non-source slot row is fully written before any reader
+  /// reads it, so the matrix may be allocated uninitialized. One word runs
+  /// eval_plan_slot's register path; wider rows run each stripe through the
+  /// runtime-dispatched SIMD kernel (sim/simd.hpp), whose whole working set
+  /// is one contiguous cache-sized block.
   void evaluate(std::uint64_t* values, std::size_t words) const;
 
-  /// Stripe-major evaluation: `values` holds ceil(words / block_words(words))
-  /// stripe blocks, stripe b covering words [b*bw, ...) with row r at
-  /// `values + num_slots*b*bw + r*stripe_width`. Same pre-fill contract as
-  /// evaluate() (sources scattered per stripe by the caller — see
-  /// BitSimulator::run). Each stripe runs through the runtime-dispatched
-  /// SIMD kernel (sim/simd.hpp): the whole working set of a stripe is one
-  /// contiguous block, so the walk stays cache- and TLB-resident where the
-  /// contiguous layout strides a full row length between consecutive slots.
-  void evaluate_striped(std::uint64_t* values, std::size_t words) const;
-
-  /// Stripe width used by evaluate()/evaluate_striped() for a given row
-  /// width: the widest stripe whose slot-major working set stays
-  /// cache-resident, floored so the per-stripe opcode/CSR walk amortizes
-  /// over enough words. NodeValues sizes its stripe-major layout with the
-  /// same function, which is what keeps the two in lockstep.
+  /// Stripe width used by evaluate() for a given row width: the widest
+  /// stripe whose slot-major working set stays cache-resident, floored so
+  /// the per-stripe opcode/CSR walk amortizes over enough words. NodeValues
+  /// sizes its stripes with the same function, which is what keeps the two
+  /// in lockstep.
   std::size_t block_words(std::size_t words) const;
 
   // ---- incremental patching (SuiteOracle::resync_structure) ----
@@ -158,8 +153,6 @@ class EvalPlan {
 
  private:
   void compile(const Netlist& nl, const std::vector<NodeId>& topo);
-  void evaluate_block(std::uint64_t* values, std::size_t words,
-                      std::size_t w0, std::size_t bw) const;
   void evaluate_scalar(std::uint64_t* values) const;
 
   std::vector<EvalOp> ops_;

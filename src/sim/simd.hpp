@@ -1,7 +1,7 @@
 // Runtime-dispatched SIMD stripe kernels for the EvalPlan.
 //
-// EvalPlan::evaluate_striped walks one stripe-major block at a time through a
-// kernel that processes 256 bits (four packed words) per operation in the
+// EvalPlan::evaluate walks one stripe-major block at a time through a kernel
+// that processes 256 bits (four packed words) per operation in the
 // two-operand opcodes. The kernel body lives in eval_stripe_impl.hpp and is
 // compiled twice with internal-linkage vector types:
 //   eval_stripe_generic.cpp  portable 4x64 word ops at the base ISA

@@ -16,17 +16,17 @@ BitSimulator::BitSimulator(const Netlist& nl,
                            std::shared_ptr<const EvalPlan> plan)
     : nl_(&nl), plan_(std::move(plan)) {}
 
-NodeValues BitSimulator::run(const PatternSet& inputs,
-                             const std::vector<std::uint64_t>* dff_state,
-                             ValueLayout layout) const {
+NodeValues BitSimulator::run(
+    const PatternSet& inputs,
+    const std::vector<std::uint64_t>* dff_state) const {
   NodeValues vals;
-  run_into(vals, inputs, dff_state, layout);
+  run_into(vals, inputs, dff_state);
   return vals;
 }
 
-void BitSimulator::run_into(NodeValues& vals, const PatternSet& inputs,
-                            const std::vector<std::uint64_t>* dff_state,
-                            ValueLayout layout) const {
+void BitSimulator::run_into(
+    NodeValues& vals, const PatternSet& inputs,
+    const std::vector<std::uint64_t>* dff_state) const {
   const auto& nl = *nl_;
   if (inputs.num_signals() != nl.inputs().size()) {
     throw std::invalid_argument("BitSimulator: pattern width != #inputs");
@@ -36,52 +36,34 @@ void BitSimulator::run_into(NodeValues& vals, const PatternSet& inputs,
   }
   const std::size_t words = inputs.num_words();
 
-  // Reuse is shape-equality: same plan, same width, and the same stripe
-  // decision the requested layout would make on a fresh matrix. Every slot
-  // row is rewritten by the scatter + evaluate below, so stale values
-  // cannot leak.
-  const bool want_striped = layout != ValueLayout::Contiguous && words > 1 &&
-                            plan_->block_words(words) < words;
-  if (vals.plan() != plan_.get() || vals.num_words() != words ||
-      vals.striped() != want_striped) {
-    vals = NodeValues(plan_, words, layout);
+  // Reuse is shape-equality: same plan, same row count and width (which
+  // fix the stripe width too). Every slot row is rewritten by the scatter +
+  // evaluate below, so stale values cannot leak.
+  if (vals.plan() != plan_.get() || vals.num_rows() != plan_->num_slots() ||
+      vals.num_words() != words) {
+    vals = NodeValues(plan_, words);
   }
-  // Scatter the source rows into the slot-major matrix and walk the opcode
-  // stream once (blocked over word stripes inside).
+  // Scatter the source rows stripe by stripe (source row r of stripe
+  // [w0, w0+wb) lives at stripe_base + r * wb), keeping the writes as
+  // sequential as the evaluation that follows, then walk the plan once.
   std::uint64_t* base = vals.data();
   const std::vector<SlotId>& in_slots = plan_->input_slots();
   const std::vector<SlotId>& dff_slots = plan_->dff_slots();
-  if (vals.striped()) {
-    // Stripe-major: source row r of stripe [w0, w0+wb) lives at
-    // stripe_base + r * wb. One pass per stripe keeps the writes as
-    // sequential as the evaluation that follows.
-    const std::size_t sw = vals.stripe_words();
-    const std::size_t slots = plan_->num_slots();
-    for (std::size_t w0 = 0; w0 < words; w0 += sw) {
-      const std::size_t wb = std::min(sw, words - w0);
-      std::uint64_t* sb = base + slots * w0;
-      for (std::size_t i = 0; i < in_slots.size(); ++i) {
-        auto src = inputs.words(i);
-        std::copy_n(src.data() + w0, wb, sb + std::size_t{in_slots[i]} * wb);
-      }
-      for (std::size_t i = 0; i < dff_slots.size(); ++i) {
-        std::fill_n(sb + std::size_t{dff_slots[i]} * wb, wb,
-                    dff_state ? (*dff_state)[i] : 0);
-      }
+  const std::size_t sw = vals.stripe_words();
+  const std::size_t slots = plan_->num_slots();
+  for (std::size_t w0 = 0; w0 < words; w0 += sw) {
+    const std::size_t wb = std::min(sw, words - w0);
+    std::uint64_t* sb = base + slots * w0;
+    for (std::size_t i = 0; i < in_slots.size(); ++i) {
+      auto src = inputs.words(i);
+      std::copy_n(src.data() + w0, wb, sb + std::size_t{in_slots[i]} * wb);
     }
-    plan_->evaluate_striped(base, words);
-    return;
-  }
-  for (std::size_t i = 0; i < in_slots.size(); ++i) {
-    auto src = inputs.words(i);
-    std::copy(src.begin(), src.end(),
-              base + std::size_t{in_slots[i]} * words);
-  }
-  for (std::size_t i = 0; i < dff_slots.size(); ++i) {
-    // The matrix is allocated uninitialized; DFF source rows must be
-    // seeded either way (reset state is all-zero).
-    std::fill_n(base + std::size_t{dff_slots[i]} * words, words,
-                dff_state ? (*dff_state)[i] : 0);
+    for (std::size_t i = 0; i < dff_slots.size(); ++i) {
+      // The matrix is allocated uninitialized; DFF source rows must be
+      // seeded either way (reset state is all-zero).
+      std::fill_n(sb + std::size_t{dff_slots[i]} * wb, wb,
+                  dff_state ? (*dff_state)[i] : 0);
+    }
   }
   plan_->evaluate(base, words);
 }
@@ -173,7 +155,7 @@ std::vector<double> simulated_one_probability(const Netlist& nl,
     if (!nl.is_alive(id)) continue;
     std::uint64_t ones = 0;
     // Popcount has no cross-word coupling: walk the row's contiguous
-    // segments in place (one whole-row segment on contiguous layouts).
+    // segments in place (one whole-row segment on a one-stripe matrix).
     for (std::size_t w = 0; w < words;) {
       const auto seg = vals.segment(id, w);
       for (std::size_t k = 0; k < seg.size(); ++k) {

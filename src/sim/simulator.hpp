@@ -8,8 +8,8 @@
 //
 // A BitSimulator compiles the netlist into a sim/eval_plan.hpp EvalPlan once
 // and every run() is a straight walk of the opcode stream over a dense
-// slot-major value matrix; NodeValues::row() translates NodeId -> slot
-// transparently, so callers are layout-agnostic. reference_simulate is the
+// stripe-major value matrix; NodeValues translates NodeId -> slot and reads
+// across stripes, so callers never see the layout. reference_simulate is the
 // independent Node-walking evaluator the parity checks hold the plan to.
 #pragma once
 
@@ -49,50 +49,31 @@ struct DefaultInitAllocator : std::allocator<T> {
 };
 }  // namespace detail
 
-/// Value-matrix storage layout for plan-backed runs (see NodeValues).
-enum class ValueLayout {
-  /// Let the plan pick: stripe-major whenever the blocked walk would split
-  /// the row width anyway (large matrices), dense slot-major otherwise.
-  Auto,
-  /// Force one contiguous row per slot. Required by the engines that do raw
-  /// `data() + slot * words` pointer arithmetic over whole rows
-  /// (FaultSimEngine's good machine, any external row consumer).
-  Contiguous,
-  /// Stripe-major when the blocked walk splits (same condition as Auto
-  /// today; spelled out for callers that specifically want the cache-blocked
-  /// layout and should fail loudly if Auto's heuristic ever diverges).
-  Striped,
-};
-
 /// Per-node simulation values for a block of patterns: value(node, word).
-/// Storage is dense slot-major over an EvalPlan and row(id) resolves through
+/// Storage is dense over an EvalPlan's slots and row(id) resolves through
 /// the plan — reading a row of a dead node is invalid.
 ///
-/// Under ValueLayout::Auto/Striped a large matrix becomes stripe-major: the
-/// words are cut into stripes of stripe_words() (== EvalPlan::block_words),
-/// each stripe holding all rows contiguously, so the blocked evaluate walk
-/// touches one compact stripe at a time instead of striding row-length gaps
-/// (see eval_plan.hpp). A logical row is then split across stripes: row() is
-/// invalid (it throws) and readers walk segment()/copy_slot_row() instead.
+/// The matrix is stripe-major: the words are cut into stripes of
+/// stripe_words() (== EvalPlan::block_words), each stripe holding all rows
+/// contiguously, so the evaluate walk touches one compact stripe at a time
+/// instead of striding row-length gaps (see eval_plan.hpp). A narrow matrix
+/// is one stripe, i.e. plain contiguous rows. Once a matrix splits into
+/// several stripes (striped()), a logical row is split too: row() is invalid
+/// (it throws) and readers walk segment()/copy_slot_row() instead.
 class NodeValues {
  public:
   NodeValues() = default;
   /// The storage is intentionally left uninitialized: the
   /// evaluate() walk writes every slot row (BitSimulator::run zero-fills the
   /// DFF source rows it does not otherwise seed).
-  NodeValues(std::shared_ptr<const EvalPlan> plan, std::size_t num_words,
-             ValueLayout layout = ValueLayout::Contiguous)
+  NodeValues(std::shared_ptr<const EvalPlan> plan, std::size_t num_words)
       : plan_(std::move(plan)),
         num_rows_(plan_->num_slots()),
         num_words_(num_words),
-        v_(plan_->num_slots() * num_words) {
-    if (layout != ValueLayout::Contiguous && num_words > 1) {
-      const std::size_t bw = plan_->block_words(num_words);
-      if (bw < num_words) stripe_words_ = bw;
-    }
-  }
+        stripe_words_(plan_->block_words(num_words)),
+        v_(plan_->num_slots() * num_words) {}
 
-  /// Whole-row pointer; contiguous layouts only (throws when striped — use
+  /// Whole-row pointer; one-stripe matrices only (throws when striped — use
   /// segment() or copy_slot_row() there).
   std::uint64_t* row(NodeId id) {
     return v_.data() + contiguous_row_offset(row_index(id));
@@ -108,17 +89,14 @@ class NodeValues {
            1;
   }
 
-  /// True when the matrix is stripe-major (plan layouts over wide rows).
-  bool striped() const { return stripe_words_ != 0; }
-  /// Stripe width in words (== num_words() when contiguous).
-  std::size_t stripe_words() const {
-    return stripe_words_ ? stripe_words_ : num_words_;
-  }
+  /// True when the rows are split across more than one stripe.
+  bool striped() const { return stripe_words_ < num_words_; }
+  /// Stripe width in words (== num_words() for a one-stripe matrix).
+  std::size_t stripe_words() const { return stripe_words_; }
 
   /// The contiguous words of row `id` starting at word `w`: up to the next
-  /// stripe boundary when striped, the whole row tail when contiguous.
-  /// Layout-agnostic readers loop `for (w = 0; w < num_words();
-  /// w += segment(id, w).size())`.
+  /// stripe boundary (the whole row tail on a one-stripe matrix). Readers
+  /// loop `for (w = 0; w < num_words(); w += segment(id, w).size())`.
   std::span<const std::uint64_t> segment(NodeId id, std::size_t w) const {
     TZ_DBG_ASSERT(w < num_words_, "NodeValues::segment word index");
     return {v_.data() + word_offset(row_index(id), w), segment_len(w)};
@@ -140,9 +118,8 @@ class NodeValues {
     copy_slot_row(row_index(id), dst);
   }
 
-  /// Slot-major backing store. Engines that already think in plan slots
-  /// index this directly; only valid for whole-row arithmetic when
-  /// !striped().
+  /// Stripe-major backing store (BitSimulator::run scatters the source rows
+  /// into it); only valid for whole-row arithmetic when !striped().
   std::uint64_t* data() { return v_.data(); }
   const std::uint64_t* data() const { return v_.data(); }
   const EvalPlan* plan() const { return plan_.get(); }
@@ -155,7 +132,7 @@ class NodeValues {
     return r;
   }
   std::size_t contiguous_row_offset(std::size_t r) const {
-    if (stripe_words_ != 0) {
+    if (striped()) {
       throw std::logic_error(
           "NodeValues::row: stripe-major layout has no contiguous rows; use "
           "segment()/copy_slot_row()");
@@ -166,13 +143,13 @@ class NodeValues {
   /// stripe_words and holds its rows contiguously at the stripe's width
   /// (the last stripe may be narrower).
   std::size_t word_offset(std::size_t r, std::size_t w) const {
-    if (stripe_words_ == 0) return r * num_words_ + w;
+    if (!striped()) return r * num_words_ + w;
     const std::size_t w0 = (w / stripe_words_) * stripe_words_;
     const std::size_t wb = std::min(stripe_words_, num_words_ - w0);
     return num_rows_ * w0 + r * wb + (w - w0);
   }
   std::size_t segment_len(std::size_t w) const {
-    if (stripe_words_ == 0) return num_words_ - w;
+    if (!striped()) return num_words_ - w;
     const std::size_t w0 = (w / stripe_words_) * stripe_words_;
     return std::min(stripe_words_, num_words_ - w0) - (w - w0);
   }
@@ -180,7 +157,7 @@ class NodeValues {
   std::shared_ptr<const EvalPlan> plan_;
   std::size_t num_rows_ = 0;
   std::size_t num_words_ = 0;
-  std::size_t stripe_words_ = 0;  ///< 0 = contiguous rows
+  std::size_t stripe_words_ = 0;
   std::vector<std::uint64_t, detail::DefaultInitAllocator<std::uint64_t>> v_;
 };
 
@@ -197,22 +174,17 @@ class BitSimulator {
 
   /// Evaluate all nodes for the given input patterns. DFF outputs are taken
   /// from `state` when provided (size = dffs().size()), else 0.
-  /// `layout` picks the value-matrix layout (Auto goes stripe-major for
-  /// wide rows — pass Contiguous when you will read whole rows through
-  /// row()/data() pointer arithmetic).
   NodeValues run(const PatternSet& inputs,
-                 const std::vector<std::uint64_t>* dff_state = nullptr,
-                 ValueLayout layout = ValueLayout::Auto) const;
+                 const std::vector<std::uint64_t>* dff_state = nullptr) const;
 
   /// run() into an existing matrix: when `vals` already has the right shape
-  /// (same plan/size/layout — e.g. the previous iteration's result) its
+  /// (same plan/size — e.g. the previous iteration's result) its
   /// storage is reused, skipping the multi-hundred-MB allocation and the
   /// kernel page-fault zeroing that dominates repeated large-circuit runs
   /// (Monte-Carlo estimation, benchmark loops). Falls back to a fresh
   /// allocation when the shape differs.
   void run_into(NodeValues& vals, const PatternSet& inputs,
-                const std::vector<std::uint64_t>* dff_state = nullptr,
-                ValueLayout layout = ValueLayout::Auto) const;
+                const std::vector<std::uint64_t>* dff_state = nullptr) const;
 
   /// Evaluate and extract only primary-output values, one signal per output.
   PatternSet outputs(const PatternSet& inputs) const;

@@ -282,7 +282,7 @@ void check_io_lists(const EvalPlan& p, const Netlist& nl, VerifyReport& r) {
 void check_block_layout(const EvalPlan& p, VerifyReport& r) {
   // block_words() contract: 1 <= stripe <= words, and the stripe count it
   // implies covers the row exactly (NodeValues' stripe-major indexing and
-  // evaluate_striped both trust this).
+  // evaluate both trust this).
   for (const std::size_t w :
        {std::size_t{1}, std::size_t{2}, std::size_t{63}, std::size_t{64},
         std::size_t{65}, std::size_t{1024}, std::size_t{65536}}) {
@@ -413,22 +413,12 @@ VerifyReport check_values_layout(const NodeValues& vals) {
               " rows for a " + std::to_string(plan->num_slots()) +
               "-slot plan");
   }
-  if (vals.striped()) {
-    if (vals.stripe_words() != plan->block_words(vals.num_words())) {
-      r.add(CheckId::PlanBlockLayout,
-            "stripe width " + std::to_string(vals.stripe_words()) +
-                " disagrees with block_words(" +
-                std::to_string(vals.num_words()) + ") = " +
-                std::to_string(plan->block_words(vals.num_words())));
-    }
-    if (vals.stripe_words() >= vals.num_words()) {
-      r.add(CheckId::PlanBlockLayout,
-            "striped layout with stripe covering the whole row");
-    }
-  } else if (vals.stripe_words() != vals.num_words()) {
+  if (vals.stripe_words() != plan->block_words(vals.num_words())) {
     r.add(CheckId::PlanBlockLayout,
-          "contiguous layout reports stripe width " +
-              std::to_string(vals.stripe_words()));
+          "stripe width " + std::to_string(vals.stripe_words()) +
+              " disagrees with block_words(" +
+              std::to_string(vals.num_words()) + ") = " +
+              std::to_string(plan->block_words(vals.num_words())));
   }
   return r;
 }

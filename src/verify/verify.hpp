@@ -229,9 +229,9 @@ class SatChecker {
   static VerifyReport run(const sat::Solver& solver);
 };
 
-/// Validates a NodeValues matrix's layout bookkeeping against its plan
-/// (stripe width, row count, contiguous/striped mode) — the ValueLayout leg
-/// of the PlanBlockLayout contract.
+/// Validates a NodeValues matrix's layout bookkeeping against its plan (row
+/// count, stripe width == block_words) — the value-matrix leg of the
+/// PlanBlockLayout contract.
 VerifyReport check_values_layout(const NodeValues& vals);
 
 /// Thrown by the flow-boundary checks when a checker finds violations.

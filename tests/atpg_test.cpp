@@ -2,7 +2,9 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <string>
+#include <vector>
 #include <gtest/gtest.h>
 
 #include "atpg/fault_sim_backend.hpp"
@@ -485,57 +487,113 @@ TEST(FaultBackend, ZeroDetectRowsAndAllDroppedBatches) {
   }
 }
 
-TEST(FaultBackend, ResyncStructureRefreshesReachability) {
-  // Satellite contract: PO reachability is computed once and cached across
-  // pattern swaps (structure epoch stable, pattern epoch advancing), and
-  // resync_structure is the single invalidation point after a structural
-  // edit — here a gate becoming observable by gaining an output marking.
+TEST(FaultBackend, PatternSwapKeepsStaticAnalyses) {
+  // PO reachability is computed once and cached across pattern swaps; each
+  // swap advances the pattern epoch and re-runs the good machine.
   Netlist nl;
   const NodeId a = nl.add_input("a");
   const NodeId g = nl.add_gate(GateType::Not, "g", {a});
   const NodeId o = nl.add_gate(GateType::Buf, "o", {a});
   nl.mark_output(o);
   for (const FaultSimMode mode : {FaultSimMode::Event, FaultSimMode::Packed}) {
-    Netlist work = nl;
-    const auto backend = make_fault_sim_backend(work, mode);
+    const auto backend = make_fault_sim_backend(nl, mode);
     backend->set_patterns(exhaustive_patterns(1));
-    const std::uint64_t epoch0 = backend->context().structure_epoch();
     EXPECT_FALSE(backend->po_reachable(g)) << backend->name();
     EXPECT_FALSE(backend->detects(Fault{g, StuckAt::Zero}))
         << backend->name();
 
-    // Pattern swaps must reuse the cached static analyses.
     backend->set_patterns(exhaustive_patterns(1));
-    EXPECT_EQ(backend->context().structure_epoch(), epoch0)
-        << backend->name();
     EXPECT_GT(backend->context().pattern_epoch(), 1u) << backend->name();
+    EXPECT_FALSE(backend->po_reachable(g)) << backend->name();
+    EXPECT_TRUE(backend->detects(Fault{o, StuckAt::Zero})) << backend->name();
+  }
+}
 
-    work.mark_output(g);
-    backend->resync_structure();
-    backend->set_patterns(exhaustive_patterns(1));
-    EXPECT_GT(backend->context().structure_epoch(), epoch0)
-        << backend->name();
-    EXPECT_TRUE(backend->po_reachable(g)) << backend->name();
-    EXPECT_TRUE(backend->detects(Fault{g, StuckAt::Zero})) << backend->name();
+TEST(FaultBackend, DropSimRejectsMismatchedFlags) {
+  // drop_sim reads and sets detected[i] for every fault: a flag vector of
+  // another length is refused, naming both sizes, before any flag is read.
+  const Netlist nl = gen_c17();
+  const std::vector<Fault> faults = fault_universe(nl);
+  for (const FaultSimMode mode :
+       {FaultSimMode::Event, FaultSimMode::Packed, FaultSimMode::Auto}) {
+    const auto backend = make_fault_sim_backend(nl, mode);
+    backend->set_patterns(exhaustive_patterns(nl.inputs().size()));
+    for (const std::size_t n : {faults.size() / 2, faults.size() + 1}) {
+      std::vector<bool> flags(n, false);
+      try {
+        backend->drop_sim(faults, flags);
+        ADD_FAILURE() << backend->name() << ": no throw for " << n
+                      << " flags";
+      } catch (const std::invalid_argument& e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("has " + std::to_string(n) + " flags"),
+                  std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find("for " + std::to_string(faults.size()) + " faults"),
+                  std::string::npos)
+            << msg;
+      }
+      EXPECT_EQ(flags, std::vector<bool>(n, false)) << backend->name();
+    }
+  }
+}
+
+TEST(FaultBackend, WidePatternSetMatchesReference) {
+  // A pattern set wider than one stripe: the good machine comes out of a
+  // stripe-major run and is gathered into slot rows. Both engines' detection
+  // matrices must still equal independent reference fault injection.
+  const Netlist nl = test::random_full_alphabet(29, 2000);
+  const EvalPlan plan(nl);
+  const std::size_t words = plan.block_words(1u << 20) * 2 + 3;
+  ASSERT_LT(plan.block_words(words), words);
+  const PatternSet ps =
+      random_patterns(nl.inputs().size(), 64 * words - 5, 0x3F5);
+  const std::vector<Fault> universe = fault_universe(nl);
+  std::vector<Fault> faults;
+  for (std::size_t i = 0; i < universe.size(); i += universe.size() / 16) {
+    faults.push_back(universe[i]);
+  }
+  std::vector<std::vector<std::uint64_t>> want;
+  std::size_t detected = 0;
+  for (const Fault& f : faults) {
+    want.push_back(test::reference_detection_bits(nl, ps, f));
+    for (const std::uint64_t w : want.back()) {
+      if (w) { ++detected; break; }
+    }
+  }
+  EXPECT_GT(detected, 0u);
+  const auto ctx = std::make_shared<FaultSimContext>(nl);
+  ctx->set_patterns(ps);
+  for (const FaultSimMode mode : {FaultSimMode::Event, FaultSimMode::Packed}) {
+    const auto backend = make_fault_sim_backend(ctx, mode);
+    const auto matrix = backend->detection_matrix(faults);
+    ASSERT_EQ(matrix.size(), faults.size());
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      EXPECT_EQ(matrix[i], want[i]) << backend->name() << " fault " << i;
+    }
   }
 }
 
 TEST(TestGen, AtpgBitIdenticalAcrossBackends) {
   // The full ATPG flow (bootstrap grading, compaction, PODEM dropping) must
   // produce the same pattern set, golden responses and coverage counters no
-  // matter which fault-simulation backend runs it, and its golden responses
-  // must be what the reference evaluator computes.
+  // matter which fault-simulation backend set_fault_sim_mode selects, and
+  // its golden responses must be what the reference evaluator computes.
   const Netlist nl = make_benchmark("c880");
   TestGenOptions opt;
   opt.random_patterns = 64;
   opt.max_patterns = 64;
 
-  opt.fault_mode = FaultSimMode::Event;
-  const DefenderTestSet base = generate_atpg_tests(nl, opt);
+  const DefenderTestSet base = [&] {
+    const test::FaultModeGuard event(static_cast<int>(FaultSimMode::Event));
+    return generate_atpg_tests(nl, opt);
+  }();
   EXPECT_TRUE(BitSimulator::responses_equal(
       base.golden, reference_outputs(nl, base.patterns)));
-  const auto expect_same = [&](const DefenderTestSet& ts,
-                               const std::string& label) {
+  for (const FaultSimMode mode : {FaultSimMode::Packed, FaultSimMode::Auto}) {
+    const test::FaultModeGuard guard(static_cast<int>(mode));
+    const DefenderTestSet ts = generate_atpg_tests(nl, opt);
+    const std::string label = "mode=" + std::string(to_string(mode));
     EXPECT_EQ(ts.patterns.num_patterns(), base.patterns.num_patterns())
         << label;
     EXPECT_TRUE(BitSimulator::responses_equal(ts.patterns, base.patterns))
@@ -545,17 +603,7 @@ TEST(TestGen, AtpgBitIdenticalAcrossBackends) {
     EXPECT_EQ(ts.coverage.detected, base.coverage.detected) << label;
     EXPECT_EQ(ts.untestable, base.untestable) << label;
     EXPECT_EQ(ts.aborted, base.aborted) << label;
-  };
-  for (const FaultSimMode mode : {FaultSimMode::Packed, FaultSimMode::Auto}) {
-    opt.fault_mode = mode;
-    expect_same(generate_atpg_tests(nl, opt),
-                "mode=" + std::string(to_string(mode)));
   }
-  // The process-wide set_fault_sim_mode override must reach the flow when
-  // the options leave the mode at Auto.
-  opt.fault_mode = FaultSimMode::Auto;
-  const test::FaultModeGuard packed(2);
-  expect_same(generate_atpg_tests(nl, opt), "process override");
 }
 
 TEST(FaultSimEngine, DffBlocksPropagationLikeBitSimulator) {

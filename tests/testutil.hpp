@@ -4,6 +4,8 @@
 #pragma once
 
 #include <cstdint>
+#include <iterator>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -86,6 +88,42 @@ inline std::vector<NodeId> add_inputs(Netlist& nl, int n,
     ins.push_back(nl.add_input(prefix + std::to_string(i)));
   }
   return ins;
+}
+
+// Random netlist over the full combinational alphabet: Buf/Not (arity 1),
+// the four AND/OR families and XOR/XNOR at arities 2..8, MUX, and both tie
+// cells feeding real logic — the edge shapes the plan compiler specializes.
+inline Netlist random_full_alphabet(std::uint64_t seed, int num_gates) {
+  std::mt19937_64 rng(seed);
+  Netlist nl("rand_" + std::to_string(seed));
+  std::vector<NodeId> pool;
+  for (int i = 0; i < 6; ++i) {
+    pool.push_back(nl.add_input("i" + std::to_string(i)));
+  }
+  pool.push_back(nl.const_node(false));
+  pool.push_back(nl.const_node(true));
+  const auto pick = [&] { return pool[rng() % pool.size()]; };
+  static constexpr GateType kTypes[] = {
+      GateType::Buf, GateType::Not,  GateType::And, GateType::Nand,
+      GateType::Or,  GateType::Nor,  GateType::Xor, GateType::Xnor,
+      GateType::Mux};
+  for (int g = 0; g < num_gates; ++g) {
+    const GateType t = kTypes[rng() % std::size(kTypes)];
+    std::vector<NodeId> fi;
+    if (t == GateType::Buf || t == GateType::Not) {
+      fi = {pick()};
+    } else if (t == GateType::Mux) {
+      fi = {pick(), pick(), pick()};
+    } else {
+      const std::size_t arity = 2 + rng() % 7;  // 2..8
+      for (std::size_t k = 0; k < arity; ++k) fi.push_back(pick());
+    }
+    pool.push_back(nl.add_gate(t, "g" + std::to_string(g), fi));
+  }
+  for (std::size_t k = 0; k < 8 && k < pool.size(); ++k) {
+    nl.mark_output(pool[pool.size() - 1 - k]);
+  }
+  return nl;
 }
 
 // Minimal two-gate netlist: h = NOT(g), g = AND(a, b), output h.

@@ -617,7 +617,8 @@ TEST(ValuesLayout, CleanLayoutsPass) {
   const Netlist nl = make_benchmark("c880");
   auto plan = std::make_shared<EvalPlan>(nl);
   EXPECT_TRUE(check_values_layout(NodeValues(plan, 64)).ok());
-  const NodeValues striped(plan, 4096, ValueLayout::Striped);
+  const NodeValues striped(plan, 4096);
+  ASSERT_TRUE(striped.striped());
   EXPECT_TRUE(check_values_layout(striped).ok());
 }
 
