@@ -14,8 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "atpg/fault_sim.hpp"
 #include "atpg/fault_sim_backend.hpp"
-#include "atpg/fault_sim_engine.hpp"
 #include "atpg/test_set.hpp"
 #include "campaign/driver.hpp"
 #include "core/flow_engine.hpp"
@@ -155,21 +155,24 @@ void BM_FaultSimulation(benchmark::State& state) {
   const auto faults = tz::collapse_faults(nl, tz::fault_universe(nl));
   const tz::PatternSet ps = tz::random_patterns(nl.inputs().size(), 64, 3);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(tz::fault_simulate(nl, faults, ps));
+    benchmark::DoNotOptimize(tz::grade_patterns(nl, faults, ps));
   }
   state.SetItemsProcessed(state.iterations() * faults.size());
 }
 BENCHMARK(BM_FaultSimulation);
 
 // Engine reuse: good machine and static analyses amortised over iterations,
-// the steady-state cost of grading inside a salvage/ATPG loop.
+// the steady-state cost of grading inside a salvage/ATPG loop (one drop_sim
+// from all-false flags per iteration on the event engine).
 void BM_FaultSimEngineReuse(benchmark::State& state) {
   const tz::Netlist& nl = circuit("c880");
   const auto faults = tz::collapse_faults(nl, tz::fault_universe(nl));
   const tz::PatternSet ps = tz::random_patterns(nl.inputs().size(), 64, 3);
-  tz::FaultSimEngine engine(nl, ps);
+  const auto engine = tz::make_fault_sim_backend(nl, tz::FaultSimMode::Event);
+  engine->set_patterns(ps);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.simulate(faults));
+    std::vector<bool> detected(faults.size(), false);
+    benchmark::DoNotOptimize(engine->drop_sim(faults, detected));
   }
   state.SetItemsProcessed(state.iterations() * faults.size());
 }
@@ -201,7 +204,8 @@ void BM_FaultSimPacked100k(benchmark::State& state, tz::FaultSimMode mode) {
   const auto backend = tz::make_fault_sim_backend(nl, mode);
   backend->set_patterns(ps);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(backend->simulate(faults));
+    std::vector<bool> detected(faults.size(), false);
+    benchmark::DoNotOptimize(backend->drop_sim(faults, detected));
   }
   state.SetItemsProcessed(state.iterations() * faults.size());
   state.SetLabel(std::string(backend->name()));
@@ -219,12 +223,12 @@ void BM_FaultSimDropSim(benchmark::State& state) {
   const tz::Netlist& nl = circuit("c880");
   const auto faults = tz::collapse_faults(nl, tz::fault_universe(nl));
   const tz::PatternSet ps = tz::random_patterns(nl.inputs().size(), 64, 3);
-  tz::FaultSimEngine engine(nl);
+  const auto engine = tz::make_fault_sim_backend(nl, tz::FaultSimMode::Event);
   for (auto _ : state) {
     std::vector<bool> detected(faults.size(), false);
     for (std::size_t p = 0; p < ps.num_patterns(); ++p) {
-      engine.set_patterns(ps.slice(p, 1));
-      benchmark::DoNotOptimize(engine.drop_sim(faults, detected));
+      engine->set_patterns(ps.slice(p, 1));
+      benchmark::DoNotOptimize(engine->drop_sim(faults, detected));
     }
   }
   state.SetItemsProcessed(state.iterations() * faults.size());
@@ -511,7 +515,7 @@ BENCHMARK_CAPTURE(BM_InsertTrojan, c6288, "c6288", 0.0,
                                        .rare_p1 = 0.25})
     ->Unit(benchmark::kMillisecond);
 // Insertion into wallace48's salvaged slack, where dummy balancing may
-// commit up to max_dummy_gates (256) gates, each judged on the tracker's
+// commit up to kMaxDummyGates (256) gates, each judged on the tracker's
 // totals.
 BENCHMARK_CAPTURE(BM_InsertTrojan, wallace48, "wallace48", 0.99,
                   tz::InsertionOptions{.library = {tz::counter_trojan(3),

@@ -6,29 +6,15 @@
 
 namespace tz {
 
-bool detects(const Netlist& nl, const Fault& f, const PatternSet& patterns) {
-  const auto backend = make_fault_sim_backend(nl);
-  backend->set_patterns(patterns);
-  return backend->detects(f);
-}
-
-std::vector<bool> fault_simulate(const Netlist& nl,
-                                 const std::vector<Fault>& faults,
-                                 const PatternSet& patterns) {
-  const auto backend = make_fault_sim_backend(nl);
-  backend->set_patterns(patterns);
-  return backend->simulate(faults);
-}
-
 CoverageReport grade_patterns(const Netlist& nl,
                               const std::vector<Fault>& faults,
                               const PatternSet& patterns) {
-  const std::vector<bool> det = fault_simulate(nl, faults, patterns);
+  const auto backend = make_fault_sim_backend(nl);
+  backend->set_patterns(patterns);
+  std::vector<bool> detected(faults.size(), false);
   CoverageReport r;
   r.total_faults = faults.size();
-  for (bool d : det) {
-    if (d) ++r.detected;
-  }
+  r.detected = backend->drop_sim(faults, detected);
   return r;
 }
 

@@ -1,14 +1,13 @@
-// Bit-parallel stuck-at fault simulation — convenience wrappers.
+// Bit-parallel stuck-at fault simulation — one-shot wrappers.
 //
 // Simulates the faulty machine for each fault over 64 patterns per word and
-// compares primary outputs against the good machine. Used to grade pattern
-// sets (fault coverage), to drop detected faults during ATPG, and by tests
-// to prove the defender's patterns still detect all testable faults after a
-// TrojanZero insertion. Each call routes through make_fault_sim_backend
+// compares primary outputs against the good machine: coverage grading and
+// the per-pattern detection matrix behind static compaction. Each call
+// builds a backend through make_fault_sim_backend
 // (atpg/fault_sim_backend.hpp), honoring FaultSimMode / set_fault_sim_mode;
 // callers simulating many pattern sets or dropping faults incrementally
-// should hold a backend (or a concrete engine) directly so the static
-// analyses and the compiled plan are reused.
+// (ATPG) hold a backend directly so the static analyses and the compiled
+// plan are reused.
 #pragma once
 
 #include <cstdint>
@@ -19,14 +18,6 @@
 #include "sim/simulator.hpp"
 
 namespace tz {
-
-/// True iff `patterns` detects fault `f` (some PO differs on some pattern).
-bool detects(const Netlist& nl, const Fault& f, const PatternSet& patterns);
-
-/// Simulate all faults; returns a parallel vector of "detected" flags.
-std::vector<bool> fault_simulate(const Netlist& nl,
-                                 const std::vector<Fault>& faults,
-                                 const PatternSet& patterns);
 
 /// Coverage = detected / total, in [0,1].
 struct CoverageReport {
@@ -39,6 +30,7 @@ struct CoverageReport {
   }
 };
 
+/// Fault coverage of `patterns` over `faults` (one drop_sim pass).
 CoverageReport grade_patterns(const Netlist& nl,
                               const std::vector<Fault>& faults,
                               const PatternSet& patterns);

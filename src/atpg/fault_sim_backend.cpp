@@ -170,12 +170,6 @@ class AutoFaultSimBackend final : public FaultSimBackend {
 
   std::string_view name() const override { return "auto"; }
 
-  bool detects(const Fault& f) override { return event().detects(f); }
-
-  std::vector<bool> simulate(std::span<const Fault> faults) override {
-    return pick(faults.size(), /*matrix=*/false).simulate(faults);
-  }
-
   std::size_t drop_sim(std::span<const Fault> faults,
                        std::vector<bool>& detected) override {
     check_drop_flags(faults, detected);

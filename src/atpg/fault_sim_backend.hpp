@@ -14,8 +14,8 @@
 //  - FaultSimContext: the static analyses (topological ranks, fanout-cone ->
 //    PO reachability) and the good-machine rows, computed once per netlist
 //    (the rows once per pattern set) and cached across backend calls;
-//  - FaultSimBackend: the abstract contract (detects / simulate / drop_sim /
-//    detection_matrix) every consumer is wired through;
+//  - FaultSimBackend: the abstract contract (drop_sim / detection_matrix,
+//    the two calls ATPG makes) every consumer is wired through;
 //  - make_fault_sim_backend: the factory, returning the concrete engine for
 //    Event/Packed or a measured auto-selector for Auto.
 #pragma once
@@ -117,12 +117,6 @@ class FaultSimBackend {
 
   virtual std::string_view name() const = 0;
 
-  /// True iff some pattern propagates fault `f` to a primary output.
-  virtual bool detects(const Fault& f) = 0;
-
-  /// Detect flags for all `faults`, parallel to the input span.
-  virtual std::vector<bool> simulate(std::span<const Fault> faults) = 0;
-
   /// Fault dropping: simulate only faults with `!detected[i]`, setting their
   /// flag once detected. Returns the number of newly detected faults.
   /// Throws std::invalid_argument unless `detected` is parallel to `faults`.
@@ -137,7 +131,6 @@ class FaultSimBackend {
   FaultSimContext& context() { return *ctx_; }
   const FaultSimContext& context() const { return *ctx_; }
   void set_patterns(const PatternSet& patterns) { ctx_->set_patterns(patterns); }
-  bool po_reachable(NodeId id) const { return ctx_->po_reachable(id); }
 
  protected:
   explicit FaultSimBackend(std::shared_ptr<FaultSimContext> ctx)

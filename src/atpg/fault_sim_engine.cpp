@@ -12,14 +12,6 @@ FaultSimEngine::FaultSimEngine(std::shared_ptr<FaultSimContext> ctx)
   worklist_.resize(ctx_->plan().num_slots());
 }
 
-FaultSimEngine::FaultSimEngine(const Netlist& nl)
-    : FaultSimEngine(std::make_shared<FaultSimContext>(nl)) {}
-
-FaultSimEngine::FaultSimEngine(const Netlist& nl, const PatternSet& patterns)
-    : FaultSimEngine(nl) {
-  set_patterns(patterns);
-}
-
 void FaultSimEngine::sync_scratch() {
   if (synced_patterns_ != ctx_->pattern_epoch()) {
     words_ = ctx_->words();
@@ -103,24 +95,6 @@ done:
   for (std::uint32_t ix : visited_) touched_[ix] = 0;
   visited_.clear();
   return any;
-}
-
-bool FaultSimEngine::detects(const Fault& f) {
-  return simulate_fault(f, /*want_bits=*/false);
-}
-
-const std::vector<std::uint64_t>& FaultSimEngine::detection_bits(
-    const Fault& f) {
-  simulate_fault(f, /*want_bits=*/true);
-  return bits_;
-}
-
-std::vector<bool> FaultSimEngine::simulate(std::span<const Fault> faults) {
-  std::vector<bool> detected(faults.size(), false);
-  for (std::size_t i = 0; i < faults.size(); ++i) {
-    detected[i] = simulate_fault(faults[i], /*want_bits=*/false);
-  }
-  return detected;
 }
 
 std::size_t FaultSimEngine::drop_sim(std::span<const Fault> faults,

@@ -17,8 +17,8 @@
 // dereferencing Node objects.
 //
 // This engine wins when fanout cones are sparse relative to the netlist; its
-// word-packed sibling (fault_sim_packed.hpp) wins on dense cones. The free
-// functions in atpg/fault_sim.hpp route through make_fault_sim_backend.
+// word-packed sibling (fault_sim_packed.hpp) wins on dense cones. Both are
+// built through make_fault_sim_backend (atpg/fault_sim_backend.hpp).
 #pragma once
 
 #include <cstdint>
@@ -38,29 +38,12 @@ namespace tz {
 
 class FaultSimEngine final : public FaultSimBackend {
  public:
-  /// Binds the netlist and runs the good machine on `patterns`. The netlist
-  /// must outlive the engine and stay structurally unchanged while in use.
-  FaultSimEngine(const Netlist& nl, const PatternSet& patterns);
-
-  /// Netlist-only construction (static analyses run, no good machine yet);
-  /// call set_patterns() before simulating any fault.
-  explicit FaultSimEngine(const Netlist& nl);
-
-  /// Shares an existing context (static analyses + good machine) instead of
-  /// building a private one — the factory/auto-selector path.
+  /// Binds a context (static analyses + good machine), possibly shared with
+  /// a sibling engine; build through make_fault_sim_backend. The context's
+  /// netlist must outlive the engine and stay structurally unchanged.
   explicit FaultSimEngine(std::shared_ptr<FaultSimContext> ctx);
 
   std::string_view name() const override { return "event"; }
-
-  /// True iff some pattern propagates fault `f` to a primary output.
-  bool detects(const Fault& f) override;
-
-  /// Per-pattern detection bitmap for `f`: bit 64w+b of word w is set iff
-  /// pattern 64w+b detects the fault. Valid until the next simulate call.
-  const std::vector<std::uint64_t>& detection_bits(const Fault& f);
-
-  /// Detect flags for all `faults`, parallel to the input span.
-  std::vector<bool> simulate(std::span<const Fault> faults) override;
 
   /// Fault dropping: simulate only faults with `!detected[i]`, setting their
   /// flag once detected. Returns the number of newly detected faults.
@@ -70,8 +53,6 @@ class FaultSimEngine final : public FaultSimBackend {
 
   std::vector<std::vector<std::uint64_t>> detection_matrix(
       std::span<const Fault> faults) override;
-
-  std::size_t num_words() const { return ctx_->words(); }
 
  private:
   /// Event-driven faulty-machine evaluation; leaves the detection bitmap in

@@ -16,15 +16,6 @@ PackedFaultSimEngine::PackedFaultSimEngine(std::shared_ptr<FaultSimContext> ctx)
       matrix_(plan_->num_slots() * kBlock, 0),
       acc_(kBlock, 0) {}
 
-PackedFaultSimEngine::PackedFaultSimEngine(const Netlist& nl)
-    : PackedFaultSimEngine(std::make_shared<FaultSimContext>(nl)) {}
-
-PackedFaultSimEngine::PackedFaultSimEngine(const Netlist& nl,
-                                           const PatternSet& patterns)
-    : PackedFaultSimEngine(nl) {
-  set_patterns(patterns);
-}
-
 void PackedFaultSimEngine::sync_scratch() {
   if (synced_patterns_ != ctx_->pattern_epoch()) {
     words_ = ctx_->words();
@@ -189,7 +180,7 @@ std::uint64_t PackedFaultSimEngine::run_batch(
 
 std::size_t PackedFaultSimEngine::run_all(
     std::span<const Fault> faults, std::vector<bool>& detected,
-    std::vector<std::vector<std::uint64_t>>* rows, bool dropping) {
+    std::vector<std::vector<std::uint64_t>>* rows) {
   sync_scratch();
   if (words_ == 0) return 0;
   std::vector<std::size_t> cand;
@@ -198,7 +189,7 @@ std::size_t PackedFaultSimEngine::run_all(
     if (!detected[i] && !screened_out(faults[i])) cand.push_back(i);
   }
   std::span<const char> dsnap;
-  if (dropping && check_enabled()) {
+  if (rows == nullptr && check_enabled()) {
     dropped_scratch_.assign(detected.begin(), detected.end());
     dsnap = dropped_scratch_;
   }
@@ -217,24 +208,10 @@ std::size_t PackedFaultSimEngine::run_all(
   return newly;
 }
 
-bool PackedFaultSimEngine::detects(const Fault& f) {
-  sync_scratch();
-  if (words_ == 0 || screened_out(f)) return false;
-  const std::size_t zero = 0;
-  return run_batch(std::span(&f, 1), std::span(&zero, 1), nullptr, {}) != 0;
-}
-
-std::vector<bool> PackedFaultSimEngine::simulate(
-    std::span<const Fault> faults) {
-  std::vector<bool> detected(faults.size(), false);
-  run_all(faults, detected, nullptr, /*dropping=*/false);
-  return detected;
-}
-
 std::size_t PackedFaultSimEngine::drop_sim(std::span<const Fault> faults,
                                            std::vector<bool>& detected) {
   check_drop_flags(faults, detected);
-  return run_all(faults, detected, nullptr, /*dropping=*/true);
+  return run_all(faults, detected, nullptr);
 }
 
 std::vector<std::vector<std::uint64_t>> PackedFaultSimEngine::detection_matrix(
@@ -243,7 +220,7 @@ std::vector<std::vector<std::uint64_t>> PackedFaultSimEngine::detection_matrix(
   std::vector<std::vector<std::uint64_t>> m(
       faults.size(), std::vector<std::uint64_t>(words_, 0));
   std::vector<bool> detected(faults.size(), false);
-  run_all(faults, detected, &m, /*dropping=*/false);
+  run_all(faults, detected, &m);
   return m;
 }
 

@@ -42,20 +42,16 @@ namespace tz {
 
 class PackedFaultSimEngine final : public FaultSimBackend {
  public:
-  PackedFaultSimEngine(const Netlist& nl, const PatternSet& patterns);
-  explicit PackedFaultSimEngine(const Netlist& nl);
+  /// Binds a context, possibly shared with a sibling engine; build through
+  /// make_fault_sim_backend.
   explicit PackedFaultSimEngine(std::shared_ptr<FaultSimContext> ctx);
 
   std::string_view name() const override { return "packed"; }
 
-  bool detects(const Fault& f) override;
-  std::vector<bool> simulate(std::span<const Fault> faults) override;
   std::size_t drop_sim(std::span<const Fault> faults,
                        std::vector<bool>& detected) override;
   std::vector<std::vector<std::uint64_t>> detection_matrix(
       std::span<const Fault> faults) override;
-
-  std::size_t num_words() const { return ctx_->words(); }
 
  private:
   /// 64 patterns per block: each slot row is 64 words, one word of fault
@@ -80,13 +76,14 @@ class PackedFaultSimEngine final : public FaultSimBackend {
                           std::vector<std::vector<std::uint64_t>>* rows,
                           std::span<const char> dropped);
 
-  /// Shared screen + batch loop behind simulate/drop_sim/detection_matrix:
-  /// simulates every fault with `!detected[i]`, setting flags (and matrix
-  /// rows when `rows`). Returns the number of newly detected faults.
+  /// Shared screen + batch loop behind drop_sim/detection_matrix: simulates
+  /// every fault with `!detected[i]`, setting flags (and matrix rows when
+  /// `rows`). Without `rows` the call is drop_sim, whose flags feed the
+  /// TZ_CHECK bijection invariant. Returns the number of newly detected
+  /// faults.
   std::size_t run_all(std::span<const Fault> faults,
                       std::vector<bool>& detected,
-                      std::vector<std::vector<std::uint64_t>>* rows,
-                      bool dropping);
+                      std::vector<std::vector<std::uint64_t>>* rows);
 
   const EvalPlan* plan_;  ///< the packed evaluation plan
   std::uint64_t synced_patterns_ = 0;

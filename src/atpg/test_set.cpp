@@ -10,12 +10,18 @@
 
 namespace tz {
 
+namespace {
+
+/// Seed of the FaultOrder::Shuffled permutation.
+constexpr std::uint64_t kFaultOrderSeed = 7;
+
+}  // namespace
+
 DefenderTestSet generate_atpg_tests(const Netlist& nl,
                                     const TestGenOptions& opt) {
   DefenderTestSet ts;
   ts.name = "atpg-stuck-at";
-  std::vector<Fault> faults = fault_universe(nl);
-  if (opt.collapse) faults = collapse_faults(nl, faults);
+  const std::vector<Fault> faults = collapse_faults(nl, fault_universe(nl));
   ts.coverage.total_faults = faults.size();
 
   // One fault-simulation backend serves both phases: the static netlist
@@ -58,7 +64,7 @@ DefenderTestSet generate_atpg_tests(const Netlist& nl,
   std::vector<std::size_t> order(faults.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   if (opt.fault_order == TestGenOptions::FaultOrder::Shuffled) {
-    std::mt19937_64 shuffle_rng(opt.fault_order_seed);
+    std::mt19937_64 shuffle_rng(kFaultOrderSeed);
     std::shuffle(order.begin(), order.end(), shuffle_rng);
   } else {
     // Testability-first: sort by descending excitation probability of the

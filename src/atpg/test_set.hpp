@@ -18,11 +18,12 @@
 
 namespace tz {
 
+/// Knobs of the defender's ATPG. The fault list is always the collapsed
+/// stuck-at universe.
 struct TestGenOptions {
   std::size_t random_patterns = 128;  ///< Bootstrap phase size.
   std::uint64_t seed = 0xA7Cu;
   PodemOptions podem = {};
-  bool collapse = true;               ///< Apply fault collapsing first.
   /// Deterministic-phase stop condition. Production test programs trade
   /// coverage against pattern count and tester time; TrojanZero's premise
   /// (an unstated assumption of the paper) is that the defender's set is
@@ -38,10 +39,10 @@ struct TestGenOptions {
   /// testability-guided production ATPG: faults whose site signal
   /// probability makes them easy to excite are targeted first, so a coverage/pattern budget is exhausted before
   /// the rarely-excited faults — the precise gap Algorithm 1 exploits.
-  /// Shuffled is the defender-strength ablation (uniformly random order).
+  /// Shuffled is the defender-strength ablation (uniformly random order
+  /// from a fixed seed).
   enum class FaultOrder { TestabilityFirst, Shuffled } fault_order =
       FaultOrder::TestabilityFirst;
-  std::uint64_t fault_order_seed = 7;  ///< Used by FaultOrder::Shuffled.
   // ---- suite composition (the defender's q algorithms) ----
   bool with_random_validation = true;   ///< Bespoke random vectors.
   std::size_t validation_patterns = 128;

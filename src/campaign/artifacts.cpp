@@ -30,13 +30,11 @@ std::string testgen_fingerprint(const TestGenOptions& opt) {
   fp += "rp=" + std::to_string(opt.random_patterns);
   fp += ",seed=" + std::to_string(opt.seed);
   fp += ",bt=" + std::to_string(opt.podem.backtrack_limit);
-  fp += ",col=" + std::string(opt.collapse ? "1" : "0");
   fp += ",cov=";
   append_number(fp, opt.coverage_target);
   fp += ",mp=" + std::to_string(opt.max_patterns);
   fp += ",ord=";
   fp += opt.fault_order == TestGenOptions::FaultOrder::Shuffled ? "s" : "t";
-  fp += ",os=" + std::to_string(opt.fault_order_seed);
   fp += ",rv=" + std::string(opt.with_random_validation ? "1" : "0");
   fp += ",vp=" + std::to_string(opt.validation_patterns);
   fp += ",wk=" + std::string(opt.with_walking ? "1" : "0");
@@ -55,7 +53,6 @@ ArtifactKeys artifact_keys(const std::string& circuit,
   append_number(keys.salvage, salvage.pth);
   keys.salvage +=
       salvage.order == SalvageOptions::Order::ByLeakage ? ",ord=l" : ",ord=p";
-  keys.salvage += salvage.include_outputs ? ",out=1" : ",out=0";
   return keys;
 }
 

@@ -21,7 +21,7 @@
 //    clones the oracle copy-on-write (SuiteOracle's seeded constructor
 //    deep-copies the plan and rows; the shared entry is never mutated).
 //
-//  - Salvage tier (keyed by suite key + Pth + visit order + include_outputs):
+//  - Salvage tier (keyed by suite key + Pth + visit order):
 //    Algorithm 1's SalvageResult, N' plus its records, built once through
 //    FlowEngine::salvage on the suite tier. The HT shape only enters
 //    Algorithm 2, so jobs that differ in counter bits or trigger width share

@@ -110,6 +110,7 @@ CampaignGrid CampaignGrid::from_json(const Json& j) {
   if (const Json* v = j.find("defenders")) {
     g.defenders.clear();
     for (const Json& d : v->as_array()) {
+      defender_testgen(d.as_string());  // throws on an unknown name
       g.defenders.push_back(d.as_string());
     }
   }

@@ -185,21 +185,26 @@ std::string JobSpec::id() const {
   return id;
 }
 
-TestGenOptions JobSpec::testgen() const {
-  const JobSpec r = resolved();
+TestGenOptions defender_testgen(const std::string& defender) {
   TestGenOptions t;
-  if (r.defender == "atpg") {
+  if (defender == "atpg") {
     t = FlowOptions::atpg_only_defender();
-  } else if (r.defender == "atpg+rand") {
+  } else if (defender == "atpg+rand") {
     t.with_random_validation = true;
     t.with_walking = false;
-  } else if (r.defender == "full") {
+  } else if (defender == "full") {
     t.with_random_validation = true;
     t.with_walking = true;
   } else {
-    throw std::runtime_error("JobSpec: unknown defender config '" +
-                             r.defender + "'");
+    throw std::runtime_error("unknown defender config '" + defender +
+                             "' (not atpg, atpg+rand or full)");
   }
+  return t;
+}
+
+TestGenOptions JobSpec::testgen() const {
+  const JobSpec r = resolved();
+  TestGenOptions t = defender_testgen(r.defender);
   t.seed = r.seed;
   return t;
 }

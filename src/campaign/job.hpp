@@ -67,6 +67,11 @@ struct JobSpec {
   static JobSpec from_json(const Json& j);
 };
 
+/// The defender suite configuration named `defender` ("atpg", "atpg+rand"
+/// or "full"), seed left at its default. Throws std::runtime_error naming
+/// any other name; the one list of defender names.
+TestGenOptions defender_testgen(const std::string& defender);
+
 /// Run one flow job against shared artifacts. Pure: reads `arts` const-only
 /// (the oracle seed is deep-copied by the engine; N, the suite and a shared
 /// salvage result are read in place and feed the engine and insertion by

@@ -80,7 +80,7 @@ void SuiteOracle::clone_from(const SuiteOracle& seed) {
   golden_ = seed.golden_;
   recorded_po_ = seed.recorded_po_;
   rank_ = seed.rank_;
-  // The plan is patched in place by resync_structure, so every clone gets
+  // The plan is patched in place by apply_tie, so every clone gets
   // its own deep copy; the seed's plan stays pristine for the next job.
   plan_ = std::make_shared<EvalPlan>(*seed.plan_);
 }
@@ -235,63 +235,57 @@ bool SuiteOracle::tie_visible(NodeId target, bool value) {
   return any;
 }
 
-void SuiteOracle::commit_tie(NodeId target, bool value) {
-  MutexLock lk(structure_mu_);
-  grow();
-  // The structural tie_to_constant follows this call; remember the target so
-  // resync_structure() can patch the plan (reader fanins, swept cone).
-  pending_ties_.push_back(target);
-  ensure_scratch();
-  if (words_ == 0) return;
-  if (!seed_tie(target, value)) return;
-  if (!propagate()) {
-    // Invisible as promised: fold the deviating rows into the cache so later
-    // candidates are judged against the updated netlist.
-    for (SlotId id : visited_) {
-      std::copy(scratch_row(id), scratch_row(id) + words_,
-                rows_.data() + static_cast<std::size_t>(id) * words_);
-    }
+TieResult SuiteOracle::apply_tie(Netlist& work, NodeId target, bool value) {
+  if (&work != nl_) {
+    throw std::invalid_argument(
+        "SuiteOracle::apply_tie: the netlist is not the one the oracle is "
+        "bound to");
   }
-  clear_marks();
-}
-
-void SuiteOracle::resync_structure() {
-  MutexLock lk(structure_mu_);
   grow();
-  // Incremental plan patch for the ties committed since the last resync:
-  // the netlist now reads the tie cell (appended as a source slot by
-  // grow()) wherever it read the target, and the target plus its
-  // newly-unread fanin cone were swept. Rewrite the recorded readers'
-  // fanin CSR rows in place and tombstone the dead region — exactly the
-  // structure a from-scratch recompile would produce, without paying for
-  // one per committed candidate.
-  for (NodeId target : pending_ties_) {
-    const SlotId ts = plan_->slot_of(target);
-    // The fanout CSR still records the pre-tie readers of the target.
-    for (SlotId r : plan_->fanout(ts)) {
-      if (plan_->op(r) != EvalOp::Dead &&
-          nl_->is_alive(plan_->node_of(r))) {
-        plan_->refresh_fanins(r, *nl_);
+  ensure_scratch();
+  if (words_ != 0 && seed_tie(target, value)) {
+    if (!propagate()) {
+      // Invisible as promised: fold the deviating rows into the cache so
+      // later candidates are judged against the updated netlist.
+      for (SlotId id : visited_) {
+        std::copy(scratch_row(id), scratch_row(id) + words_,
+                  rows_.data() + static_cast<std::size_t>(id) * words_);
       }
     }
-    // The swept cone is the transitive fanin region of the target that
-    // lost its last reader: walk fanin edges from the target, tombstoning
-    // every node the sweep removed, and stop at survivors.
-    std::vector<SlotId> stack{ts};
-    while (!stack.empty()) {
-      const SlotId s = stack.back();
-      stack.pop_back();
-      if (plan_->op(s) == EvalOp::Dead) continue;
-      if (nl_->is_alive(plan_->node_of(s))) continue;
-      for (SlotId f : plan_->fanins(s)) stack.push_back(f);
-      plan_->kill(s);
+    clear_marks();
+  }
+  const TieResult tie = tie_to_constant(work, target, value);
+  grow();
+  // Incremental plan patch: the netlist now reads the tie cell (appended as
+  // a source slot by grow()) wherever it read the target, and the target
+  // plus its newly-unread fanin cone were swept. Rewrite the recorded
+  // readers' fanin CSR rows in place and tombstone the dead region —
+  // exactly the structure a from-scratch recompile would produce, without
+  // paying for one per committed candidate.
+  const SlotId ts = plan_->slot_of(target);
+  // The fanout CSR still records the pre-tie readers of the target.
+  for (SlotId r : plan_->fanout(ts)) {
+    if (plan_->op(r) != EvalOp::Dead && nl_->is_alive(plan_->node_of(r))) {
+      plan_->refresh_fanins(r, *nl_);
     }
   }
-  pending_ties_.clear();
-  // A tie that retargeted a primary output leaves the compiled output
-  // list pointing at the old driver's slot.
+  // The swept cone is the transitive fanin region of the target that lost
+  // its last reader: walk fanin edges from the target, tombstoning every
+  // node the sweep removed, and stop at survivors.
+  std::vector<SlotId> stack{ts};
+  while (!stack.empty()) {
+    const SlotId s = stack.back();
+    stack.pop_back();
+    if (plan_->op(s) == EvalOp::Dead) continue;
+    if (nl_->is_alive(plan_->node_of(s))) continue;
+    for (SlotId f : plan_->fanins(s)) stack.push_back(f);
+    plan_->kill(s);
+  }
+  // A tie that retargeted a primary output leaves the compiled output list
+  // pointing at the old driver's slot.
   plan_->refresh_outputs(*nl_);
   recorded_po_ = nl_->outputs();
+  return tie;
 }
 
 bool SuiteOracle::payload_fires(std::span<const NodeId> trigger_nets,
@@ -365,8 +359,7 @@ SalvageResult FlowEngine::salvage(const SalvageOptions& opt) {
 
   Netlist work = original_->compact();
   const SignalProb sp(work);
-  std::vector<Candidate> cands =
-      find_candidates(work, sp, opt.pth, opt.include_outputs);
+  std::vector<Candidate> cands = find_candidates(work, sp, opt.pth);
   result.candidates = cands.size();
 
   if (opt.order == SalvageOptions::Order::ByLeakage) {
@@ -403,11 +396,9 @@ SalvageResult FlowEngine::salvage(const SalvageOptions& opt) {
       ++result.rejected;
       continue;
     }
-    // Invisible: fold the tie into the cache, then into the netlist.
+    // Invisible: fold the tie into the cache, the netlist and the plan.
     const std::string name = work.node(c.node).name;
-    oracle.commit_tie(c.node, c.tie_value);
-    const TieResult tie = tie_to_constant(work, c.node, c.tie_value);
-    oracle.resync_structure();
+    const TieResult tie = oracle.apply_tie(work, c.node, c.tie_value);
     if (chk) verify_or_throw(work, oracle.plan(), "salvage commit", nopt);
     result.accepted.push_back(
         {name, c.tie_value, c.probability, tie.gates_removed});
@@ -475,8 +466,7 @@ bool caps_ok(const PowerReport& p, const PowerReport& threshold) {
 }  // namespace
 
 std::size_t balance_with_dummies(Netlist& nl, PowerTracker& tracker,
-                                 const PowerReport& threshold,
-                                 const InsertionOptions& opt) {
+                                 const PowerReport& threshold) {
   std::size_t added = 0;
   if (nl.inputs().empty()) return 0;
   struct MenuItem {
@@ -502,16 +492,16 @@ std::size_t balance_with_dummies(Netlist& nl, PowerTracker& tracker,
   // totals() re-sums every row; after the first iteration the committed
   // trial's totals are the same doubles, so they are carried over.
   PowerReport now = tracker.totals();
-  while (added < opt.max_dummy_gates) {
+  while (added < kMaxDummyGates) {
     const double dp = threshold.total_uw() - now.total_uw();
     const double dl = threshold.leakage_uw - now.leakage_uw;
     const double da = threshold.area_ge - now.area_ge;
-    const bool power_ok = dp <= opt.power_slack_rel * threshold.total_uw();
-    const bool leak_ok = dl <= opt.power_slack_rel * threshold.leakage_uw;
-    const bool area_ok = da <= opt.area_slack_rel * threshold.area_ge;
+    const bool power_ok = dp <= kPowerSlackRel * threshold.total_uw();
+    const bool leak_ok = dl <= kPowerSlackRel * threshold.leakage_uw;
+    const bool area_ok = da <= kAreaSlackRel * threshold.area_ge;
     if (power_ok && leak_ok && area_ok) break;
     const bool want_dynamic =
-        (dp - dl) > 0.5 * opt.power_slack_rel * threshold.total_uw();
+        (dp - dl) > 0.5 * kPowerSlackRel * threshold.total_uw();
     const auto& menu = want_dynamic ? kDynamicMenu : kLeakageMenu;
     bool placed = false;
     for (const MenuItem& item : menu) {
@@ -558,7 +548,7 @@ InsertionResult FlowEngine::insert(const SalvageResult& salvaged,
   Netlist work = salvaged.modified;
   const SignalProb sp(work);
   const std::vector<NodeId> locations =
-      payload_locations(work, opt.max_locations);
+      payload_locations(work, kMaxPayloadLocations);
   const std::vector<NodeId> rare = rare_net_list(work, sp, opt.rare_p1);
   SuiteOracle oracle(work, *suite_);
   PowerTracker tracker(work, *pm_);
@@ -646,7 +636,7 @@ InsertionResult FlowEngine::insert(const SalvageResult& salvaged,
     }
     tracker.commit();
     const std::size_t dummies =
-        balance_with_dummies(work, tracker, result.threshold, opt);
+        balance_with_dummies(work, tracker, result.threshold);
     if (chk) verify_or_throw(work, nullptr, "insertion commit", nopt);
 
     result.success = true;

@@ -47,24 +47,25 @@
 #include "sim/rank_worklist.hpp"
 #include "tech/power_model.hpp"
 #include "tech/power_tracker.hpp"
-#include "util/thread_safety.hpp"
 
 namespace tz {
 
 /// Cached-row defender oracle over one combinational work netlist. The
-/// netlist must stay owned by the caller; structural edits are reported
-/// through the tie/commit API. Construction throws std::invalid_argument on
-/// a netlist with DFFs or a test set whose width does not match its
-/// inputs/outputs. The only DFFs in the flow are the inserted HT's counter,
-/// which ht_visible replays.
+/// netlist must stay owned by the caller; an accepted tie is applied through
+/// apply_tie so the rows and the plan follow the edit. Construction throws
+/// std::invalid_argument on a netlist with DFFs or a test set whose width
+/// does not match its inputs/outputs. The only DFFs in the flow are the
+/// inserted HT's counter, which ht_visible replays.
 ///
 /// The oracle indexes sim/eval_plan.hpp slots: cached rows are slot-major,
 /// slot ids double as topological ranks and the fused cone pass evaluates
-/// through the plan's arity-specialized kernels. resync_structure() patches
-/// the plan incrementally for committed ties and rolled-back HT/dummy ranges
-/// (append the tie cell as a source slot, rewrite the readers' fanin CSR in
-/// place, tombstone the swept cone), so per-candidate judging never
-/// recompiles the plan.
+/// through the plan's arity-specialized kernels. apply_tie() patches the
+/// plan incrementally for each committed tie (append the tie cell as a
+/// source slot, rewrite the readers' fanin CSR in place, tombstone the swept
+/// cone), so per-candidate judging never recompiles the plan.
+///
+/// An oracle is private to one job and not thread-safe; a shared seed is
+/// only read, through the const seeded constructor.
 class SuiteOracle {
  public:
   SuiteOracle(const Netlist& nl, const DefenderSuite& suite);
@@ -75,7 +76,7 @@ class SuiteOracle {
   /// golden responses and compiled plan are cloned from it instead of
   /// re-simulating the whole suite — the copy-on-write handoff from a shared
   /// per-circuit artifact into this job's mutable flow. The clone deep-copies
-  /// the plan (resync_structure patches it in place) and all row caches, so
+  /// the plan (apply_tie patches it in place) and all row caches, so
   /// the seed stays const and may be shared by any number of concurrent
   /// clones. Falls back to the full build when the seed does not match or is
   /// null.
@@ -106,16 +107,14 @@ class SuiteOracle {
   bool ht_visible(std::span<const NodeId> trigger_nets, int counter_bits,
                   NodeId victim);
 
-  /// Fold an accepted (invisible) tie into the cached rows. Call before the
-  /// structural tie_to_constant, then resync_structure() after it.
-  void commit_tie(NodeId target, bool value);
-
-  /// Refresh structural bookkeeping (node capacity, output drivers) after
-  /// the caller mutated the netlist with a committed edit.
-  void resync_structure();
+  /// Commit an accepted (invisible) tie: fold it into the cached rows, apply
+  /// tie_to_constant to `work` and patch the plan for the rewired readers
+  /// and the swept cone. Throws std::invalid_argument unless `work` is the
+  /// netlist the oracle is bound to.
+  TieResult apply_tie(Netlist& work, NodeId target, bool value);
 
   /// The compiled plan the oracle judges through, patched in place by
-  /// resync_structure(). FlowEngine hands it to PlanChecker at every commit
+  /// apply_tie(). FlowEngine hands it to PlanChecker at every commit
   /// boundary under TZ_CHECK.
   const EvalPlan* plan() const { return plan_.get(); }
 
@@ -171,11 +170,6 @@ class SuiteOracle {
   std::vector<std::uint64_t> rows_;    ///< row-index-major fused cache
   std::vector<std::uint64_t> golden_;  ///< output-major fused expected rows
   std::vector<NodeId> recorded_po_;    ///< outputs() as of the cached state
-  /// Serialises the structure phase (commit_tie/resync_structure) against
-  /// itself.
-  Mutex structure_mu_;
-  /// Committed ties awaiting plan patch.
-  std::vector<NodeId> pending_ties_ TZ_GUARDED_BY(structure_mu_);
   std::vector<std::uint32_t> rank_;    ///< identity over slots
 
   // Per-call scratch of the judging API: the rank worklist, forced and
@@ -240,11 +234,11 @@ class FlowEngine {
 
 /// Greedy dummy-gate balancing on tracker deltas (paper Sec. IV-4). Adds
 /// unconnected-output gates until every remaining differential sits inside
-/// the slack band, never letting any of total/dynamic/leakage power or area
-/// exceed `threshold`. The tracker must be synced to `nl` and not be inside
-/// a transaction. Returns the number of gates added.
+/// the slack band (kPowerSlackRel / kAreaSlackRel, at most kMaxDummyGates
+/// gates), never letting any of total/dynamic/leakage power or area exceed
+/// `threshold`. The tracker must be synced to `nl` and not be inside a
+/// transaction. Returns the number of gates added.
 std::size_t balance_with_dummies(Netlist& nl, PowerTracker& tracker,
-                                 const PowerReport& threshold,
-                                 const InsertionOptions& opt);
+                                 const PowerReport& threshold);
 
 }  // namespace tz

@@ -19,6 +19,15 @@
 
 namespace tz {
 
+/// m in Algorithm 2: payload locations tried per HT.
+inline constexpr std::size_t kMaxPayloadLocations = 8;
+/// Dummy balancing stops once every remaining differential is within these
+/// fractions of the HT-free circuit's power (total and leakage) and area,
+/// or after kMaxDummyGates gates.
+inline constexpr double kPowerSlackRel = 0.02;
+inline constexpr double kAreaSlackRel = 0.02;
+inline constexpr std::size_t kMaxDummyGates = 256;
+
 struct InsertionOptions {
   /// HTs to try, in order; empty = default_ht_library().
   std::vector<TrojanDesc> library;
@@ -26,10 +35,6 @@ struct InsertionOptions {
   /// conceptually by choosing the AND polarity; we keep it simple and use
   /// low-P1 nets directly).
   double rare_p1 = 0.05;
-  std::size_t max_locations = 8;       ///< m in Algorithm 2.
-  double power_slack_rel = 0.02;       ///< Allowed |ΔP|/P(N) after balancing.
-  double area_slack_rel = 0.02;        ///< Allowed |ΔA|/A(N).
-  std::size_t max_dummy_gates = 256;
   /// Ignored (the scan is one sequential walk); kept while tzbench still
   /// writes it.
   std::size_t threads = 0;

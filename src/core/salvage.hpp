@@ -1,7 +1,8 @@
 // Algorithm 1: Salvaging Power and Area.
 //
-// Identifies candidate gates whose output signal probability is >= Pth (tie
-// to 1) or whose zero-probability is >= Pth (tie to 0), then greedily
+// Identifies candidate gates (never a primary output, which the defender
+// observes directly) whose output signal probability is >= Pth (tie to 1)
+// or whose zero-probability is >= Pth (tie to 0), then greedily
 // replaces each with a constant and removes the logic cone that became
 // unobservable — accepting a change only when every one of the defender's
 // testing algorithms still passes on all test patterns, reverting otherwise.
@@ -19,8 +20,7 @@
 namespace tz {
 
 struct SalvageOptions {
-  double pth = 0.992;            ///< Attacker threshold probability.
-  bool include_outputs = false;  ///< Allow tying primary outputs.
+  double pth = 0.992;  ///< Attacker threshold probability.
   /// Candidate visit order — the paper uses most-certain-first; the leakage
   /// ablation visits highest-leakage gates first instead.
   enum class Order { ByProbability, ByLeakage } order = Order::ByProbability;

@@ -83,7 +83,7 @@ DetectionResult detect_leakage_glc(const Netlist& golden_nl,
   const double dm = std::accumulate(d.begin(), d.end(), 0.0) / d.size();
 
   DetectionResult r;
-  r.threshold = opt.confidence_sigma;
+  r.threshold = kConfidenceSigma;
   // Same degenerate-population policy as population_test: the old
   // `sem > 0 ? ... : 0.0` reported a blatant trojan as undetected on a
   // zero-variation population.

@@ -60,7 +60,7 @@ DetectionResult population_test(const Netlist& golden_nl,
   const Population d = stats(draw(dut_nl, dut_nom, opt.dut_dies));
 
   DetectionResult r;
-  r.threshold = opt.confidence_sigma;
+  r.threshold = kConfidenceSigma;
   // Standard error of the DUT-mean vs golden-mean difference. The old code
   // collapsed the statistic to 0.0 on sem == 0, reporting even a blatant
   // trojan as undetected on a zero-variation population.

@@ -21,10 +21,13 @@ struct DetectionResult {
   double overhead_percent = 0.0;  ///< Observed mean overhead vs golden (%).
 };
 
+/// Decision threshold of the power-side detectors, in sigmas (the 3-sigma
+/// rule).
+inline constexpr double kConfidenceSigma = 3.0;
+
 struct PowerDetectOptions {
   std::size_t golden_dies = 64;
   std::size_t dut_dies = 16;
-  double confidence_sigma = 3.0;  ///< 3-sigma decision rule.
   VariationSpec variation;
   std::uint64_t seed = 99;
 };

@@ -109,7 +109,7 @@ DetectionResult detect_statistical_learning(
   for (const Feature& f : train) {
     max_train = std::max(max_train, g.mahalanobis2(f));
   }
-  const double boundary = opt.margin * max_train;
+  const double boundary = kLearningMargin * max_train;
 
   std::size_t outside = 0;
   double mean_overhead = 0.0;

@@ -10,9 +10,12 @@
 
 namespace tz {
 
+/// The learned boundary: kLearningMargin times the largest training
+/// distance.
+inline constexpr double kLearningMargin = 1.25;
+
 struct LearningDetectOptions {
   PowerDetectOptions base;
-  double margin = 1.25;  ///< Threshold = margin * max training distance.
 };
 
 /// Train on golden dies, classify the DUT population; detected when the

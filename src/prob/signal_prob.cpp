@@ -73,7 +73,7 @@ SignalProb::SignalProb(const Netlist& nl, SignalProbOptions opt)
   propagate();
   if (!nl.dffs().empty()) {
     dff_converged_ = false;
-    for (int it = 0; it < opt.dff_max_iters; ++it) {
+    for (int it = 0; it < kDffMaxIters; ++it) {
       double delta = 0.0;
       for (NodeId q : nl.dffs()) {
         // Damped update: plain iteration oscillates on toggle loops
@@ -83,7 +83,7 @@ SignalProb::SignalProb(const Netlist& nl, SignalProbOptions opt)
         p1_[q] = next;
       }
       propagate();
-      if (delta < opt.dff_epsilon) {
+      if (delta < kDffEpsilon) {
         dff_converged_ = true;
         break;
       }
@@ -92,13 +92,13 @@ SignalProb::SignalProb(const Netlist& nl, SignalProbOptions opt)
 }
 
 std::vector<Candidate> find_candidates(const Netlist& nl, const SignalProb& sp,
-                                       double pth, bool include_outputs) {
+                                       double pth) {
   std::vector<Candidate> cands;
   for (NodeId id = 0; id < nl.raw_size(); ++id) {
     if (!nl.is_alive(id)) continue;
     const Node& n = nl.node(id);
     if (!is_combinational(n.type) || is_const(n.type)) continue;
-    if (!include_outputs && nl.is_output(id)) continue;
+    if (nl.is_output(id)) continue;
     const double p1 = sp.p1(id);
     if (p1 >= pth) {
       cands.push_back({id, true, p1});

@@ -16,10 +16,15 @@
 namespace tz {
 
 struct SignalProbOptions {
-  double input_p1 = 0.5;     ///< P(PI = 1); the paper assumes 0.5.
-  int dff_max_iters = 64;    ///< Fixpoint iterations for sequential loops.
-  double dff_epsilon = 1e-9; ///< Convergence threshold on DFF probabilities.
+  double input_p1 = 0.5;  ///< P(PI = 1); the paper assumes 0.5.
 };
+
+/// The DFF fixpoint of SignalProb and PowerTracker: at most kDffMaxIters
+/// damped iterations, stopping once no DFF probability moves by kDffEpsilon.
+/// One pair of constants, so the incremental tracker keeps bit parity with
+/// the global pass.
+inline constexpr int kDffMaxIters = 64;
+inline constexpr double kDffEpsilon = 1e-9;
 
 /// P(output = 1) of one combinational gate given fanin probabilities `p`
 /// (independence assumption). The single evaluation kernel shared by
@@ -60,8 +65,7 @@ struct Candidate {
 /// Extract the candidate set C = X ∪ Y (Algorithm 1 lines 4-10), ordered by
 /// decreasing probability so the most-certain nodes are tried first.
 std::vector<Candidate> find_candidates(const Netlist& nl, const SignalProb& sp,
-                                       double pth,
-                                       bool include_outputs = false);
+                                       double pth);
 
 /// Monte-Carlo estimate of P1 per node over `patterns` random vectors
 /// (cross-check for the analytic model; exact as patterns -> inf for

@@ -15,6 +15,15 @@
 
 namespace tz::sat {
 
+namespace {
+
+/// Pre-pass width in 64-pattern words.
+constexpr std::size_t kPrepassWords = 4;
+/// Conflict cap of one SAT-sweeping query.
+constexpr std::int64_t kSweepConflictLimit = 1000;
+
+}  // namespace
+
 IncrementalMiter::IncrementalMiter(const Netlist& a, const Netlist& b,
                                    MiterOptions opts)
     : a_(a), b_(b), opts_(std::move(opts)) {
@@ -83,11 +92,11 @@ Var IncrementalMiter::dff_var(std::size_t i) {
 bool IncrementalMiter::sweep_equal(Var x, Var y) {
   const Lit lx = Lit::make(x);
   const Lit ly = Lit::make(y);
-  if (solver_.solve({lx, ~ly}, opts_.sweep_conflict_limit) !=
+  if (solver_.solve({lx, ~ly}, kSweepConflictLimit) !=
       SolveResult::Unsat) {
     return false;
   }
-  if (solver_.solve({~lx, ly}, opts_.sweep_conflict_limit) !=
+  if (solver_.solve({~lx, ly}, kSweepConflictLimit) !=
       SolveResult::Unsat) {
     return false;
   }
@@ -198,8 +207,7 @@ Var IncrementalMiter::ensure_var(bool side_b, NodeId root) {
 }
 
 bool IncrementalMiter::run_prepass(EquivalenceResult& res) {
-  const std::size_t num_patterns =
-      64 * static_cast<std::size_t>(std::max(1, opts_.prepass_words));
+  const std::size_t num_patterns = 64 * kPrepassWords;
   const PatternSet pats =
       random_patterns(a_.inputs().size(), num_patterns, 0x54505245u);
   std::vector<std::uint64_t> st_a(a_.dffs().size(), 0);

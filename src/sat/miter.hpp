@@ -16,9 +16,10 @@
 // are pinned to reset. With structural matching on, netlist-b nodes whose
 // name/type/fanins agree with an already-encoded netlist-a node reuse the
 // a-side variable outright (no clauses), and near-misses at a rewrite
-// frontier are merged by bounded SAT-sweeping queries plus a biconditional,
-// so salvaged 100k-gate twins collapse to the rewritten region instead of
-// re-proving 100k shared gates.
+// frontier are merged by SAT-sweeping queries plus a biconditional (each
+// query capped at its own 1000 conflicts, outside conflict_limit: sweeping
+// is an optimization, not part of the verdict), so salvaged 100k-gate twins
+// collapse to the rewritten region instead of re-proving 100k shared gates.
 //
 // A BitSimulator pre-pass runs random patterns through both netlists first:
 // a differing output short-circuits to a replayable witness without any SAT
@@ -39,19 +40,14 @@ namespace tz::sat {
 struct MiterOptions {
   /// Total conflict budget across all per-output queries; < 0 = unlimited.
   std::int64_t conflict_limit = -1;
-  /// BitSimulator random-pattern pre-pass (`tz_sat fuzz` runs both
-  /// settings).
+  /// BitSimulator random-pattern pre-pass over 256 patterns (`tz_sat fuzz`
+  /// runs both settings).
   bool prepass = true;
-  /// Pre-pass width in 64-pattern words.
-  int prepass_words = 4;
   /// Share variables between structurally matching nodes of the two
   /// netlists, and SAT-sweep near-misses. Off = every node of both netlists
   /// is encoded independently (the honest A/B-bench configuration: a
   /// self-miter would otherwise be free).
   bool structural_match = true;
-  /// Per-query conflict cap for sweeping merges (separate from
-  /// conflict_limit; sweeping is an optimization, not part of the verdict).
-  std::int64_t sweep_conflict_limit = 1000;
   /// When non-empty: dump the final CNF (problem clauses + committed units)
   /// in DIMACS to this path when check() finishes, so a failing instance can
   /// be exported and minimized offline (`tz_sat dump` sets it).

@@ -77,7 +77,6 @@ void PowerTracker::run_dff_fixpoint(std::vector<NodeId>& rows_dirty) {
   // every DFF restarts from the reset state and the damped iteration runs
   // with the same order, damping and epsilon, so the converged values equal
   // a from-scratch SignalProb of the current netlist.
-  const SignalProbOptions opt;
   const std::vector<NodeId>& dffs = nl_->dffs();
   std::vector<NodeId> domain;
   std::vector<char> seen(nl_->raw_size(), 0);
@@ -138,7 +137,7 @@ void PowerTracker::run_dff_fixpoint(std::vector<NodeId>& rows_dirty) {
     }
   };
   propagate();
-  for (int it = 0; it < opt.dff_max_iters; ++it) {
+  for (int it = 0; it < kDffMaxIters; ++it) {
     double delta = 0.0;
     for (NodeId q : dffs) {
       const double next = 0.5 * (p1_[q] + p1_[nl_->node(q).fanin[0]]);
@@ -147,7 +146,7 @@ void PowerTracker::run_dff_fixpoint(std::vector<NodeId>& rows_dirty) {
       p1_[q] = next;
     }
     propagate();
-    if (delta < opt.dff_epsilon) break;
+    if (delta < kDffEpsilon) break;
   }
   rows_dirty.insert(rows_dirty.end(), dffs.begin(), dffs.end());
   rows_dirty.insert(rows_dirty.end(), domain.begin(), domain.end());

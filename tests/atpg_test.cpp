@@ -8,8 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "atpg/fault_sim_backend.hpp"
-#include "atpg/fault_sim_engine.hpp"
-#include "atpg/fault_sim_packed.hpp"
 #include "atpg/test_set.hpp"
 #include "gen/iscas.hpp"
 #include "gen/random_circuit.hpp"
@@ -18,29 +16,6 @@
 
 namespace tz {
 namespace {
-
-/// Independent serial reference for fault simulation: materialise the faulty
-/// machine as a netlist copy whose fault site is replaced by a tie cell,
-/// simulate both machines in full, and OR the per-output differences into a
-/// per-pattern bitmap. Shares no code with FaultSimEngine's event-driven
-/// cone evaluation.
-std::vector<std::uint64_t> reference_detection_bits(const Netlist& nl,
-                                                    const Fault& f,
-                                                    const PatternSet& ps) {
-  Netlist faulty = nl;
-  const NodeId tie = faulty.const_node(f.value == StuckAt::One);
-  faulty.replace_uses(f.node, tie);
-  const PatternSet good = BitSimulator(nl).outputs(ps);
-  const PatternSet bad = BitSimulator(faulty).outputs(ps);
-  std::vector<std::uint64_t> bits(ps.num_words(), 0);
-  for (std::size_t o = 0; o < good.num_signals(); ++o) {
-    auto g = good.words(o);
-    auto b = bad.words(o);
-    for (std::size_t w = 0; w < bits.size(); ++w) bits[w] |= g[w] ^ b[w];
-  }
-  if (!bits.empty()) bits.back() &= ps.tail_mask();
-  return bits;
-}
 
 TEST(FaultUniverse, TwoFaultsPerSite) {
   const Netlist nl = gen_c17();
@@ -85,7 +60,7 @@ TEST(Podem, FindsTestsForEveryC17Fault) {
     for (std::size_t s = 0; s < r.pattern.size(); ++s) {
       one.set(0, s, r.pattern[s]);
     }
-    EXPECT_TRUE(detects(nl, f, one)) << to_string(nl, f);
+    EXPECT_TRUE(test::detected(nl, f, one)) << to_string(nl, f);
   }
 }
 
@@ -141,7 +116,7 @@ TEST(FaultSim, AgreesWithPodemOnDetection) {
   const Netlist nl = make_benchmark("c17");
   const auto faults = fault_universe(nl);
   const PatternSet ps = exhaustive_patterns(nl.inputs().size());
-  const auto det = fault_simulate(nl, faults, ps);
+  const auto det = test::detect_flags(nl, faults, ps);
   // Exhaustive patterns detect exactly the testable faults.
   for (std::size_t i = 0; i < faults.size(); ++i) {
     const bool testable =
@@ -150,12 +125,12 @@ TEST(FaultSim, AgreesWithPodemOnDetection) {
   }
 }
 
-TEST(FaultSim, DetectionMatrixMatchesScalarDetects) {
+TEST(FaultSim, DetectionMatrixMatchesDropSimFlags) {
   const Netlist nl = gen_c17();
   const auto faults = fault_universe(nl);
   const PatternSet ps = random_patterns(nl.inputs().size(), 20, 5);
   const auto matrix = detection_matrix(nl, faults, ps);
-  const auto det = fault_simulate(nl, faults, ps);
+  const auto det = test::detect_flags(nl, faults, ps);
   for (std::size_t f = 0; f < faults.size(); ++f) {
     bool any = false;
     for (auto w : matrix[f]) any |= w != 0;
@@ -255,7 +230,7 @@ TEST_P(PodemSound, PatternsConfirmedByFaultSim) {
     for (std::size_t s = 0; s < r.pattern.size(); ++s) {
       one.set(0, s, r.pattern[s]);
     }
-    ASSERT_TRUE(detects(nl, f, one)) << to_string(nl, f);
+    ASSERT_TRUE(test::detected(nl, f, one)) << to_string(nl, f);
     ++checked;
   }
   EXPECT_GT(checked, 0);
@@ -278,9 +253,9 @@ TEST_P(PodemComplete, UntestableMeansUndetectable) {
   for (const Fault& f : fault_universe(nl)) {
     const PodemResult r = podem(nl, f);
     if (r.status == PodemStatus::Untestable) {
-      EXPECT_FALSE(detects(nl, f, all)) << to_string(nl, f);
+      EXPECT_FALSE(test::detected(nl, f, all)) << to_string(nl, f);
     } else if (r.status == PodemStatus::Detected) {
-      EXPECT_TRUE(detects(nl, f, all)) << to_string(nl, f);
+      EXPECT_TRUE(test::detected(nl, f, all)) << to_string(nl, f);
     }
   }
 }
@@ -289,7 +264,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PodemComplete,
                          ::testing::Values(31, 37, 41, 43, 47));
 
 /// Property: on random circuits the engine's per-fault detect bitmaps match
-/// the tie-and-resimulate serial reference bit for bit, across a pattern
+/// the reference evaluator's fault injection bit for bit, across a pattern
 /// count that crosses the 64-pattern word boundary.
 class FaultSimEquiv : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -300,12 +275,13 @@ TEST_P(FaultSimEquiv, EngineMatchesSerialReference) {
   const Netlist nl = random_circuit(spec);
   const auto faults = fault_universe(nl);
   const PatternSet ps = random_patterns(nl.inputs().size(), 70, GetParam());
-  FaultSimEngine engine(nl, ps);
-  const std::vector<bool> det = engine.simulate(faults);
+  const auto engine = make_fault_sim_backend(nl, FaultSimMode::Event);
+  engine->set_patterns(ps);
+  const std::vector<bool> det = test::detect_flags(*engine, faults);
+  const auto matrix = engine->detection_matrix(faults);
   for (std::size_t i = 0; i < faults.size(); ++i) {
-    const auto ref = reference_detection_bits(nl, faults[i], ps);
-    EXPECT_EQ(engine.detection_bits(faults[i]), ref)
-        << to_string(nl, faults[i]);
+    const auto ref = test::reference_detection_bits(nl, ps, faults[i]);
+    EXPECT_EQ(matrix[i], ref) << to_string(nl, faults[i]);
     bool ref_any = false;
     for (const std::uint64_t w : ref) ref_any |= w != 0;
     EXPECT_EQ(det[i], ref_any) << to_string(nl, faults[i]);
@@ -322,13 +298,13 @@ TEST_P(FaultSimEquiv, DropSimOverSplitsMatchesFullSim) {
   // Split the set in two and drop-simulate incrementally with one engine.
   const PatternSet first = ps.slice(0, 37);
   const PatternSet second = ps.slice(37, 33);
-  FaultSimEngine engine(nl);
+  const auto engine = make_fault_sim_backend(nl, FaultSimMode::Event);
   std::vector<bool> dropped(faults.size(), false);
-  engine.set_patterns(first);
-  std::size_t covered = engine.drop_sim(faults, dropped);
-  engine.set_patterns(second);
-  covered += engine.drop_sim(faults, dropped);
-  const std::vector<bool> full = fault_simulate(nl, faults, ps);
+  engine->set_patterns(first);
+  std::size_t covered = engine->drop_sim(faults, dropped);
+  engine->set_patterns(second);
+  covered += engine->drop_sim(faults, dropped);
+  const std::vector<bool> full = test::detect_flags(nl, faults, ps);
   EXPECT_EQ(dropped, full);
   std::size_t full_covered = 0;
   for (const bool d : full) full_covered += d ? 1 : 0;
@@ -344,11 +320,12 @@ TEST(FaultSimEngine, UnreachableSiteSkippedStatically) {
   const NodeId dead = nl.add_gate(GateType::Not, "dead", {a});
   const NodeId live = nl.add_gate(GateType::Buf, "live", {a});
   nl.mark_output(live);
-  FaultSimEngine engine(nl, exhaustive_patterns(1));
-  EXPECT_FALSE(engine.po_reachable(dead));
-  EXPECT_TRUE(engine.po_reachable(a));
-  EXPECT_FALSE(engine.detects(Fault{dead, StuckAt::One}));
-  EXPECT_TRUE(engine.detects(Fault{a, StuckAt::One}));
+  const auto engine = make_fault_sim_backend(nl, FaultSimMode::Event);
+  engine->set_patterns(exhaustive_patterns(1));
+  EXPECT_FALSE(engine->context().po_reachable(dead));
+  EXPECT_TRUE(engine->context().po_reachable(a));
+  EXPECT_FALSE(test::detected(*engine, Fault{dead, StuckAt::One}));
+  EXPECT_TRUE(test::detected(*engine, Fault{a, StuckAt::One}));
 }
 
 // ---- pluggable backend layer -----------------------------------------------
@@ -401,12 +378,13 @@ TEST(FaultBackend, PackedMatchesEventAndReference) {
     event->set_patterns(ps);
     packed->set_patterns(ps);
 
-    const std::vector<bool> eflags = event->simulate(faults);
-    EXPECT_EQ(packed->simulate(faults), eflags) << label;
+    const std::vector<bool> eflags = test::detect_flags(*event, faults);
+    EXPECT_EQ(test::detect_flags(*packed, faults), eflags) << label;
     const auto matrix = event->detection_matrix(faults);
     EXPECT_EQ(packed->detection_matrix(faults), matrix) << label;
     for (std::size_t i = 0; i < faults.size(); i += 17) {
-      EXPECT_EQ(packed->detects(faults[i]), event->detects(faults[i]))
+      EXPECT_EQ(test::detected(*packed, faults[i]),
+                test::detected(*event, faults[i]))
           << label << " fault " << to_string(nl, faults[i]);
       EXPECT_EQ(matrix[i], test::reference_detection_bits(nl, ps, faults[i]))
           << label << " fault " << to_string(nl, faults[i]);
@@ -447,7 +425,9 @@ TEST(FaultBackend, DetectionMatrixWordBoundaries) {
         ASSERT_EQ(row.size(), ps.num_words()) << label;
         EXPECT_EQ(row.back() & ~tail, 0u) << label;
       }
-      EXPECT_EQ(packed->simulate(faults), event->simulate(faults)) << label;
+      EXPECT_EQ(test::detect_flags(*packed, faults),
+                test::detect_flags(*event, faults))
+          << label;
     }
   }
 }
@@ -498,14 +478,15 @@ TEST(FaultBackend, PatternSwapKeepsStaticAnalyses) {
   for (const FaultSimMode mode : {FaultSimMode::Event, FaultSimMode::Packed}) {
     const auto backend = make_fault_sim_backend(nl, mode);
     backend->set_patterns(exhaustive_patterns(1));
-    EXPECT_FALSE(backend->po_reachable(g)) << backend->name();
-    EXPECT_FALSE(backend->detects(Fault{g, StuckAt::Zero}))
+    EXPECT_FALSE(backend->context().po_reachable(g)) << backend->name();
+    EXPECT_FALSE(test::detected(*backend, Fault{g, StuckAt::Zero}))
         << backend->name();
 
     backend->set_patterns(exhaustive_patterns(1));
     EXPECT_GT(backend->context().pattern_epoch(), 1u) << backend->name();
-    EXPECT_FALSE(backend->po_reachable(g)) << backend->name();
-    EXPECT_TRUE(backend->detects(Fault{o, StuckAt::Zero})) << backend->name();
+    EXPECT_FALSE(backend->context().po_reachable(g)) << backend->name();
+    EXPECT_TRUE(test::detected(*backend, Fault{o, StuckAt::Zero}))
+        << backend->name();
   }
 }
 
@@ -615,9 +596,10 @@ TEST(FaultSimEngine, DffBlocksPropagationLikeBitSimulator) {
   const NodeId q = nl.add_gate(GateType::Dff, "q", {g});
   const NodeId o = nl.add_gate(GateType::Buf, "o", {q});
   nl.mark_output(o);
-  FaultSimEngine engine(nl, exhaustive_patterns(1));
-  EXPECT_FALSE(engine.po_reachable(g));
-  EXPECT_FALSE(engine.detects(Fault{g, StuckAt::Zero}));
+  const auto engine = make_fault_sim_backend(nl, FaultSimMode::Event);
+  engine->set_patterns(exhaustive_patterns(1));
+  EXPECT_FALSE(engine->context().po_reachable(g));
+  EXPECT_FALSE(test::detected(*engine, Fault{g, StuckAt::Zero}));
 }
 
 }  // namespace

@@ -369,6 +369,23 @@ TEST(CampaignGridTest, GridJsonRoundTrip) {
   EXPECT_EQ(back.expand().size(), g.expand().size());
 }
 
+TEST(CampaignGridTest, UnknownDefenderRejectedAtParse) {
+  // A misspelt defender is a grid error, named when the grid is read — not
+  // a campaign that runs and checkpoints one error row per job using it.
+  const char* text = R"({"circuits":["c17"],"defenders":["atpg","atgp"]})";
+  try {
+    CampaignGrid::from_json(Json::parse(text));
+    ADD_FAILURE() << "defender \"atgp\" accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("'atgp'"), std::string::npos)
+        << e.what();
+  }
+  // Every name the jobs accept parses.
+  const CampaignGrid ok = CampaignGrid::from_json(Json::parse(
+      R"({"circuits":["c17"],"defenders":["atpg","atpg+rand","full"]})"));
+  EXPECT_EQ(ok.defenders.size(), 3u);
+}
+
 TEST(CampaignGridTest, PresetsExpandToDocumentedSizes) {
   EXPECT_EQ(CampaignGrid::preset("table1").expand().size(),
             iscas85_specs().size());

@@ -2,7 +2,7 @@
 // compile invariants, randomized bit-parity of the plan kernels against the
 // Node-walking reference_simulate across the full gate alphabet and arity
 // range, the event fault-sim engine against reference fault injection, and
-// the incremental plan patch applied by SuiteOracle::resync_structure after
+// the incremental plan patch applied by SuiteOracle::apply_tie after
 // committed ties.
 #include <gtest/gtest.h>
 
@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "atpg/fault.hpp"
-#include "atpg/fault_sim_engine.hpp"
+#include "atpg/fault_sim_backend.hpp"
 #include "atpg/test_set.hpp"
 #include "core/flow_engine.hpp"
 #include "core/ht_library.hpp"
@@ -124,8 +124,10 @@ TEST(EvalPlan, FaultSimEngineMatchesReference) {
   const auto faults = collapse_faults(nl, fault_universe(nl));
   for (std::size_t patterns : {63u, 64u, 65u, 128u}) {
     const PatternSet ps = random_patterns(nl.inputs().size(), patterns, 5);
-    FaultSimEngine engine(nl, ps);
-    const std::vector<bool> det = engine.simulate(faults);
+    const auto engine = make_fault_sim_backend(nl, FaultSimMode::Event);
+    engine->set_patterns(ps);
+    const std::vector<bool> det = test::detect_flags(*engine, faults);
+    const auto matrix = engine->detection_matrix(faults);
     for (std::size_t i = 0; i < faults.size(); ++i) {
       const std::vector<std::uint64_t> ref =
           test::reference_detection_bits(nl, ps, faults[i]);
@@ -133,7 +135,7 @@ TEST(EvalPlan, FaultSimEngineMatchesReference) {
           std::any_of(ref.begin(), ref.end(), [](auto w) { return w != 0; });
       ASSERT_EQ(det[i], ref_det)
           << patterns << " patterns, " << to_string(nl, faults[i]);
-      ASSERT_EQ(engine.detection_bits(faults[i]), ref)
+      ASSERT_EQ(matrix[i], ref)
           << patterns << " patterns, " << to_string(nl, faults[i]);
     }
   }
@@ -150,7 +152,7 @@ TEST(EvalPlan, PlanPatchAfterCommitMatchesRecompile) {
       make_defender_suite(original, FlowOptions::atpg_only_defender());
   Netlist work = original.compact();
   const SignalProb sp(work);
-  const auto cands = find_candidates(work, sp, 0.992, false);
+  const auto cands = find_candidates(work, sp, 0.992);
   ASSERT_GE(cands.size(), 5u);
   SuiteOracle oracle(work, suite);
   std::size_t committed = 0;
@@ -166,9 +168,7 @@ TEST(EvalPlan, PlanPatchAfterCommitMatchesRecompile) {
     tie_to_constant(reference, c.node, c.tie_value);
     EXPECT_EQ(visible, !test::reference_functional_test(reference, suite));
     if (!visible) {
-      oracle.commit_tie(c.node, c.tie_value);
-      tie_to_constant(work, c.node, c.tie_value);
-      oracle.resync_structure();
+      oracle.apply_tie(work, c.node, c.tie_value);
       ++committed;
     }
   }

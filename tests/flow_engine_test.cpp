@@ -38,7 +38,7 @@ TEST(SuiteOracle, TieVerdictMatchesFullFunctionalTest) {
     const DefenderSuite suite = make_defender_suite(original, defender_defaults());
     const Netlist work = original.compact();
     const SignalProb sp(work);
-    const auto cands = find_candidates(work, sp, spec_for(name).pth, false);
+    const auto cands = find_candidates(work, sp, spec_for(name).pth);
     ASSERT_FALSE(cands.empty());
     SuiteOracle oracle(work, suite);
     for (const Candidate& c : cands) {
@@ -59,7 +59,7 @@ TEST(SuiteOracle, CommittedTiesKeepLaterVerdictsExact) {
   const DefenderSuite suite = make_defender_suite(original, defender_defaults());
   Netlist work = original.compact();
   const SignalProb sp(work);
-  const auto cands = find_candidates(work, sp, 0.992, false);
+  const auto cands = find_candidates(work, sp, 0.992);
   SuiteOracle oracle(work, suite);
   for (const Candidate& c : cands) {
     if (!work.is_alive(c.node)) continue;
@@ -69,12 +69,25 @@ TEST(SuiteOracle, CommittedTiesKeepLaterVerdictsExact) {
         !test::reference_functional_test(reference, suite);
     ASSERT_EQ(oracle.tie_visible(c.node, c.tie_value), expect_visible);
     if (!expect_visible) {
-      oracle.commit_tie(c.node, c.tie_value);
-      tie_to_constant(work, c.node, c.tie_value);
-      oracle.resync_structure();
+      oracle.apply_tie(work, c.node, c.tie_value);
     }
   }
   EXPECT_TRUE(functional_test(work, suite));
+}
+
+TEST(SuiteOracle, ApplyTieRejectsForeignNetlist) {
+  // The oracle's rows and plan describe the netlist it was built on; a tie
+  // applied to any other netlist (even an identical copy) is refused before
+  // either netlist or the cache changes.
+  const Netlist original = make_benchmark("c17");
+  const DefenderSuite suite = make_defender_suite(original, defender_defaults());
+  Netlist work = original.compact();
+  Netlist copy = work;
+  SuiteOracle oracle(work, suite);
+  const NodeId target = work.find("10");
+  EXPECT_THROW(oracle.apply_tie(copy, target, false), std::invalid_argument);
+  EXPECT_TRUE(copy.is_alive(target));
+  EXPECT_TRUE(work.is_alive(target));
 }
 
 TEST(SuiteOracle, HtVerdictMatchesMaterializedFunctionalTest) {
@@ -270,8 +283,7 @@ TEST(BalanceWithDummies, NeverExceedsAnyComponentCap) {
   const SalvageResult sal = salvage_power_area(original, suite, pm, {.pth = 0.992});
   Netlist work = sal.modified;
   PowerTracker tracker(work, pm);
-  InsertionOptions opt;
-  const std::size_t added = balance_with_dummies(work, tracker, threshold, opt);
+  const std::size_t added = balance_with_dummies(work, tracker, threshold);
   EXPECT_GT(added, 0u);
   const PowerReport p = pm.analyze(work).totals;
   EXPECT_LE(p.total_uw(), threshold.total_uw());
@@ -288,8 +300,7 @@ TEST(BalanceWithDummies, PicksFlavourByDeficitShape) {
     Netlist nl = make_benchmark("c432");
     PowerTracker tracker(nl, pm);
     const std::size_t size_before = nl.raw_size();
-    InsertionOptions opt;
-    const std::size_t added = balance_with_dummies(nl, tracker, threshold, opt);
+    const std::size_t added = balance_with_dummies(nl, tracker, threshold);
     EXPECT_GT(added, 0u);
     for (NodeId id = static_cast<NodeId>(size_before); id < nl.raw_size();
          ++id) {
@@ -461,7 +472,7 @@ ReferenceSalvage reference_salvage(const Netlist& original,
   Netlist work = original.compact();
   const SignalProb sp(work);
   ReferenceSalvage out;
-  for (const Candidate& c : find_candidates(work, sp, pth, false)) {
+  for (const Candidate& c : find_candidates(work, sp, pth)) {
     if (!work.is_alive(c.node)) continue;
     Netlist trial = work;
     tie_to_constant(trial, c.node, c.tie_value);
@@ -497,7 +508,7 @@ ReferenceInsertion reference_insertion(const Netlist& original,
   const PowerReport threshold = pm.analyze(original).totals;
   const SignalProb sp(salvaged);
   const std::vector<NodeId> locations =
-      payload_locations(salvaged, opt.max_locations);
+      payload_locations(salvaged, kMaxPayloadLocations);
   ReferenceInsertion out;
   for (const TrojanDesc& desc :
        opt.library.empty() ? default_ht_library() : opt.library) {
@@ -685,7 +696,7 @@ TEST(EvalPlanFlow, HundredKGateMatchesReference) {
   Netlist work = nl;
   {
     const SignalProb sp(work);
-    const auto cands = find_candidates(work, sp, 0.99999999, false);
+    const auto cands = find_candidates(work, sp, 0.99999999);
     SuiteOracle oracle(work, suite);
     std::size_t accepted = 0;
     for (const Candidate& c : cands) {
@@ -698,9 +709,7 @@ TEST(EvalPlanFlow, HundredKGateMatchesReference) {
           << work.node(c.node).name;
       if (visible) continue;
       ++accepted;
-      oracle.commit_tie(c.node, c.tie_value);
-      tie_to_constant(work, c.node, c.tie_value);
-      oracle.resync_structure();
+      oracle.apply_tie(work, c.node, c.tie_value);
     }
     ASSERT_GE(accepted, 16u);
   }

@@ -115,14 +115,13 @@ TEST(FindCandidates, ThresholdAndPolarity) {
   }
 }
 
-TEST(FindCandidates, OutputsExcludedByDefault) {
+TEST(FindCandidates, OutputsExcluded) {
   Netlist nl;
   const std::vector<NodeId> ins = add_inputs(nl, 8);
   const NodeId rare = nl.add_gate(GateType::And, "rare", ins);
   nl.mark_output(rare);
   const SignalProb sp(nl);
   EXPECT_TRUE(find_candidates(nl, sp, 0.99).empty());
-  EXPECT_EQ(find_candidates(nl, sp, 0.99, /*include_outputs=*/true).size(), 1u);
 }
 
 TEST(FindCandidates, SortedByProbability) {

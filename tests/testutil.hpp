@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <iterator>
 #include <random>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -77,6 +78,35 @@ inline std::vector<std::uint64_t> reference_detection_bits(
     }
   }
   return bits;
+}
+
+// Detect flags of `faults` on the backend's current patterns: one drop_sim
+// pass from all-false flags.
+inline std::vector<bool> detect_flags(FaultSimBackend& backend,
+                                      std::span<const Fault> faults) {
+  std::vector<bool> flags(faults.size(), false);
+  backend.drop_sim(faults, flags);
+  return flags;
+}
+
+// The same on a fresh backend over `nl` and `patterns` (the process-wide
+// mode).
+inline std::vector<bool> detect_flags(const Netlist& nl,
+                                      std::span<const Fault> faults,
+                                      const PatternSet& patterns) {
+  const auto backend = make_fault_sim_backend(nl);
+  backend->set_patterns(patterns);
+  return detect_flags(*backend, faults);
+}
+
+// True iff some pattern detects `f`: a one-fault drop_sim.
+inline bool detected(FaultSimBackend& backend, const Fault& f) {
+  return detect_flags(backend, std::span(&f, 1))[0];
+}
+
+inline bool detected(const Netlist& nl, const Fault& f,
+                     const PatternSet& patterns) {
+  return detect_flags(nl, std::span(&f, 1), patterns)[0];
 }
 
 // Adds `n` primary inputs named <prefix>0 .. <prefix>{n-1}.
