@@ -80,7 +80,7 @@ void SuiteOracle::clone_from(const SuiteOracle& seed) {
   golden_ = seed.golden_;
   recorded_po_ = seed.recorded_po_;
   rank_ = seed.rank_;
-  // The plan is patched in place by apply_tie, so every clone gets
+  // The plan is patched in place by try_tie, so every clone gets
   // its own deep copy; the seed's plan stays pristine for the next job.
   plan_ = std::make_shared<EvalPlan>(*seed.plan_);
 }
@@ -235,24 +235,27 @@ bool SuiteOracle::tie_visible(NodeId target, bool value) {
   return any;
 }
 
-TieResult SuiteOracle::apply_tie(Netlist& work, NodeId target, bool value) {
+std::optional<TieResult> SuiteOracle::try_tie(Netlist& work, NodeId target,
+                                              bool value) {
   if (&work != nl_) {
     throw std::invalid_argument(
-        "SuiteOracle::apply_tie: the netlist is not the one the oracle is "
+        "SuiteOracle::try_tie: the netlist is not the one the oracle is "
         "bound to");
   }
   grow();
   ensure_scratch();
   if (words_ != 0 && seed_tie(target, value)) {
-    if (!propagate()) {
-      // Invisible as promised: fold the deviating rows into the cache so
-      // later candidates are judged against the updated netlist.
+    const bool visible = propagate();
+    if (!visible) {
+      // Invisible: fold the deviating rows into the cache so later
+      // candidates are judged against the updated netlist.
       for (SlotId id : visited_) {
         std::copy(scratch_row(id), scratch_row(id) + words_,
                   rows_.data() + static_cast<std::size_t>(id) * words_);
       }
     }
     clear_marks();
+    if (visible) return std::nullopt;
   }
   const TieResult tie = tie_to_constant(work, target, value);
   grow();
@@ -392,17 +395,17 @@ SalvageResult FlowEngine::salvage(const SalvageOptions& opt) {
   // structural trace at all.
   for (const Candidate& c : cands) {
     if (!work.is_alive(c.node)) continue;  // removed with an earlier cone
-    if (oracle.tie_visible(c.node, c.tie_value)) {
+    const std::string name = work.node(c.node).name;
+    const std::optional<TieResult> tie =
+        oracle.try_tie(work, c.node, c.tie_value);
+    if (!tie) {
       ++result.rejected;
       continue;
     }
-    // Invisible: fold the tie into the cache, the netlist and the plan.
-    const std::string name = work.node(c.node).name;
-    const TieResult tie = oracle.apply_tie(work, c.node, c.tie_value);
     if (chk) verify_or_throw(work, oracle.plan(), "salvage commit", nopt);
     result.accepted.push_back(
-        {name, c.tie_value, c.probability, tie.gates_removed});
-    result.expendable_gates += tie.gates_removed;
+        {name, c.tie_value, c.probability, tie->gates_removed});
+    result.expendable_gates += tie->gates_removed;
   }
 
   work = work.compact();

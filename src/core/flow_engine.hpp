@@ -19,13 +19,15 @@
 //    sequential scan. Parallelism lives at the job level (campaign/driver).
 //
 //  - PowerTracker (tech/power_tracker.hpp) keeps per-node power/area rows
-//    and applies add-gate / remove-gate / splice deltas, so the Algorithm 2
-//    cap checks and the dummy-balancing loop stop re-running
+//    and applies add-gate / remove-gate / splice deltas through SignalProb's
+//    own DFF fixpoint and PowerModel::node_power, so the Algorithm 2 cap
+//    checks and the dummy-balancing loop stop re-running
 //    analyze→SignalProb from scratch.
 //
-//  - A rejected tie is never applied (the oracle judges it first); a
-//    materialised HT or dummy that fails the caps rolls back through the
-//    added-node range instead of a netlist snapshot.
+//  - A rejected tie is never applied (try_tie judges it first, and the
+//    same cone pass commits an accepted one); a materialised HT or dummy
+//    that fails the caps rolls back through the added-node range instead
+//    of a netlist snapshot.
 //
 // Results are semantically identical to the reference implementations: the
 // same candidates are accepted, the same HT/victim/dummy choices are made
@@ -33,10 +35,10 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <span>
 #include <vector>
-
-#include <memory>
 
 #include "atpg/test_set.hpp"
 #include "core/insertion.hpp"
@@ -51,15 +53,15 @@
 namespace tz {
 
 /// Cached-row defender oracle over one combinational work netlist. The
-/// netlist must stay owned by the caller; an accepted tie is applied through
-/// apply_tie so the rows and the plan follow the edit. Construction throws
-/// std::invalid_argument on a netlist with DFFs or a test set whose width
-/// does not match its inputs/outputs. The only DFFs in the flow are the
-/// inserted HT's counter, which ht_visible replays.
+/// netlist must stay owned by the caller; a tie is judged and, when
+/// invisible, applied through try_tie so the rows and the plan follow the
+/// edit. Construction throws std::invalid_argument on a netlist with DFFs or
+/// a test set whose width does not match its inputs/outputs. The only DFFs
+/// in the flow are the inserted HT's counter, which ht_visible replays.
 ///
 /// The oracle indexes sim/eval_plan.hpp slots: cached rows are slot-major,
 /// slot ids double as topological ranks and the fused cone pass evaluates
-/// through the plan's arity-specialized kernels. apply_tie() patches the
+/// through the plan's arity-specialized kernels. try_tie() patches the
 /// plan incrementally for each committed tie (append the tie cell as a
 /// source slot, rewrite the readers' fanin CSR in place, tombstone the swept
 /// cone), so per-candidate judging never recompiles the plan.
@@ -76,7 +78,7 @@ class SuiteOracle {
   /// golden responses and compiled plan are cloned from it instead of
   /// re-simulating the whole suite — the copy-on-write handoff from a shared
   /// per-circuit artifact into this job's mutable flow. The clone deep-copies
-  /// the plan (apply_tie patches it in place) and all row caches, so
+  /// the plan (try_tie patches it in place) and all row caches, so
   /// the seed stays const and may be shared by any number of concurrent
   /// clones. Falls back to the full build when the seed does not match or is
   /// null.
@@ -94,8 +96,8 @@ class SuiteOracle {
 
   /// Would tying `target` to constant `value` change any defender response?
   /// Judged BEFORE the structural rewrite by forcing the constant at the
-  /// target and propagating through its fanout cone — a rejected candidate
-  /// never touches the netlist at all. One fused pass covers every test set.
+  /// target and propagating through its fanout cone. One fused pass covers
+  /// every test set. Judges only; try_tie judges and commits.
   bool tie_visible(NodeId target, bool value);
 
   /// Would inserting this HT be caught by the suite? Judged before the HT is
@@ -107,14 +109,16 @@ class SuiteOracle {
   bool ht_visible(std::span<const NodeId> trigger_nets, int counter_bits,
                   NodeId victim);
 
-  /// Commit an accepted (invisible) tie: fold it into the cached rows, apply
+  /// Judge a tie as tie_visible does, in the same one cone pass commit it
+  /// when it is invisible: fold the pass's rows into the cache, apply
   /// tie_to_constant to `work` and patch the plan for the rewired readers
-  /// and the swept cone. Throws std::invalid_argument unless `work` is the
-  /// netlist the oracle is bound to.
-  TieResult apply_tie(Netlist& work, NodeId target, bool value);
+  /// and the swept cone. A visible tie returns nullopt and leaves the
+  /// netlist, rows and plan as they were. Throws std::invalid_argument,
+  /// before touching any state, unless `work` is the oracle's netlist.
+  std::optional<TieResult> try_tie(Netlist& work, NodeId target, bool value);
 
   /// The compiled plan the oracle judges through, patched in place by
-  /// apply_tie(). FlowEngine hands it to PlanChecker at every commit
+  /// try_tie(). FlowEngine hands it to PlanChecker at every commit
   /// boundary under TZ_CHECK.
   const EvalPlan* plan() const { return plan_.get(); }
 

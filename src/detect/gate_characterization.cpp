@@ -7,9 +7,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/ht_library.hpp"
-#include "tech/power_tracker.hpp"
-
 namespace tz {
 namespace {
 
@@ -96,31 +93,14 @@ DetectionResult detect_leakage_glc(const Netlist& golden_nl,
 double min_detectable_leakage_overhead(const Netlist& golden_nl,
                                        const PowerModel& pm,
                                        const PowerDetectOptions& opt) {
-  if (golden_nl.inputs().empty()) {
-    throw std::invalid_argument(
-        "min_detectable_leakage_overhead: netlist has no primary inputs to "
-        "attach additive gates to");
-  }
-  // Golden analysis once, DUT rows via incremental PowerTracker deltas
-  // (bit-parity with a from-scratch analyze) — the sweep no longer pays two
-  // full analyze -> SignalProb passes per candidate gate count.
-  Netlist dut = golden_nl;
-  const PowerBreakdown golden_nom = pm.analyze(golden_nl);
-  const double base = golden_nom.totals.leakage_uw;
-  PowerTracker tracker(dut, pm);
-  for (int gates = 1; gates <= 256; ++gates) {
-    const NodeId pi = dut.inputs()[gates % dut.inputs().size()];
-    add_swept_gate(dut, tracker, pi, GateType::Nand);
-    PowerDetectOptions o = opt;
-    o.seed = opt.seed + static_cast<std::uint64_t>(gates);
-    const DetectionResult r =
-        detect_leakage_glc(golden_nl, dut, golden_nom, tracker.breakdown(), o);
-    if (r.detected) {
-      const double now = tracker.totals().leakage_uw;
-      return 100.0 * (now - base) / base;
-    }
-  }
-  return 100.0;
+  return min_detectable_overhead(
+      golden_nl, pm, GateType::Nand, &PowerReport::leakage_uw,
+      [&](const Netlist& dut, const PowerBreakdown& golden_nom,
+          const PowerBreakdown& dut_nom, std::uint64_t step) {
+        PowerDetectOptions o = opt;
+        o.seed = opt.seed + step;
+        return detect_leakage_glc(golden_nl, dut, golden_nom, dut_nom, o);
+      });
 }
 
 }  // namespace tz

@@ -124,48 +124,48 @@ DetectionResult detect_total_power(const Netlist& golden_nl,
                          /*total=*/true);
 }
 
-void add_swept_gate(Netlist& dut, PowerTracker& tracker, NodeId src,
-                    GateType type) {
-  const std::size_t size_before = dut.raw_size();
-  add_dummy_gate(dut, src, type, "add_ht");
-  std::vector<NodeId> fresh;
-  for (NodeId id = static_cast<NodeId>(size_before); id < dut.raw_size();
-       ++id) {
-    fresh.push_back(id);
+double min_detectable_overhead(const Netlist& golden_nl, const PowerModel& pm,
+                               GateType type, double PowerReport::*component,
+                               const SweepDetector& detect) {
+  if (golden_nl.inputs().empty()) {
+    throw std::invalid_argument(
+        "min_detectable_overhead: netlist has no primary inputs to attach "
+        "additive gates to");
   }
-  tracker.resync(fresh, {{src}});
+  Netlist dut = golden_nl;
+  const PowerBreakdown golden_nom = pm.analyze(golden_nl);
+  const double base = golden_nom.totals.*component;
+  PowerTracker tracker(dut, pm);
+  for (int gates = 1; gates <= 256; ++gates) {
+    const NodeId pi = dut.inputs()[gates % dut.inputs().size()];
+    const std::size_t size_before = dut.raw_size();
+    add_dummy_gate(dut, pi, type, "add_ht");
+    std::vector<NodeId> fresh;
+    for (NodeId id = static_cast<NodeId>(size_before); id < dut.raw_size();
+         ++id) {
+      fresh.push_back(id);
+    }
+    tracker.resync(fresh, {{pi}});
+    if (detect(dut, golden_nom, tracker.breakdown(),
+               static_cast<std::uint64_t>(gates))
+            .detected) {
+      return 100.0 * (tracker.totals().*component - base) / base;
+    }
+  }
+  return 100.0;  // never detected within the sweep
 }
 
 double min_detectable_dynamic_overhead(const Netlist& golden_nl,
                                        const PowerModel& pm,
                                        const PowerDetectOptions& opt) {
-  if (golden_nl.inputs().empty()) {
-    throw std::invalid_argument(
-        "min_detectable_dynamic_overhead: netlist has no primary inputs to "
-        "attach additive gates to");
-  }
-  // Attach additive always-on gates (classic additive HT model) one at a
-  // time until the detector flags the die population. The golden analysis is
-  // computed once and the DUT rows are maintained incrementally by a
-  // PowerTracker (bit-parity with a from-scratch analyze), so each step of
-  // the sweep costs one gate delta instead of two full analyses.
-  Netlist dut = golden_nl;
-  const PowerBreakdown golden_nom = pm.analyze(golden_nl);
-  const double base = golden_nom.totals.dynamic_uw;
-  PowerTracker tracker(dut, pm);
-  for (int gates = 1; gates <= 256; ++gates) {
-    const NodeId pi = dut.inputs()[gates % dut.inputs().size()];
-    add_swept_gate(dut, tracker, pi, GateType::Xor);
-    PowerDetectOptions o = opt;
-    o.seed = opt.seed + static_cast<std::uint64_t>(gates);
-    const DetectionResult r =
-        detect_dynamic_power(golden_nl, dut, golden_nom, tracker.breakdown(), o);
-    if (r.detected) {
-      const double now = tracker.totals().dynamic_uw;
-      return 100.0 * (now - base) / base;
-    }
-  }
-  return 100.0;  // never detected within the sweep
+  return min_detectable_overhead(
+      golden_nl, pm, GateType::Xor, &PowerReport::dynamic_uw,
+      [&](const Netlist& dut, const PowerBreakdown& golden_nom,
+          const PowerBreakdown& dut_nom, std::uint64_t step) {
+        PowerDetectOptions o = opt;
+        o.seed = opt.seed + step;
+        return detect_dynamic_power(golden_nl, dut, golden_nom, dut_nom, o);
+      });
 }
 
 }  // namespace tz

@@ -5,14 +5,13 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 
 #include "netlist/netlist.hpp"
 #include "tech/power_model.hpp"
 #include "tech/variation.hpp"
 
 namespace tz {
-
-class PowerTracker;
 
 struct DetectionResult {
   bool detected = false;
@@ -74,11 +73,24 @@ DetectionResult detect_total_power(const Netlist& golden_nl,
                                    const PowerBreakdown& dut_nom,
                                    const PowerDetectOptions& opt = {});
 
-/// One step of a min_detectable_* sweep, shared by all three detectors:
-/// attach one additive always-on dummy gate of `type` fed by `src` to `dut`
-/// and resync `tracker` over the appended node range.
-void add_swept_gate(Netlist& dut, PowerTracker& tracker, NodeId src,
-                    GateType type);
+/// One detector run inside a min_detectable_* sweep: judge the DUT's die
+/// population from the two nominal breakdowns; `step` (1-based) offsets the
+/// detector's seed.
+using SweepDetector = std::function<DetectionResult(
+    const Netlist& dut, const PowerBreakdown& golden_nom,
+    const PowerBreakdown& dut_nom, std::uint64_t step)>;
+
+/// The Fig. 3 sweep shared by the three min_detectable_* detectors: attach
+/// additive always-on gates of `type` (the classic additive HT model), one
+/// per step and each fed by the next primary input, until `detect` flags the
+/// DUT. Returns the DUT's `component` overhead at that step, in % of the
+/// golden value, or 100 when 256 gates go unflagged. The golden analysis
+/// runs once and a PowerTracker keeps the DUT rows (bit-parity with a
+/// from-scratch analyze), so a step costs one gate delta. Throws
+/// std::invalid_argument on a netlist without primary inputs.
+double min_detectable_overhead(const Netlist& golden_nl, const PowerModel& pm,
+                               GateType type, double PowerReport::*component,
+                               const SweepDetector& detect);
 
 /// Fig. 3 support: smallest additive-HT dynamic-power overhead (in % of the
 /// golden total) this detector reliably flags. Determined by sweeping

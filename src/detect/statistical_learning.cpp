@@ -6,9 +6,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/ht_library.hpp"
-#include "tech/power_tracker.hpp"
-
 namespace tz {
 namespace {
 
@@ -133,31 +130,15 @@ DetectionResult detect_statistical_learning(
 double min_detectable_area_overhead(const Netlist& golden_nl,
                                     const PowerModel& pm,
                                     const LearningDetectOptions& opt) {
-  if (golden_nl.inputs().empty()) {
-    throw std::invalid_argument(
-        "min_detectable_area_overhead: netlist has no primary inputs to "
-        "attach additive gates to");
-  }
-  // Golden analysis once, DUT rows via incremental PowerTracker deltas
-  // (bit-parity with a from-scratch analyze) — the sweep no longer pays two
-  // full analyze -> SignalProb passes per candidate gate count.
-  Netlist dut = golden_nl;
-  const PowerBreakdown golden_nom = pm.analyze(golden_nl);
-  const double base = golden_nom.totals.area_ge;
-  PowerTracker tracker(dut, pm);
-  for (int gates = 1; gates <= 256; ++gates) {
-    const NodeId pi = dut.inputs()[gates % dut.inputs().size()];
-    add_swept_gate(dut, tracker, pi, GateType::Xor);
-    LearningDetectOptions o = opt;
-    o.base.seed = opt.base.seed + static_cast<std::uint64_t>(gates);
-    const DetectionResult r = detect_statistical_learning(
-        golden_nl, dut, golden_nom, tracker.breakdown(), o);
-    if (r.detected) {
-      const double now = tracker.totals().area_ge;
-      return 100.0 * (now - base) / base;
-    }
-  }
-  return 100.0;
+  return min_detectable_overhead(
+      golden_nl, pm, GateType::Xor, &PowerReport::area_ge,
+      [&](const Netlist& dut, const PowerBreakdown& golden_nom,
+          const PowerBreakdown& dut_nom, std::uint64_t step) {
+        LearningDetectOptions o = opt;
+        o.base.seed = opt.base.seed + step;
+        return detect_statistical_learning(golden_nl, dut, golden_nom,
+                                           dut_nom, o);
+      });
 }
 
 }  // namespace tz

@@ -15,7 +15,7 @@
 // instead of walking Node objects. sim/gate_eval.hpp stays as the reference
 // kernel; the parity tests check the plan against it bit for bit.
 //
-// Plans support incremental patching (SuiteOracle::apply_tie): an
+// Plans support incremental patching (SuiteOracle::try_tie): an
 // accepted tie appends the tie cell as a source slot, rewrites the readers'
 // fanin CSR entries in place and tombstones the swept cone's slots, so
 // per-candidate judging never recompiles the plan.
@@ -128,7 +128,7 @@ class EvalPlan {
   /// in lockstep.
   std::size_t block_words(std::size_t words) const;
 
-  // ---- incremental patching (SuiteOracle::apply_tie) ----
+  // ---- incremental patching (SuiteOracle::try_tie) ----
 
   /// Grow slot_of() coverage to `raw_size` node ids (new ids map to kNoSlot).
   void ensure_node_capacity(std::size_t raw_size);
@@ -148,7 +148,7 @@ class EvalPlan {
 
   /// Rebuild output_slots() from the netlist's current outputs(). A tie that
   /// retargets a primary output leaves the compiled list pointing at the old
-  /// driver's slot; apply_tie calls this after patching.
+  /// driver's slot; try_tie calls this after patching.
   void refresh_outputs(const Netlist& nl);
 
  private:

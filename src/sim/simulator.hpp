@@ -196,7 +196,6 @@ class BitSimulator {
   const Netlist& netlist() const { return *nl_; }
 
   const EvalPlan* plan() const { return plan_.get(); }
-  std::shared_ptr<const EvalPlan> shared_plan() const { return plan_; }
 
  private:
   const Netlist* nl_;

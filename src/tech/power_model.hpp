@@ -57,6 +57,10 @@ class PowerModel {
   /// Load capacitance seen by a node's output (fF).
   double load_cap_ff(const Netlist& nl, NodeId id) const;
 
+  /// One node's row at switching activity `activity`: the per-cell formula
+  /// behind every analysis and PowerTracker. Zero for a dead slot.
+  PowerReport node_power(const Netlist& nl, NodeId id, double activity) const;
+
   const CellLibrary& library() const { return lib_; }
 
  private:

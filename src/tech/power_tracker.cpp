@@ -1,7 +1,5 @@
 #include "tech/power_tracker.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "prob/signal_prob.hpp"
@@ -50,106 +48,11 @@ void PowerTracker::touch(NodeId id) {
 
 void PowerTracker::refresh_rows(NodeId id) {
   touch(id);
-  if (!nl_->is_alive(id)) {
-    dyn_[id] = leak_[id] = area_[id] = 0.0;
-    return;
-  }
-  // Mirrors PowerModel::analyze_with_activity term for term so the rows stay
-  // bit-identical with a from-scratch analysis.
-  const Node& n = nl_->node(id);
-  const CellLibrary& lib = pm_->library();
-  area_[id] = lib.area_ge(n);
-  leak_[id] = lib.leakage_nw(n) * 1e-3;
-  const double alpha = 2.0 * p1_[id] * (1.0 - p1_[id]);
-  const double vdd = lib.vdd();
-  const double f = lib.clock_hz();
-  double energy_fj =
-      lib.internal_energy_fj(n) + 0.5 * pm_->load_cap_ff(*nl_, id) * vdd * vdd;
-  double p_dyn_w = alpha * f * energy_fj * 1e-15;
-  if (n.type == GateType::Dff) {
-    p_dyn_w += f * lib.dff_clock_energy_fj() * 1e-15;
-  }
-  dyn_[id] = p_dyn_w * 1e6;
-}
-
-void PowerTracker::run_dff_fixpoint(std::vector<NodeId>& rows_dirty) {
-  // Replays SignalProb's sequential solve on the DFF-reachable region only:
-  // every DFF restarts from the reset state and the damped iteration runs
-  // with the same order, damping and epsilon, so the converged values equal
-  // a from-scratch SignalProb of the current netlist.
-  const std::vector<NodeId>& dffs = nl_->dffs();
-  std::vector<NodeId> domain;
-  std::vector<char> seen(nl_->raw_size(), 0);
-  std::vector<NodeId> stack;
-  for (NodeId q : dffs) {
-    touch(q);
-    p1_[q] = 0.0;
-    stack.push_back(q);
-  }
-  while (!stack.empty()) {
-    const NodeId id = stack.back();
-    stack.pop_back();
-    for (NodeId reader : nl_->node(id).fanout) {
-      if (seen[reader] || !nl_->is_alive(reader)) continue;
-      const GateType t = nl_->node(reader).type;
-      if (t == GateType::Dff || t == GateType::Input) continue;
-      seen[reader] = 1;
-      domain.push_back(reader);
-      stack.push_back(reader);
-    }
-  }
-  // Order the domain topologically over its internal edges. Ranks are not
-  // enough here: a splice can make low-rank readers consume a high-rank new
-  // node, and the fixpoint's per-pass evaluation must match a full topo pass
-  // (any valid order does — every fanin is final before its reader runs).
-  {
-    std::vector<std::uint32_t> indeg(nl_->raw_size(), 0);
-    for (NodeId id : domain) {
-      for (NodeId f : nl_->node(id).fanin) {
-        if (seen[f]) ++indeg[id];
-      }
-    }
-    std::vector<NodeId> ready;
-    for (NodeId id : domain) {
-      if (indeg[id] == 0) ready.push_back(id);
-    }
-    std::vector<NodeId> order;
-    order.reserve(domain.size());
-    while (!ready.empty()) {
-      const NodeId id = ready.back();
-      ready.pop_back();
-      order.push_back(id);
-      for (NodeId reader : nl_->node(id).fanout) {
-        if (reader < seen.size() && seen[reader] && --indeg[reader] == 0) {
-          ready.push_back(reader);
-        }
-      }
-    }
-    domain = std::move(order);
-  }
-  auto propagate = [&] {
-    for (NodeId id : domain) {
-      const double next = gate_p1(nl_->node(id), p1_);
-      if (next != p1_[id]) {
-        touch(id);
-        p1_[id] = next;
-      }
-    }
-  };
-  propagate();
-  for (int it = 0; it < kDffMaxIters; ++it) {
-    double delta = 0.0;
-    for (NodeId q : dffs) {
-      const double next = 0.5 * (p1_[q] + p1_[nl_->node(q).fanin[0]]);
-      delta = std::max(delta, std::abs(next - p1_[q]));
-      touch(q);
-      p1_[q] = next;
-    }
-    propagate();
-    if (delta < kDffEpsilon) break;
-  }
-  rows_dirty.insert(rows_dirty.end(), dffs.begin(), dffs.end());
-  rows_dirty.insert(rows_dirty.end(), domain.begin(), domain.end());
+  const PowerReport r =
+      pm_->node_power(*nl_, id, switching_activity(p1_[id]));
+  dyn_[id] = r.dynamic_uw;
+  leak_[id] = r.leakage_uw;
+  area_[id] = r.area_ge;
 }
 
 void PowerTracker::resync(std::span<const NodeId> fresh,
@@ -193,7 +96,15 @@ void PowerTracker::resync(std::span<const NodeId> fresh,
     }
   }
   if (dff_dirty && !nl_->dffs().empty()) {
-    run_dff_fixpoint(rows_dirty);
+    // Re-solve exactly as SignalProb does, on the DFF domain only: every
+    // other node's P1 is already final and does not depend on DFF state.
+    const std::vector<NodeId> domain = dff_domain(*nl_);
+    for (NodeId q : nl_->dffs()) touch(q);
+    for (NodeId id : domain) touch(id);
+    settle_dffs(*nl_, domain, p1_);
+    rows_dirty.insert(rows_dirty.end(), nl_->dffs().begin(),
+                      nl_->dffs().end());
+    rows_dirty.insert(rows_dirty.end(), domain.begin(), domain.end());
   }
   for (NodeId id : rows_dirty) refresh_rows(id);
 }

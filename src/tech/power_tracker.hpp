@@ -1,13 +1,14 @@
 // Incremental power/area tracking for netlist rewrites.
 //
-// A PowerTracker mirrors PowerModel::analyze as persistent per-node rows
-// (P1, dynamic, leakage, area) and applies structural edits as deltas: after
-// an add-gate / remove-gate / tie / splice, only the edit's fanout cone is
-// re-evaluated (event-driven over a topological-rank worklist) plus the rows
-// whose load capacitance changed. Every per-node computation reuses the exact
-// kernels of the full analysis (prob/signal_prob.hpp gate_p1, the cell
-// library formulas), so a resynced tracker reports the same doubles a
-// from-scratch PowerModel::analyze would — which is what lets the Algorithm 2
+// A PowerTracker holds PowerModel::analyze's result as persistent per-node
+// rows (P1, dynamic, leakage, area) and applies structural edits as deltas:
+// after an add-gate / remove-gate / tie / splice, only the edit's fanout cone
+// is re-evaluated (event-driven over a topological-rank worklist) plus the
+// rows whose load capacitance changed. The tracker owns no formula of its own: P1
+// comes from gate_p1, the DFF fixpoint from dff_domain + settle_dffs
+// (prob/signal_prob.hpp) and every row from PowerModel::node_power, so a
+// resynced tracker reports the same doubles a from-scratch
+// PowerModel::analyze would — which is what lets the Algorithm 2
 // cap checks and the dummy-balancing loop drop their per-trial
 // analyze->SignalProb fixpoint without changing a single accept decision.
 //
@@ -37,9 +38,9 @@ class PowerTracker {
   ///    their P1 is recomputed and propagated through the fanout cone.
   ///  - `cap_changed`: nodes whose reader set changed — their dynamic row is
   ///    refreshed for the new load capacitance.
-  /// If the netlist carries DFFs and the edit reaches one, the sequential
-  /// fixpoint is re-run exactly as SignalProb does (all DFFs reset to the
-  /// same initial state), keeping parity with a from-scratch analysis.
+  /// If the netlist carries DFFs and the edit reaches one, the DFF domain is
+  /// re-settled through the same settle_dffs SignalProb runs, keeping parity
+  /// with a from-scratch analysis.
   void resync(std::span<const NodeId> fresh,
               std::span<const NodeId> cap_changed);
 
@@ -49,7 +50,7 @@ class PowerTracker {
 
   /// Snapshot of the per-node rows as a PowerBreakdown — the same vectors a
   /// from-scratch PowerModel::analyze of the current netlist would return
-  /// (bit-for-bit; refresh_rows mirrors the analysis term for term). Lets
+  /// (bit-for-bit; both call PowerModel::node_power). Lets
   /// detector sweeps that mutate a DUT one gate at a time feed the per-die
   /// variation sampling without re-running analyze -> SignalProb.
   PowerBreakdown breakdown() const;
@@ -68,7 +69,6 @@ class PowerTracker {
   void grow();
   void touch(NodeId id);
   void refresh_rows(NodeId id);
-  void run_dff_fixpoint(std::vector<NodeId>& rows_dirty);
 
   const Netlist* nl_;
   const PowerModel* pm_;

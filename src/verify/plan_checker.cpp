@@ -4,7 +4,7 @@
 // The ordering matters: CSR bounds are proven first, and every later sweep
 // that walks CSR edges is gated on that proof, so a corrupt offset array is
 // reported instead of dereferenced. Patched plans are legal inputs — the
-// checks encode exactly the shapes SuiteOracle::apply_tie produces:
+// checks encode exactly the shapes SuiteOracle::try_tie produces:
 //
 //  - tie cells appended after compilation are EvalOp::Source slots with no
 //    fanin/fanout CSR rows, placed after their readers (so the topo rule is
@@ -235,7 +235,7 @@ void check_edges(const EvalPlan& p, const Netlist& nl, VerifyReport& r) {
     }
   }
   // Reverse direction: every fanout edge between live slots must be read
-  // back. Edges from/to Dead slots are the stale rows apply_tie
+  // back. Edges from/to Dead slots are the stale rows try_tie
   // leaves in place — excluded by design.
   for (SlotId s = 0; s < n; ++s) {
     if (is_dead_slot(p, s)) continue;

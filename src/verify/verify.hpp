@@ -1,7 +1,7 @@
 // tz::verify — static invariant checkers for Netlist and EvalPlan.
 //
 // Every flow commit goes through subtle in-place machinery (dead-cone
-// sweeps, added-range rollback, SuiteOracle::apply_tie's CSR rewrites
+// sweeps, added-range rollback, SuiteOracle::try_tie's CSR rewrites
 // and slot tombstoning) whose invariants were enforced by nothing but
 // end-to-end bit-identity tests. The two checkers here are cheap O(V+E)
 // sweeps that catch a corrupted netlist or plan at the mutation that caused
@@ -19,7 +19,7 @@
 //    agreement with the gate, CSR fanin/fanout bounds and mutual
 //    consistency, slot order respecting topological ranks, stripe/block
 //    layout bookkeeping, and a structural-equivalence diff proving a patched
-//    plan (after SuiteOracle::apply_tie) is isomorphic to a fresh
+//    plan (after SuiteOracle::try_tie) is isomorphic to a fresh
 //    recompile.
 //
 // Both return a typed list of violations (check id, node/slot, message)

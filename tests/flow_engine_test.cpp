@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -67,15 +69,41 @@ TEST(SuiteOracle, CommittedTiesKeepLaterVerdictsExact) {
     tie_to_constant(reference, c.node, c.tie_value);
     const bool expect_visible =
         !test::reference_functional_test(reference, suite);
-    ASSERT_EQ(oracle.tie_visible(c.node, c.tie_value), expect_visible);
-    if (!expect_visible) {
-      oracle.apply_tie(work, c.node, c.tie_value);
-    }
+    ASSERT_EQ(!oracle.try_tie(work, c.node, c.tie_value), expect_visible);
   }
   EXPECT_TRUE(functional_test(work, suite));
 }
 
-TEST(SuiteOracle, ApplyTieRejectsForeignNetlist) {
+TEST(SuiteOracle, CommittedTieFoldsMaskedRows) {
+  // y = AND(XOR(AND(a, b), c), BUF(e)). Tying t = AND(a, b) to 0 moves m on
+  // the one pattern with a = b = 1, where e = 0 masks it: invisible. Tying
+  // d = BUF(e) to 1 next unmasks m there, so it is visible only if the
+  // first commit folded m's moved row into the cache.
+  Netlist nl;
+  const std::vector<NodeId> in = test::add_inputs(nl, 4);  // a b c e
+  const NodeId t = nl.add_gate(GateType::And, "t", {in[0], in[1]});
+  const NodeId m = nl.add_gate(GateType::Xor, "m", {t, in[2]});
+  const NodeId d = nl.add_gate(GateType::Buf, "d", {in[3]});
+  nl.mark_output(nl.add_gate(GateType::And, "y", {m, d}));
+  DefenderTestSet ts;
+  ts.patterns = PatternSet(4, 0);
+  for (const std::array<bool, 4>& p : {std::array{true, true, true, false},
+                                       std::array{false, false, false, true},
+                                       std::array{true, false, false, false}}) {
+    ts.patterns.append(p);
+  }
+  ts.golden = BitSimulator(nl).outputs(ts.patterns);
+  DefenderSuite suite;
+  suite.algorithms.push_back(std::move(ts));
+  SuiteOracle oracle(nl, suite);
+  ASSERT_TRUE(oracle.try_tie(nl, t, false).has_value());
+  Netlist reference = nl;
+  tie_to_constant(reference, d, true);
+  ASSERT_FALSE(test::reference_functional_test(reference, suite));
+  EXPECT_FALSE(oracle.try_tie(nl, d, true).has_value());
+}
+
+TEST(SuiteOracle, TryTieRejectsForeignNetlist) {
   // The oracle's rows and plan describe the netlist it was built on; a tie
   // applied to any other netlist (even an identical copy) is refused before
   // either netlist or the cache changes.
@@ -85,9 +113,11 @@ TEST(SuiteOracle, ApplyTieRejectsForeignNetlist) {
   Netlist copy = work;
   SuiteOracle oracle(work, suite);
   const NodeId target = work.find("10");
-  EXPECT_THROW(oracle.apply_tie(copy, target, false), std::invalid_argument);
+  EXPECT_THROW(oracle.try_tie(copy, target, false), std::invalid_argument);
   EXPECT_TRUE(copy.is_alive(target));
   EXPECT_TRUE(work.is_alive(target));
+  EXPECT_EQ(oracle.tie_visible(target, false),
+            SuiteOracle(work, suite).tie_visible(target, false));
 }
 
 TEST(SuiteOracle, HtVerdictMatchesMaterializedFunctionalTest) {
@@ -191,6 +221,40 @@ TEST(SuiteOracle, RejectsSequentialHostsAndMismatchedSuites) {
 
 // ---- PowerTracker ----------------------------------------------------------
 
+// Every row of `tracker` equals a from-scratch analyze of `nl`, and every
+// live P1 equals the whole-netlist reference iteration (as SignalProb's
+// must), bit for bit.
+void expect_tracker_exact(const PowerTracker& tracker, const Netlist& nl,
+                          const PowerModel& pm) {
+  const PowerBreakdown full = pm.analyze(nl);
+  const PowerBreakdown inc = tracker.breakdown();
+  EXPECT_EQ(inc.dynamic_uw, full.dynamic_uw);
+  EXPECT_EQ(inc.leakage_uw, full.leakage_uw);
+  EXPECT_EQ(inc.area_ge, full.area_ge);
+  EXPECT_EQ(inc.totals.dynamic_uw, full.totals.dynamic_uw);
+  EXPECT_EQ(inc.totals.leakage_uw, full.totals.leakage_uw);
+  EXPECT_EQ(inc.totals.area_ge, full.totals.area_ge);
+  const std::vector<double> want = test::reference_signal_prob(nl);
+  EXPECT_EQ(SignalProb(nl).all_p1(), want);
+  for (NodeId id = 0; id < nl.raw_size(); ++id) {
+    if (nl.is_alive(id)) {
+      ASSERT_EQ(tracker.p1(id), want[id]) << nl.node(id).name;
+    }
+  }
+}
+
+// Resync `tracker` after an edit that appended the nodes from `size_before`
+// on and changed the readers of `cap_changed`.
+void resync_appended(PowerTracker& tracker, const Netlist& nl,
+                     std::size_t size_before,
+                     std::span<const NodeId> cap_changed) {
+  std::vector<NodeId> fresh;
+  for (NodeId id = static_cast<NodeId>(size_before); id < nl.raw_size(); ++id) {
+    fresh.push_back(id);
+  }
+  tracker.resync(fresh, cap_changed);
+}
+
 TEST(PowerTracker, MatchesAnalyzeThroughHtInsertionAndDummies) {
   const Netlist original = make_benchmark("c880");
   const DefenderSuite suite = make_defender_suite(original, defender_defaults());
@@ -198,13 +262,7 @@ TEST(PowerTracker, MatchesAnalyzeThroughHtInsertionAndDummies) {
   const SalvageResult sal = salvage_power_area(original, suite, pm, {.pth = 0.992});
   Netlist work = sal.modified;
   PowerTracker tracker(work, pm);
-  {
-    const PowerReport full = pm.analyze(work).totals;
-    const PowerReport inc = tracker.totals();
-    EXPECT_NEAR(inc.dynamic_uw, full.dynamic_uw, 1e-9);
-    EXPECT_NEAR(inc.leakage_uw, full.leakage_uw, 1e-9);
-    EXPECT_NEAR(inc.area_ge, full.area_ge, 1e-9);
-  }
+  expect_tracker_exact(tracker, work, pm);
   // Materialise a counter HT and resync: the tracker must agree with a
   // from-scratch analysis including the DFF probability fixpoint.
   const SignalProb sp(work);
@@ -215,37 +273,94 @@ TEST(PowerTracker, MatchesAnalyzeThroughHtInsertionAndDummies) {
   ASSERT_GE(pool.size(), 2u);
   const std::size_t size_before = work.raw_size();
   build_trojan(work, counter_trojan(3), pool, victim);
-  std::vector<NodeId> fresh;
-  for (NodeId id = static_cast<NodeId>(size_before); id < work.raw_size(); ++id) {
-    fresh.push_back(id);
-  }
   std::vector<NodeId> cap_changed(pool.begin(), pool.begin() + 2);
   cap_changed.push_back(victim);
-  tracker.resync(fresh, cap_changed);
-  {
-    const PowerReport full = pm.analyze(work).totals;
-    const PowerReport inc = tracker.totals();
-    EXPECT_NEAR(inc.dynamic_uw, full.dynamic_uw, 1e-9);
-    EXPECT_NEAR(inc.leakage_uw, full.leakage_uw, 1e-9);
-    EXPECT_NEAR(inc.area_ge, full.area_ge, 1e-9);
-  }
+  resync_appended(tracker, work, size_before, cap_changed);
+  expect_tracker_exact(tracker, work, pm);
   // And through a handful of dummy gates (tie-fed and PI-fed flavours).
   for (int k = 0; k < 4; ++k) {
     const std::size_t before = work.raw_size();
     const NodeId src =
         k % 2 ? work.const_node(false) : work.inputs()[k % work.inputs().size()];
     add_dummy_gate(work, src, k % 2 ? GateType::Nand : GateType::Buf, "tz_dummy");
-    fresh.clear();
-    for (NodeId id = static_cast<NodeId>(before); id < work.raw_size(); ++id) {
-      fresh.push_back(id);
-    }
-    tracker.resync(fresh, {{src}});
+    resync_appended(tracker, work, before, {{src}});
   }
-  const PowerReport full = pm.analyze(work).totals;
-  const PowerReport inc = tracker.totals();
-  EXPECT_NEAR(inc.dynamic_uw, full.dynamic_uw, 1e-9);
-  EXPECT_NEAR(inc.leakage_uw, full.leakage_uw, 1e-9);
-  EXPECT_NEAR(inc.area_ge, full.area_ge, 1e-9);
+  expect_tracker_exact(tracker, work, pm);
+}
+
+TEST(PowerTracker, DffFixpointMatchesWholeNetlistReference) {
+  // The tracker and SignalProb settle only the DFF domain; both must give
+  // the whole-netlist iteration's doubles.
+  const PowerModel pm = model();
+  {
+    // The toggle loop q' = q XOR 1, spliced into a live tracker.
+    Netlist nl;
+    const NodeId a = nl.add_input("a");
+    const NodeId one = nl.const_node(true);
+    nl.mark_output(nl.add_gate(GateType::And, "g", {a, one}));
+    PowerTracker tracker(nl, pm);
+    const std::size_t size_before = nl.raw_size();
+    const NodeId q = nl.add_gate(GateType::Dff, "q", {one});
+    const NodeId d = nl.add_gate(GateType::Xor, "d", {q, one});
+    nl.relink_fanin(q, 0, d);
+    resync_appended(tracker, nl, size_before, {{one}});
+    expect_tracker_exact(tracker, nl, pm);
+  }
+  // Counter HTs of 2, 3 and 4 bits built one after another into N' (so the
+  // later ones land in a multi-DFF netlist). A transaction first retaps the
+  // 2-bit HT's trigger, so the re-settle moves logic only the DFFs reach
+  // (that HT's fire net), then builds the 4-bit HT, and is rolled back.
+  for (const char* name : {"c880", "rand1k"}) {
+    SCOPED_TRACE(name);
+    const Netlist original = make_benchmark(name);
+    const DefenderSuite suite =
+        make_defender_suite(original, defender_defaults());
+    Netlist work =
+        salvage_power_area(original, suite, pm, {.pth = 0.99}).modified;
+    PowerTracker tracker(work, pm);
+    // Victims and trigger pools come from N' itself, before any HT.
+    const SignalProb sp(work);
+    const auto locations = payload_locations(work, 3);
+    ASSERT_EQ(locations.size(), 3u);
+    std::vector<std::vector<NodeId>> pools;
+    for (NodeId victim : locations) {
+      pools.push_back(trigger_pool(work, sp, 0.05, victim));
+      ASSERT_GE(pools.back().size(), 2u);
+    }
+    std::vector<InsertedHT> hts;
+    const auto build = [&](int bits) {
+      const NodeId victim = locations[hts.size()];
+      const std::vector<NodeId>& pool = pools[hts.size()];
+      const std::size_t size_before = work.raw_size();
+      hts.push_back(build_trojan(work, counter_trojan(bits), pool, victim));
+      std::vector<NodeId> cap_changed(pool.begin(), pool.begin() + 2);
+      cap_changed.push_back(victim);
+      resync_appended(tracker, work, size_before, cap_changed);
+      expect_tracker_exact(tracker, work, pm);
+    };
+    build(2);
+    build(3);
+    ASSERT_EQ(work.dffs().size(), 5u);
+    const Netlist saved = work;
+    const double fire_p1 = tracker.p1(hts[0].fire);
+    tracker.begin();
+    // Retap the 2-bit HT's trigger AND onto two primary inputs.
+    const NodeId trig = hts[0].trigger_in;
+    const IdList& taps = work.node(trig).fanin;
+    std::vector<NodeId> cap_changed(taps.begin(), taps.end());
+    for (std::size_t k = 0; k < 2; ++k) {
+      work.relink_fanin(trig, k, work.inputs()[k]);
+      cap_changed.push_back(work.inputs()[k]);
+    }
+    const std::vector<NodeId> fresh{trig};
+    tracker.resync(fresh, cap_changed);
+    expect_tracker_exact(tracker, work, pm);
+    ASSERT_NE(tracker.p1(hts[0].fire), fire_p1);
+    build(4);
+    tracker.rollback();
+    work = saved;
+    expect_tracker_exact(tracker, work, pm);
+  }
 }
 
 TEST(PowerTracker, RollbackRestoresRowsBitExact) {
@@ -702,14 +817,13 @@ TEST(EvalPlanFlow, HundredKGateMatchesReference) {
     for (const Candidate& c : cands) {
       if (accepted >= 32) break;
       if (!work.is_alive(c.node)) continue;
-      const bool visible = oracle.tie_visible(c.node, c.tie_value);
       Netlist trial = work;
       tie_to_constant(trial, c.node, c.tie_value);
-      ASSERT_EQ(visible, !test::reference_functional_test(trial, suite))
-          << work.node(c.node).name;
-      if (visible) continue;
-      ++accepted;
-      oracle.apply_tie(work, c.node, c.tie_value);
+      const bool expect_visible = !test::reference_functional_test(trial, suite);
+      const std::string name = work.node(c.node).name;
+      const bool visible = !oracle.try_tie(work, c.node, c.tie_value);
+      ASSERT_EQ(visible, expect_visible) << name;
+      if (!visible) ++accepted;
     }
     ASSERT_GE(accepted, 16u);
   }

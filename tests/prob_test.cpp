@@ -2,6 +2,7 @@
 #include <cstdint>
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "gen/iscas.hpp"
@@ -54,18 +55,6 @@ TEST(SignalProb, ConstantsArePinned) {
   EXPECT_DOUBLE_EQ(sp.p1(g), 1.0);
 }
 
-TEST(SignalProb, CustomInputProbability) {
-  Netlist nl;
-  const NodeId a = nl.add_input("a");
-  const NodeId b = nl.add_input("b");
-  const NodeId g = nl.add_gate(GateType::And, "g", {a, b});
-  nl.mark_output(g);
-  SignalProbOptions opt;
-  opt.input_p1 = 0.9;
-  const SignalProb sp(nl, opt);
-  EXPECT_NEAR(sp.p1(g), 0.81, 1e-12);
-}
-
 TEST(SignalProb, ActivityPeaksAtHalf) {
   Netlist nl;
   const NodeId a = nl.add_input("a");
@@ -90,6 +79,37 @@ TEST(SignalProb, DffFixpointConverges) {
   const SignalProb sp(nl);
   EXPECT_TRUE(sp.dff_converged());
   EXPECT_NEAR(sp.p1(q), 0.5, 1e-6);
+  EXPECT_EQ(sp.all_p1(), test::reference_signal_prob(nl));
+}
+
+TEST(SignalProb, DomainFixpointMatchesWholeNetlistIteration) {
+  // Three DFFs: a 2-stage shift register fed by a rare AND, and a
+  // self-loop through a NAND. Some logic reads no DFF at all, and one gate
+  // mixes DFF-driven and DFF-free fanins. Settling the DFF domain only must
+  // give the whole-netlist iteration's doubles, node for node.
+  Netlist nl;
+  const std::vector<NodeId> in = add_inputs(nl, 4);
+  const NodeId rare = nl.add_gate(GateType::And, "rare", {in[0], in[1], in[2]});
+  const NodeId q0 = nl.add_gate(GateType::Dff, "q0", {rare});
+  const NodeId q1 = nl.add_gate(GateType::Dff, "q1", {q0});
+  const NodeId q2 = nl.add_gate(GateType::Dff, "q2", {in[3]});
+  const NodeId loop = nl.add_gate(GateType::Nand, "loop", {q2, in[3]});
+  nl.relink_fanin(q2, 0, loop);
+  const NodeId plain = nl.add_gate(GateType::Xor, "plain", {in[0], in[3]});
+  const NodeId mix = nl.add_gate(GateType::Nand, "mix", {q1, plain, loop});
+  const NodeId out = nl.add_gate(GateType::Mux, "out", {q0, mix, plain});
+  nl.mark_output(out);
+  const SignalProb sp(nl);
+  EXPECT_TRUE(sp.dff_converged());
+  EXPECT_EQ(sp.all_p1(), test::reference_signal_prob(nl));
+  // The domain is exactly the DFF-reachable logic, fanins first.
+  const std::vector<NodeId> domain = dff_domain(nl);
+  ASSERT_EQ(domain.size(), 3u);
+  const auto at = [&](NodeId id) {
+    return std::find(domain.begin(), domain.end(), id) - domain.begin();
+  };
+  EXPECT_LT(at(loop), at(mix));
+  EXPECT_LT(at(mix), at(out));
 }
 
 TEST(FindCandidates, ThresholdAndPolarity) {
