@@ -33,7 +33,8 @@ int run() {
   {
     SignalProb sp(naive);
     const auto locs = payload_locations(naive, 1);
-    const auto pool = trigger_pool(naive, sp, 0.05, locs[0]);
+    const auto pool =
+        trigger_pool(naive, rare_net_list(naive, sp, 0.05), locs[0]);
     build_trojan(naive, counter_trojan(3), pool, locs[0]);
   }
   std::cout << "naive additive counter-3bit HT on c499:\n";

@@ -562,18 +562,15 @@ InsertionResult FlowEngine::insert(const SalvageResult& salvaged,
   const bool chk = check_enabled();
   const NetlistCheckOptions nopt{.allow_unread_gates = true};
 
-  // Rare-net pool per victim: the once-per-netlist rare list filtered by the
-  // victim's transitive-fanout mask (loop freedom). Computed once — the pool
-  // only depends on the victim, not on which HT is being tried, and rejected
-  // materialisations restore the structure the mask was built from.
+  // Rare-net pool per victim (trigger_pool over the once-per-netlist rare
+  // list). Computed once — the pool only depends on the victim, not on which
+  // HT is being tried, and rejected materialisations restore the structure
+  // the victim's fanout mask was built from.
   std::vector<std::vector<NodeId>> pools(locations.size());
   std::vector<char> pool_built(locations.size(), 0);
   const auto pool_for = [&](std::size_t v) -> const std::vector<NodeId>& {
     if (!pool_built[v]) {
-      const std::vector<char> down = downstream_mask(work, locations[v]);
-      for (NodeId id : rare) {
-        if (!down[id]) pools[v].push_back(id);
-      }
+      pools[v] = trigger_pool(work, rare, locations[v]);
       pool_built[v] = 1;
     }
     return pools[v];

@@ -20,9 +20,13 @@
 //
 //  - PowerTracker (tech/power_tracker.hpp) keeps per-node power/area rows
 //    and applies add-gate / remove-gate / splice deltas through SignalProb's
-//    own DFF fixpoint and PowerModel::node_power, so the Algorithm 2 cap
-//    checks and the dummy-balancing loop stop re-running
-//    analyze→SignalProb from scratch.
+//    gate_p1 and PowerModel::node_power, so the Algorithm 2 cap checks and
+//    the dummy-balancing loop stop re-running analyze→SignalProb from
+//    scratch. The HT counter's DFFs read their reset value, P1 = 0: the
+//    counter is dormant, hosts are combinational and alpha = 2·P1·P0
+//    assumes the temporal independence a register lacks (Najm, IEEE TVLSI
+//    1994). Each counter cell's per-cycle P1 and toggle rate are at most
+//    the row's pft, 1 - (1 - q)^L.
 //
 //  - A rejected tie is never applied (try_tie judges it first, and the
 //    same cone pass commits an accepted one); a materialised HT or dummy

@@ -55,14 +55,11 @@ std::vector<char> downstream_mask(const Netlist& nl, NodeId victim) {
   return downstream;
 }
 
-std::vector<NodeId> trigger_pool(const Netlist& nl, const SignalProb& sp,
-                                 double rare_p1, NodeId victim) {
-  // Exclude the victim's transitive fanout (payload rewiring must not create
-  // a combinational loop through the trigger). Filtering the sorted rare
-  // list preserves the lowest-P1-first order.
+std::vector<NodeId> trigger_pool(const Netlist& nl,
+                                 std::span<const NodeId> rare, NodeId victim) {
   const std::vector<char> down = downstream_mask(nl, victim);
   std::vector<NodeId> pool;
-  for (NodeId id : rare_net_list(nl, sp, rare_p1)) {
+  for (NodeId id : rare) {
     if (!down[id]) pool.push_back(id);
   }
   return pool;

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -31,9 +32,8 @@ inline constexpr std::size_t kMaxDummyGates = 256;
 struct InsertionOptions {
   /// HTs to try, in order; empty = default_ht_library().
   std::vector<TrojanDesc> library;
-  /// Rare-net pool: nets with P1 <= rare_p1 (or >= 1-rare_p1 are inverted
-  /// conceptually by choosing the AND polarity; we keep it simple and use
-  /// low-P1 nets directly).
+  /// Rare-net pool: the combinational nets with P1 <= rare_p1, lowest P1
+  /// first (rare_net_list). Nets with a high P1 are not inverted.
   double rare_p1 = 0.05;
   /// Ignored (the scan is one sequential walk); kept while tzbench still
   /// writes it.
@@ -84,9 +84,10 @@ std::vector<NodeId> rare_net_list(const Netlist& nl, const SignalProb& sp,
 /// by NodeId.
 std::vector<char> downstream_mask(const Netlist& nl, NodeId victim);
 
-/// Rare-net pool for trigger construction, lowest P1 first. Nets in the
-/// transitive fanout of `victim` are excluded to keep the payload loop-free.
-std::vector<NodeId> trigger_pool(const Netlist& nl, const SignalProb& sp,
-                                 double rare_p1, NodeId victim);
+/// Rare-net pool for trigger construction: `rare` (from rare_net_list) minus
+/// the nets in the transitive fanout of `victim`, which keeps the payload
+/// loop-free. Filtering preserves the lowest-P1-first order.
+std::vector<NodeId> trigger_pool(const Netlist& nl,
+                                 std::span<const NodeId> rare, NodeId victim);
 
 }  // namespace tz

@@ -53,7 +53,7 @@ DetectionResult detect_dynamic_power(const Netlist& golden_nl,
 /// PowerModel::analyze would return for each netlist): the die population is
 /// sampled from the cached per-node rows, so sweeps that perturb a DUT one
 /// gate at a time (min_detectable_* with an incremental PowerTracker) skip
-/// the per-step analyze -> SignalProb fixpoint. Bit-identical to the
+/// the per-step analyze -> SignalProb pass. Bit-identical to the
 /// analyzing overload when the breakdowns match.
 DetectionResult detect_dynamic_power(const Netlist& golden_nl,
                                      const Netlist& dut_nl,

@@ -3,43 +3,36 @@
 // Computes P(node = 1) for every node by propagating probabilities through
 // the gate library in topological order, assuming (a) every primary input is
 // 1 with probability 0.5 and (b) gate inputs are statistically independent —
-// exactly the model of Sec. II-B.2. DFF state probabilities are solved by a
-// damped fixpoint iteration over the DFF domain (dff_domain / settle_dffs,
-// shared with the incremental PowerTracker). Switching activity follows the
-// standard temporal-independence estimate alpha = 2 * P1 * (1 - P1).
+// exactly the model of Sec. II-B.2. Switching activity follows the standard
+// temporal-independence estimate alpha = 2 * P1 * (1 - P1).
+//
+// A DFF is a source that reads its reset value, P1 = 0, as a PI reads 0.5.
+// Hosts are combinational, so the only DFFs a flow sees are the inserted
+// HT's counter, which starts at 0 and is built to stay dormant; and the
+// zero-delay alpha assumes temporal independence, which a register does not
+// have (Najm, IEEE TVLSI 1994), so no steady-state solve would be exact
+// either. The error is bounded by a number each flow row reports: over a
+// window of L cycles with trigger probability q, every counter cell's
+// per-cycle P1 and toggle rate are at most P(the trigger fired at least once)
+// = 1 - (1 - q)^L, the row's pft (analytic_pft(q, L, 0)).
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "netlist/netlist.hpp"
 
 namespace tz {
 
-/// P(output = 1) of one combinational gate given fanin probabilities `p`
-/// (independence assumption). The single evaluation kernel shared by
-/// SignalProb's global pass and the incremental PowerTracker — both must
-/// produce bit-identical doubles. Throws on source nodes (Input/Dff).
+/// P(output = 1) of one node given fanin probabilities `p` (independence
+/// assumption); a primary input reads 0.5 and a DFF its reset value 0. The
+/// single evaluation kernel shared by SignalProb's global pass and the
+/// incremental PowerTracker — both must produce bit-identical doubles.
 double gate_p1(const Node& n, const std::vector<double>& p);
 
 /// Switching activity per evaluation of a node with P(1) = `p1`:
 /// alpha = 2 * p1 * p0.
 inline double switching_activity(double p1) { return 2.0 * p1 * (1.0 - p1); }
-
-/// The DFF domain: every live combinational node reachable from a DFF output
-/// (the only nodes whose P1 depends on DFF state), in a topological order
-/// over the domain's own edges. Node ids are not enough: a splice can make a
-/// low-id reader consume a new high-id node.
-std::vector<NodeId> dff_domain(const Netlist& nl);
-
-/// The sequential solve of SignalProb and PowerTracker: reset every DFF to
-/// 0, propagate `domain` (from dff_domain) in `p1`, then run the damped
-/// DFF iteration (bounded, with a fixed epsilon) re-propagating the domain
-/// each round. Every node outside the domain must already hold its final
-/// P1. Returns whether the iteration converged.
-bool settle_dffs(const Netlist& nl, std::span<const NodeId> domain,
-                 std::vector<double>& p1);
 
 class SignalProb {
  public:
@@ -53,11 +46,8 @@ class SignalProb {
 
   double activity(NodeId id) const { return switching_activity(p1_[id]); }
 
-  bool dff_converged() const { return dff_converged_; }
-
  private:
   std::vector<double> p1_;
-  bool dff_converged_ = true;
 };
 
 /// Candidate gates for Algorithm 1: combinational, non-output nodes whose

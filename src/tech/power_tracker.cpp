@@ -61,16 +61,11 @@ void PowerTracker::resync(std::span<const NodeId> fresh,
   std::vector<NodeId> rows_dirty(fresh.begin(), fresh.end());
   rows_dirty.insert(rows_dirty.end(), cap_changed.begin(), cap_changed.end());
 
-  bool dff_dirty = false;
-  for (NodeId id : fresh) {
-    if (nl_->is_alive(id) && nl_->node(id).type == GateType::Dff) {
-      dff_dirty = true;
-    }
-    worklist_.push(id);
-  }
+  for (NodeId id : fresh) worklist_.push(id);
   // Event-driven P1 propagation; a node whose recomputed P1 is unchanged
   // generates no further events. Re-queued nodes converge to the same pure
-  // function of the final fanin values regardless of pop order.
+  // function of the final fanin values regardless of pop order. A DFF is a
+  // source (its reset value), so it stops the cone like a PI does.
   while (!worklist_.empty()) {
     const NodeId id = worklist_.pop();
     if (!nl_->is_alive(id)) {
@@ -79,32 +74,14 @@ void PowerTracker::resync(std::span<const NodeId> fresh,
       p1_[id] = 0.0;
       continue;
     }
-    const GateType t = nl_->node(id).type;
-    if (t == GateType::Input || t == GateType::Dff) continue;
     const double next = gate_p1(nl_->node(id), p1_);
     if (next == p1_[id]) continue;
     touch(id);
     p1_[id] = next;
     rows_dirty.push_back(id);
     for (NodeId reader : nl_->node(id).fanout) {
-      if (!nl_->is_alive(reader)) continue;
-      if (nl_->node(reader).type == GateType::Dff) {
-        dff_dirty = true;
-        continue;
-      }
-      worklist_.push(reader);
+      if (nl_->is_alive(reader)) worklist_.push(reader);
     }
-  }
-  if (dff_dirty && !nl_->dffs().empty()) {
-    // Re-solve exactly as SignalProb does, on the DFF domain only: every
-    // other node's P1 is already final and does not depend on DFF state.
-    const std::vector<NodeId> domain = dff_domain(*nl_);
-    for (NodeId q : nl_->dffs()) touch(q);
-    for (NodeId id : domain) touch(id);
-    settle_dffs(*nl_, domain, p1_);
-    rows_dirty.insert(rows_dirty.end(), nl_->dffs().begin(),
-                      nl_->dffs().end());
-    rows_dirty.insert(rows_dirty.end(), domain.begin(), domain.end());
   }
   for (NodeId id : rows_dirty) refresh_rows(id);
 }

@@ -5,12 +5,17 @@
 // after an add-gate / remove-gate / tie / splice, only the edit's fanout cone
 // is re-evaluated (event-driven over a topological-rank worklist) plus the
 // rows whose load capacitance changed. The tracker owns no formula of its own: P1
-// comes from gate_p1, the DFF fixpoint from dff_domain + settle_dffs
-// (prob/signal_prob.hpp) and every row from PowerModel::node_power, so a
-// resynced tracker reports the same doubles a from-scratch
-// PowerModel::analyze would — which is what lets the Algorithm 2
+// comes from gate_p1 (prob/signal_prob.hpp) and every row from
+// PowerModel::node_power, so a resynced tracker reports the same doubles a
+// from-scratch PowerModel::analyze would — which is what lets the Algorithm 2
 // cap checks and the dummy-balancing loop drop their per-trial
-// analyze->SignalProb fixpoint without changing a single accept decision.
+// analyze->SignalProb pass without changing a single accept decision.
+//
+// A DFF reads its reset value (P1 = 0) as a PI reads 0.5, so its P1 never
+// depends on its d-input and an edit's cone stops at it. The only DFFs are
+// the inserted HT's dormant counter; signal_prob.hpp gives the reasons
+// (combinational hosts, Najm's temporal-independence caveat) and the error
+// bound, the flow row's pft.
 //
 // Transactions make speculative edits cheap: begin(), mutate the netlist,
 // resync(), inspect totals(), then rollback() (restoring the recorded rows
@@ -38,9 +43,6 @@ class PowerTracker {
   ///    their P1 is recomputed and propagated through the fanout cone.
   ///  - `cap_changed`: nodes whose reader set changed — their dynamic row is
   ///    refreshed for the new load capacitance.
-  /// If the netlist carries DFFs and the edit reaches one, the DFF domain is
-  /// re-settled through the same settle_dffs SignalProb runs, keeping parity
-  /// with a from-scratch analysis.
   void resync(std::span<const NodeId> fresh,
               std::span<const NodeId> cap_changed);
 

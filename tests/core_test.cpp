@@ -13,6 +13,7 @@
 #include "core/trigger_prob.hpp"
 #include "core/report.hpp"
 #include "gen/iscas.hpp"
+#include "prob/signal_prob.hpp"
 #include "sat/equivalence.hpp"
 #include "sim/simulator.hpp"
 #include "testutil.hpp"
@@ -146,6 +147,66 @@ TEST(BuildTrojan, DormantTrojanIsInvisibleFunctionally) {
   EXPECT_TRUE(eq.equivalent);
 }
 
+TEST(BuildTrojan, CounterActivityBoundedByPft) {
+  // SignalProb reads every counter DFF at its reset value, 0. In cycle
+  // simulation from reset, nothing in the counter moves until the trigger
+  // fires, so over an L-cycle window each counter DFF's per-cycle P1 and
+  // toggle rate, and fire's P1, are at most P(the trigger fired in the
+  // window) = 1 - (1 - q)^L, the flow row's pft. Each window's figure is
+  // at most its own fired indicator, so the mean over windows gets the
+  // indicator's 3-sigma binomial margin. The trigger ANDs four PIs: q = 1/16.
+  constexpr double q = 1.0 / 16;
+  constexpr std::size_t kWindows = 4000;
+  std::mt19937_64 rng(7);
+  for (int bits = 2; bits <= 5; ++bits) {
+    SCOPED_TRACE(bits);
+    NodeId victim;
+    std::vector<NodeId> rare;
+    Netlist nl = payload_testbed(&victim, &rare);
+    const InsertedHT ht =
+        build_trojan(nl, counter_trojan(bits, 2), rare, victim);
+    const std::size_t n = nl.dffs().size();
+    ASSERT_EQ(n, static_cast<std::size_t>(bits));
+    const SignalProb sp(nl);
+    ASSERT_EQ(sp.p1(ht.trigger_in), q);
+    for (NodeId d : nl.dffs()) ASSERT_EQ(sp.p1(d), 0.0);
+    CycleSimulator cs(nl);
+    std::vector<bool> in(nl.inputs().size());
+    for (const std::size_t len : {std::size_t{1}, std::size_t{4},
+                                  std::size_t{10}}) {
+      SCOPED_TRACE(len);
+      const double pft = analytic_pft(q, len, 0);
+      ASSERT_LT(pft, 0.5);
+      const double bound =
+          pft + 3.0 * std::sqrt(pft * (1.0 - pft) / kWindows);
+      std::vector<std::size_t> ones(n, 0), flips(n, 0);
+      std::size_t fire_ones = 0;
+      for (std::size_t w = 0; w < kWindows; ++w) {
+        cs.reset();
+        std::vector<bool> prev(n, false);  // reset state
+        for (std::size_t t = 0; t < len; ++t) {
+          for (std::size_t i = 0; i < in.size(); ++i) in[i] = rng() & 1;
+          cs.step(in);
+          fire_ones += cs.value_of(ht.fire);
+          const std::vector<bool> now = cs.state();
+          for (std::size_t i = 0; i < n; ++i) {
+            ones[i] += now[i];
+            flips[i] += now[i] != prev[i];
+          }
+          prev = now;
+        }
+      }
+      const double cycles = static_cast<double>(kWindows * len);
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_LE(ones[i] / cycles, bound) << "P1 of bit " << i;
+        EXPECT_LE(flips[i] / cycles, bound) << "toggles of bit " << i;
+      }
+      EXPECT_LE(fire_ones / cycles, bound);
+      EXPECT_GT(flips[0], 0u);  // the counter does count
+    }
+  }
+}
+
 TEST(BuildTrojan, RejectsBadVictims) {
   NodeId victim;
   std::vector<NodeId> rare;
@@ -277,7 +338,7 @@ TEST(TriggerPool, ExcludesVictimFanout) {
   const SignalProb sp(nl);
   const auto locs = payload_locations(nl, 1);
   ASSERT_FALSE(locs.empty());
-  const auto pool = trigger_pool(nl, sp, 0.05, locs[0]);
+  const auto pool = trigger_pool(nl, rare_net_list(nl, sp, 0.05), locs[0]);
   // No pool member may be reachable from the victim.
   std::vector<char> down(nl.raw_size(), 0);
   std::vector<NodeId> stack{locs[0]};

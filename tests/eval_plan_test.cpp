@@ -174,11 +174,12 @@ TEST(EvalPlan, PlanPatchAfterCommitMatchesRecompile) {
   EXPECT_GT(committed, 0u);
   EXPECT_TRUE(test::reference_functional_test(work, suite));
   // HT judging on the patched plan agrees with a recompile too.
-  const SignalProb sp2(work);
+  const std::vector<NodeId> rare =
+      rare_net_list(work, SignalProb(work), 0.05);
   SuiteOracle recompiled(work, suite);
   int checked = 0;
   for (NodeId victim : payload_locations(work, 6)) {
-    const auto pool = trigger_pool(work, sp2, 0.05, victim);
+    const auto pool = trigger_pool(work, rare, victim);
     if (pool.size() < 2) continue;
     const std::span<const NodeId> trig(pool.data(), 2);
     EXPECT_EQ(oracle.ht_visible(trig, 3, victim),

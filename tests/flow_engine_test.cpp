@@ -140,13 +140,13 @@ TEST(SuiteOracle, HtVerdictMatchesMaterializedFunctionalTest) {
     const SalvageResult sal = salvage_power_area(
         original, suite, pm, {.pth = spec_for(c.name).pth});
     const Netlist& nprime = sal.modified;
-    const SignalProb sp(nprime);
+    const auto rare = rare_net_list(nprime, SignalProb(nprime), c.rare_p1);
     const auto locations = payload_locations(nprime, 8);
     SuiteOracle oracle(nprime, suite);
     for (const TrojanDesc& desc :
          {counter_trojan(2), counter_trojan(3), counter_trojan(0, 2)}) {
       for (NodeId victim : locations) {
-        const auto pool = trigger_pool(nprime, sp, c.rare_p1, victim);
+        const auto pool = trigger_pool(nprime, rare, victim);
         if (pool.size() < static_cast<std::size_t>(desc.trigger_width)) {
           continue;
         }
@@ -222,8 +222,8 @@ TEST(SuiteOracle, RejectsSequentialHostsAndMismatchedSuites) {
 // ---- PowerTracker ----------------------------------------------------------
 
 // Every row of `tracker` equals a from-scratch analyze of `nl`, and every
-// live P1 equals the whole-netlist reference iteration (as SignalProb's
-// must), bit for bit.
+// live P1 equals the whole-netlist reference pass (as SignalProb's must),
+// bit for bit.
 void expect_tracker_exact(const PowerTracker& tracker, const Netlist& nl,
                           const PowerModel& pm) {
   const PowerBreakdown full = pm.analyze(nl);
@@ -264,12 +264,12 @@ TEST(PowerTracker, MatchesAnalyzeThroughHtInsertionAndDummies) {
   PowerTracker tracker(work, pm);
   expect_tracker_exact(tracker, work, pm);
   // Materialise a counter HT and resync: the tracker must agree with a
-  // from-scratch analysis including the DFF probability fixpoint.
+  // from-scratch analysis, counter DFFs included.
   const SignalProb sp(work);
   const auto locations = payload_locations(work, 4);
   ASSERT_FALSE(locations.empty());
   const NodeId victim = locations[0];
-  const auto pool = trigger_pool(work, sp, 0.05, victim);
+  const auto pool = trigger_pool(work, rare_net_list(work, sp, 0.05), victim);
   ASSERT_GE(pool.size(), 2u);
   const std::size_t size_before = work.raw_size();
   build_trojan(work, counter_trojan(3), pool, victim);
@@ -288,28 +288,13 @@ TEST(PowerTracker, MatchesAnalyzeThroughHtInsertionAndDummies) {
   expect_tracker_exact(tracker, work, pm);
 }
 
-TEST(PowerTracker, DffFixpointMatchesWholeNetlistReference) {
-  // The tracker and SignalProb settle only the DFF domain; both must give
-  // the whole-netlist iteration's doubles.
-  const PowerModel pm = model();
-  {
-    // The toggle loop q' = q XOR 1, spliced into a live tracker.
-    Netlist nl;
-    const NodeId a = nl.add_input("a");
-    const NodeId one = nl.const_node(true);
-    nl.mark_output(nl.add_gate(GateType::And, "g", {a, one}));
-    PowerTracker tracker(nl, pm);
-    const std::size_t size_before = nl.raw_size();
-    const NodeId q = nl.add_gate(GateType::Dff, "q", {one});
-    const NodeId d = nl.add_gate(GateType::Xor, "d", {q, one});
-    nl.relink_fanin(q, 0, d);
-    resync_appended(tracker, nl, size_before, {{one}});
-    expect_tracker_exact(tracker, nl, pm);
-  }
+TEST(PowerTracker, CounterHtsMatchWholeNetlistReference) {
   // Counter HTs of 2, 3 and 4 bits built one after another into N' (so the
   // later ones land in a multi-DFF netlist). A transaction first retaps the
-  // 2-bit HT's trigger, so the re-settle moves logic only the DFFs reach
-  // (that HT's fire net), then builds the 4-bit HT, and is rolled back.
+  // 2-bit HT's trigger onto two primary inputs, which moves the trigger's
+  // P1 but stops at the counter's DFFs (they read their reset value), then
+  // builds the 4-bit HT, and is rolled back.
+  const PowerModel pm = model();
   for (const char* name : {"c880", "rand1k"}) {
     SCOPED_TRACE(name);
     const Netlist original = make_benchmark(name);
@@ -319,12 +304,12 @@ TEST(PowerTracker, DffFixpointMatchesWholeNetlistReference) {
         salvage_power_area(original, suite, pm, {.pth = 0.99}).modified;
     PowerTracker tracker(work, pm);
     // Victims and trigger pools come from N' itself, before any HT.
-    const SignalProb sp(work);
+    const auto rare = rare_net_list(work, SignalProb(work), 0.05);
     const auto locations = payload_locations(work, 3);
     ASSERT_EQ(locations.size(), 3u);
     std::vector<std::vector<NodeId>> pools;
     for (NodeId victim : locations) {
-      pools.push_back(trigger_pool(work, sp, 0.05, victim));
+      pools.push_back(trigger_pool(work, rare, victim));
       ASSERT_GE(pools.back().size(), 2u);
     }
     std::vector<InsertedHT> hts;
@@ -342,10 +327,9 @@ TEST(PowerTracker, DffFixpointMatchesWholeNetlistReference) {
     build(3);
     ASSERT_EQ(work.dffs().size(), 5u);
     const Netlist saved = work;
-    const double fire_p1 = tracker.p1(hts[0].fire);
-    tracker.begin();
-    // Retap the 2-bit HT's trigger AND onto two primary inputs.
     const NodeId trig = hts[0].trigger_in;
+    const double trig_p1 = tracker.p1(trig);
+    tracker.begin();
     const IdList& taps = work.node(trig).fanin;
     std::vector<NodeId> cap_changed(taps.begin(), taps.end());
     for (std::size_t k = 0; k < 2; ++k) {
@@ -355,7 +339,8 @@ TEST(PowerTracker, DffFixpointMatchesWholeNetlistReference) {
     const std::vector<NodeId> fresh{trig};
     tracker.resync(fresh, cap_changed);
     expect_tracker_exact(tracker, work, pm);
-    ASSERT_NE(tracker.p1(hts[0].fire), fire_p1);
+    ASSERT_NE(tracker.p1(trig), trig_p1);
+    ASSERT_EQ(tracker.p1(hts[0].fire), 0.0);
     build(4);
     tracker.rollback();
     work = saved;
@@ -476,7 +461,7 @@ TEST(TriggerPool, RareListFilterMatchesAndStaysLoopFree) {
   }
   for (NodeId victim : payload_locations(nprime, 8)) {
     const auto mask = downstream_mask(nprime, victim);
-    const auto pool = trigger_pool(nprime, sp, 0.05, victim);
+    const auto pool = trigger_pool(nprime, rare, victim);
     // Never a net in the victim's transitive fanout (loop freedom)...
     for (NodeId p : pool) EXPECT_FALSE(mask[p]);
     // ...and exactly the rare list minus the masked nets, order preserved.
@@ -621,7 +606,8 @@ ReferenceInsertion reference_insertion(const Netlist& original,
                                        const PowerModel& pm,
                                        const InsertionOptions& opt) {
   const PowerReport threshold = pm.analyze(original).totals;
-  const SignalProb sp(salvaged);
+  const std::vector<NodeId> rare =
+      rare_net_list(salvaged, SignalProb(salvaged), opt.rare_p1);
   const std::vector<NodeId> locations =
       payload_locations(salvaged, kMaxPayloadLocations);
   ReferenceInsertion out;
@@ -630,8 +616,7 @@ ReferenceInsertion reference_insertion(const Netlist& original,
     ++out.tried_hts;
     for (const NodeId victim : locations) {
       ++out.tried_locations;
-      const std::vector<NodeId> pool =
-          trigger_pool(salvaged, sp, opt.rare_p1, victim);
+      const std::vector<NodeId> pool = trigger_pool(salvaged, rare, victim);
       if (pool.size() < static_cast<std::size_t>(desc.trigger_width)) {
         ++out.fail_build;
         continue;

@@ -5,9 +5,15 @@
 #include <algorithm>
 #include <cmath>
 
+#include "atpg/test_set.hpp"
+#include "core/ht_library.hpp"
+#include "core/insertion.hpp"
+#include "core/report.hpp"
+#include "core/salvage.hpp"
 #include "gen/iscas.hpp"
 #include "gen/random_circuit.hpp"
 #include "prob/signal_prob.hpp"
+#include "tech/power_model.hpp"
 #include "sim/simulator.hpp"
 #include "testutil.hpp"
 
@@ -67,8 +73,9 @@ TEST(SignalProb, ActivityPeaksAtHalf) {
   EXPECT_GT(sp.activity(a), sp.activity(rare));
 }
 
-TEST(SignalProb, DffFixpointConverges) {
-  // q' = q XOR 1 (free-running toggle): steady state P(q)=0.5.
+TEST(SignalProb, DffReadsItsResetState) {
+  // q' = q XOR 1 toggles every cycle, but a DFF is a source at its reset
+  // value: q reads 0 whatever its d-input does, and d reads 1.
   Netlist nl;
   nl.add_input("unused");
   const NodeId one = nl.const_node(true);
@@ -77,39 +84,42 @@ TEST(SignalProb, DffFixpointConverges) {
   nl.relink_fanin(q, 0, d);
   nl.mark_output(d);
   const SignalProb sp(nl);
-  EXPECT_TRUE(sp.dff_converged());
-  EXPECT_NEAR(sp.p1(q), 0.5, 1e-6);
+  EXPECT_EQ(sp.p1(q), 0.0);
+  EXPECT_EQ(sp.p1(d), 1.0);
   EXPECT_EQ(sp.all_p1(), test::reference_signal_prob(nl));
 }
 
-TEST(SignalProb, DomainFixpointMatchesWholeNetlistIteration) {
-  // Three DFFs: a 2-stage shift register fed by a rare AND, and a
-  // self-loop through a NAND. Some logic reads no DFF at all, and one gate
-  // mixes DFF-driven and DFF-free fanins. Settling the DFF domain only must
-  // give the whole-netlist iteration's doubles, node for node.
-  Netlist nl;
-  const std::vector<NodeId> in = add_inputs(nl, 4);
-  const NodeId rare = nl.add_gate(GateType::And, "rare", {in[0], in[1], in[2]});
-  const NodeId q0 = nl.add_gate(GateType::Dff, "q0", {rare});
-  const NodeId q1 = nl.add_gate(GateType::Dff, "q1", {q0});
-  const NodeId q2 = nl.add_gate(GateType::Dff, "q2", {in[3]});
-  const NodeId loop = nl.add_gate(GateType::Nand, "loop", {q2, in[3]});
-  nl.relink_fanin(q2, 0, loop);
-  const NodeId plain = nl.add_gate(GateType::Xor, "plain", {in[0], in[3]});
-  const NodeId mix = nl.add_gate(GateType::Nand, "mix", {q1, plain, loop});
-  const NodeId out = nl.add_gate(GateType::Mux, "out", {q0, mix, plain});
-  nl.mark_output(out);
-  const SignalProb sp(nl);
-  EXPECT_TRUE(sp.dff_converged());
-  EXPECT_EQ(sp.all_p1(), test::reference_signal_prob(nl));
-  // The domain is exactly the DFF-reachable logic, fanins first.
-  const std::vector<NodeId> domain = dff_domain(nl);
-  ASSERT_EQ(domain.size(), 3u);
-  const auto at = [&](NodeId id) {
-    return std::find(domain.begin(), domain.end(), id) - domain.begin();
-  };
-  EXPECT_LT(at(loop), at(mix));
-  EXPECT_LT(at(mix), at(out));
+TEST(SignalProb, CounterHtLeavesNPrimeUnchanged) {
+  // A counter HT built into N' changes no P1 of N': its DFFs and fire net
+  // read 0, so the payload MUX passes the victim's P1 through exactly.
+  const PowerModel pm(CellLibrary::tsmc65_like());
+  for (const char* name : {"c432", "c880", "c1908"}) {
+    SCOPED_TRACE(name);
+    const Netlist original = make_benchmark(name);
+    const DefenderSuite suite =
+        make_defender_suite(original, FlowOptions::atpg_only_defender());
+    const Netlist nprime =
+        salvage_power_area(original, suite, pm, {.pth = spec_for(name).pth})
+            .modified;
+    const SignalProb before(nprime);
+    const NodeId victim = payload_locations(nprime, 1).at(0);
+    const std::vector<NodeId> pool =
+        trigger_pool(nprime, rare_net_list(nprime, before, 0.05), victim);
+    for (int bits = 2; bits <= 5; ++bits) {
+      SCOPED_TRACE(bits);
+      Netlist npp = nprime;
+      const InsertedHT ht =
+          build_trojan(npp, counter_trojan(bits), pool, victim);
+      const SignalProb after(npp);
+      for (NodeId id : nprime.live_nodes()) {
+        ASSERT_EQ(after.p1(id), before.p1(id)) << nprime.node(id).name;
+      }
+      ASSERT_EQ(npp.dffs().size(), static_cast<std::size_t>(bits));
+      for (NodeId q : npp.dffs()) EXPECT_EQ(after.p1(q), 0.0);
+      EXPECT_EQ(after.p1(ht.fire), 0.0);
+      EXPECT_EQ(after.all_p1(), test::reference_signal_prob(npp));
+    }
+  }
 }
 
 TEST(FindCandidates, ThresholdAndPolarity) {

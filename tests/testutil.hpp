@@ -3,8 +3,6 @@
 // across suite files.
 #pragma once
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <iterator>
 #include <random>
@@ -63,33 +61,17 @@ inline bool reference_functional_test(const Netlist& dut,
   return true;
 }
 
-// Signal probabilities by the whole-netlist damped iteration: every PI at
-// 0.5, one full topological pass with every DFF at 0, then at most 64 rounds
-// of q <- (q + d) / 2 over all DFFs, each followed by a full pass, until no
-// DFF moves by 1e-9. SignalProb and PowerTracker settle only the DFF domain;
-// both must match this bit for bit.
+// Signal probabilities by one whole-netlist topological pass: every PI at
+// 0.5, every DFF at its reset value 0, every gate through gate_p1.
+// SignalProb and PowerTracker must match it bit for bit.
 inline std::vector<double> reference_signal_prob(const Netlist& nl) {
   std::vector<double> p1(nl.raw_size(), 0.0);
   for (NodeId id : nl.inputs()) p1[id] = 0.5;
-  const std::vector<NodeId> order = nl.topo_order();
-  const auto full_pass = [&] {
-    for (NodeId id : order) {
-      const Node& n = nl.node(id);
-      if (n.type != GateType::Input && n.type != GateType::Dff) {
-        p1[id] = gate_p1(n, p1);
-      }
+  for (NodeId id : nl.topo_order()) {
+    const Node& n = nl.node(id);
+    if (n.type != GateType::Input && n.type != GateType::Dff) {
+      p1[id] = gate_p1(n, p1);
     }
-  };
-  full_pass();
-  for (int round = 0; round < 64 && !nl.dffs().empty(); ++round) {
-    double delta = 0.0;
-    for (NodeId q : nl.dffs()) {
-      const double next = (p1[q] + p1[nl.node(q).fanin[0]]) / 2;
-      delta = std::max(delta, std::abs(next - p1[q]));
-      p1[q] = next;
-    }
-    full_pass();
-    if (delta < 1e-9) break;
   }
   return p1;
 }
