@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -47,8 +46,6 @@ FaultSimContext::FaultSimContext(const Netlist& nl) : nl_(&nl), sim_(nl) {
   const EvalPlan& p = plan();
   const std::size_t n = p.num_slots();
   po_reach_.assign(n, 0);
-  rank_.resize(n);
-  std::iota(rank_.begin(), rank_.end(), 0);
   for (SlotId po : p.output_slots()) po_reach_[po] = 1;
   for (SlotId s = static_cast<SlotId>(n); s-- > 0;) {
     if (po_reach_[s]) continue;
@@ -74,6 +71,19 @@ void FaultSimContext::set_patterns(const PatternSet& patterns) {
   num_patterns_ = patterns.num_patterns();
   has_patterns_ = true;
   ++pattern_epoch_;
+}
+
+bool FaultSimContext::screened_out(const Fault& f) const {
+  if (!nl_->is_alive(f.node) || !po_reachable(f.node)) return true;
+  const std::uint64_t inject =
+      f.value == StuckAt::One ? ~std::uint64_t{0} : 0;
+  const std::uint64_t* g = good_row(plan().slot_of(f.node));
+  for (std::size_t w = 0; w < words_; ++w) {
+    std::uint64_t diff = inject ^ g[w];
+    if (w + 1 == words_) diff &= tail_;
+    if (diff) return false;
+  }
+  return true;
 }
 
 double FaultSimContext::mean_cone_size() {

@@ -11,9 +11,10 @@
 // This header owns the pieces both engines share:
 //  - FaultSimMode / set_fault_sim_mode: the process-wide backend selector
 //    (Auto unless a test or bench forces an engine, atomically);
-//  - FaultSimContext: the static analyses (topological ranks, fanout-cone ->
-//    PO reachability) and the good-machine rows, computed once per netlist
-//    (the rows once per pattern set) and cached across backend calls;
+//  - FaultSimContext: the static analyses (fanout-cone -> PO reachability,
+//    cone statistics), the fault screen both engines apply and the
+//    good-machine rows, computed once per netlist (the rows once per pattern
+//    set) and cached across backend calls;
 //  - FaultSimBackend: the abstract contract (drop_sim / detection_matrix,
 //    the two calls ATPG makes) every consumer is wired through;
 //  - make_fault_sim_backend: the factory, returning the concrete engine for
@@ -47,10 +48,10 @@ void set_fault_sim_mode(int mode);
 /// Static analyses + good machine shared by every fault-simulation backend.
 ///
 /// Constructed once per netlist and reused across calls and across backends
-/// (the Auto selector runs both engines off one context): topological ranks,
-/// the fanout-cone -> PO reachability bitset and the compiled plan survive
-/// between pattern-set swaps. The netlist must not change structurally
-/// while a context is bound to it.
+/// (the Auto selector runs both engines off one context): the fanout-cone ->
+/// PO reachability bitset and the compiled plan survive between pattern-set
+/// swaps. The netlist must not change structurally while a context is bound
+/// to it.
 class FaultSimContext {
  public:
   explicit FaultSimContext(const Netlist& nl);
@@ -63,10 +64,6 @@ class FaultSimContext {
   /// The shared compiled plan; the cone walk's index space is its slots.
   const EvalPlan& plan() const { return *sim_.plan(); }
 
-  /// Slot order is the topological order, so the worklist rank of a slot is
-  /// the slot id itself.
-  const std::vector<std::uint32_t>& rank() const { return rank_; }
-  bool po_reachable_slot(SlotId s) const { return po_reach_[s] != 0; }
   /// Static reachability: false means no combinational path from `id` to any
   /// primary output exists, so no fault at `id` is ever detectable.
   bool po_reachable(NodeId id) const {
@@ -74,8 +71,15 @@ class FaultSimContext {
     return s != kNoSlot && po_reach_[s] != 0;
   }
 
+  /// The screens both engines apply before simulating a fault, so both
+  /// report the same all-zero rows: true when the site is dead, has no
+  /// combinational path to a primary output, or no pattern excites it (the
+  /// good value already equals the stuck value on every pattern lane).
+  bool screened_out(const Fault& f) const;
+
   bool has_patterns() const { return has_patterns_; }
-  /// Good-machine row of slot `s`: words() contiguous words.
+  /// Good-machine row of slot `s`: words() contiguous words. The rows are
+  /// slot-major, so good_row(0) is the whole matrix.
   const std::uint64_t* good_row(SlotId s) const {
     return good_.data() + std::size_t{s} * words_;
   }
@@ -96,7 +100,6 @@ class FaultSimContext {
  private:
   const Netlist* nl_;
   BitSimulator sim_;
-  std::vector<std::uint32_t> rank_;  ///< worklist order (identity over slots)
   std::vector<char> po_reach_;       ///< static cone -> PO reachability
   std::vector<std::uint64_t> good_;  ///< slot-major rows of words_ words
   std::size_t words_ = 0;

@@ -1,20 +1,16 @@
 // Event-driven stuck-at fault-simulation backend.
 //
-// One fault at a time, 64 patterns per word: per-fault faulty values are
-// computed event-driven over an explicit worklist ordered by topological
-// rank, touching (and later clearing) only the rows the fault's effect
-// actually reaches — no netlist-sized zero-fill per fault. The static
-// analyses (ranks, fanout-cone -> PO reachability) and the shared
+// One fault at a time, 64 patterns per word: the stuck value is forced at
+// the site and sim/cone_pass.hpp re-evaluates only the readers whose rows
+// actually change, touching (and later clearing) just the rows the fault's
+// effect reaches — no netlist-sized zero-fill per fault. The suite oracle
+// (core/flow_engine.hpp) runs the same pass for its tie verdicts. The static
+// analyses (fanout-cone -> PO reachability, the fault screen) and the shared
 // good-machine simulation live in FaultSimContext (fault_sim_backend.hpp)
-// and are cached across calls, pattern swaps and sibling backends; a masked
-// excitation check additionally skips faults the pattern set never
-// activates. First-class fault dropping (`drop_sim`) lets callers
+// and are cached across calls, pattern swaps and sibling backends. The
+// engine itself keeps the injection, the primary-output diff and the
+// detection bitmap. First-class fault dropping (`drop_sim`) lets callers
 // re-simulate only still-undetected faults as patterns accumulate.
-//
-// The cone walk indexes sim/eval_plan.hpp slots: slot ids double as
-// topological ranks, fanout scheduling reads the plan's CSR and gates
-// evaluate through the plan's arity-specialized kernels instead of
-// dereferencing Node objects.
 //
 // This engine wins when fanout cones are sparse relative to the netlist; its
 // word-packed sibling (fault_sim_packed.hpp) wins on dense cones. Both are
@@ -29,10 +25,7 @@
 
 #include "atpg/fault.hpp"
 #include "atpg/fault_sim_backend.hpp"
-#include "sim/eval_plan.hpp"
-#include "sim/patterns.hpp"
-#include "sim/rank_worklist.hpp"
-#include "sim/simulator.hpp"
+#include "sim/cone_pass.hpp"
 
 namespace tz {
 
@@ -63,17 +56,12 @@ class FaultSimEngine final : public FaultSimBackend {
   /// moved (shared contexts advance underneath the engine).
   void sync_scratch();
 
-  std::uint64_t* frow(SlotId s) { return faulty_.data() + s * words_; }
-
   // Cached off the context by sync_scratch (hot-loop locals).
   std::size_t words_ = 0;
-  std::uint64_t tail_ = 0;
   std::uint64_t synced_patterns_ = 0;
-  // Per-fault scratch, reset via `visited_` so cost tracks the cone size.
-  std::vector<std::uint64_t> faulty_;  ///< rows valid only where touched_
-  std::vector<char> touched_;
-  std::vector<std::uint32_t> visited_;  ///< touched rows to un-touch
-  RankWorklist worklist_;
+  /// Per word: the pattern lanes (all ones but the last word's tail mask).
+  std::vector<std::uint64_t> valid_;
+  ConePass pass_;                    ///< faulty rows, cleared per fault
   std::vector<std::uint64_t> bits_;  ///< detection bitmap of the last fault
 };
 

@@ -20,7 +20,6 @@ void PackedFaultSimEngine::sync_scratch() {
   if (synced_patterns_ != ctx_->pattern_epoch()) {
     words_ = ctx_->words();
     num_patterns_ = ctx_->num_patterns();
-    tail_ = ctx_->tail_mask();
     source_slots_.clear();
     source_good_.clear();
     output_slots_.clear();
@@ -40,24 +39,6 @@ void PackedFaultSimEngine::sync_scratch() {
     }
     synced_patterns_ = ctx_->pattern_epoch();
   }
-}
-
-bool PackedFaultSimEngine::screened_out(const Fault& f) const {
-  // The same screens as the event engine, so both backends zero the same
-  // rows: dead site, no combinational PO path, or never excited.
-  const Netlist& nl = ctx_->netlist();
-  if (!nl.is_alive(f.node)) return true;
-  if (plan_->slot_of(f.node) == kNoSlot) return true;
-  if (!ctx_->po_reachable(f.node)) return true;
-  const std::uint64_t inject =
-      f.value == StuckAt::One ? ~std::uint64_t{0} : 0;
-  const std::uint64_t* g = ctx_->good_row(plan_->slot_of(f.node));
-  for (std::size_t w = 0; w < words_; ++w) {
-    std::uint64_t diff = inject ^ g[w];
-    if (w + 1 == words_) diff &= tail_;
-    if (diff) return false;
-  }
-  return true;
 }
 
 std::uint64_t PackedFaultSimEngine::run_batch(
@@ -186,7 +167,7 @@ std::size_t PackedFaultSimEngine::run_all(
   std::vector<std::size_t> cand;
   cand.reserve(faults.size());
   for (std::size_t i = 0; i < faults.size(); ++i) {
-    if (!detected[i] && !screened_out(faults[i])) cand.push_back(i);
+    if (!detected[i] && !ctx_->screened_out(faults[i])) cand.push_back(i);
   }
   std::span<const char> dsnap;
   if (rows == nullptr && check_enabled()) {

@@ -21,9 +21,9 @@
 //
 // The mask bookkeeping of every batch is validated by
 // verify::FaultPackChecker under TZ_CHECK. Results are bit-identical to the
-// event engine: the same screens (liveness, PO reachability, excitation)
-// zero the same rows, and the per-pattern detection predicate is the same
-// XOR against the same good machine.
+// event engine: the same FaultSimContext::screened_out zeroes the same rows,
+// and the per-pattern detection predicate is the same XOR against the same
+// good machine.
 #pragma once
 
 #include <cstdint>
@@ -62,10 +62,6 @@ class PackedFaultSimEngine final : public FaultSimBackend {
   /// pattern epoch moved.
   void sync_scratch();
 
-  /// True when the event engine would skip this fault entirely (dead node,
-  /// no PO path, never excited) — its detection row is all-zero.
-  bool screened_out(const Fault& f) const;
-
   /// Pack the faults at `idx` (lane i = faults[idx[i]]) and simulate all
   /// pattern blocks. Returns the detected-lane word. When `rows` is non-null
   /// every block is processed (no early exit) and per-pattern detection bits
@@ -89,7 +85,6 @@ class PackedFaultSimEngine final : public FaultSimBackend {
   std::uint64_t synced_patterns_ = 0;
   std::size_t words_ = 0;        ///< pattern words (ceil(P/64))
   std::size_t num_patterns_ = 0;
-  std::uint64_t tail_ = 0;
   std::vector<std::uint64_t> matrix_;  ///< num_slots x kBlock lane words
   // Source/output slot lists with good-machine row pointers (rebuilt per
   // pattern epoch; pointers alias the context's good matrix).

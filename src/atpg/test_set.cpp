@@ -10,13 +10,6 @@
 
 namespace tz {
 
-namespace {
-
-/// Seed of the FaultOrder::Shuffled permutation.
-constexpr std::uint64_t kFaultOrderSeed = 7;
-
-}  // namespace
-
 DefenderTestSet generate_atpg_tests(const Netlist& nl,
                                     const TestGenOptions& opt) {
   DefenderTestSet ts;
@@ -63,24 +56,19 @@ DefenderTestSet generate_atpg_tests(const Netlist& nl,
   PodemEngine podem_engine(nl);
   std::vector<std::size_t> order(faults.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  if (opt.fault_order == TestGenOptions::FaultOrder::Shuffled) {
-    std::mt19937_64 shuffle_rng(kFaultOrderSeed);
-    std::shuffle(order.begin(), order.end(), shuffle_rng);
-  } else {
-    // Testability-first: sort by descending excitation probability of the
-    // fault site (P of the site holding the activation value).
-    const SignalProb sp(nl);
-    std::vector<double> excitation(faults.size());
-    for (std::size_t i = 0; i < faults.size(); ++i) {
-      excitation[i] = faults[i].value == StuckAt::Zero
-                          ? sp.p1(faults[i].node)
-                          : 1.0 - sp.p1(faults[i].node);
-    }
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return excitation[a] > excitation[b];
-                     });
+  // Testability-first: sort by descending excitation probability of the
+  // fault site (P of the site holding the activation value).
+  const SignalProb sp(nl);
+  std::vector<double> excitation(faults.size());
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    excitation[i] = faults[i].value == StuckAt::Zero
+                        ? sp.p1(faults[i].node)
+                        : 1.0 - sp.p1(faults[i].node);
   }
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return excitation[a] > excitation[b];
+                   });
   for (std::size_t i : order) {
     if (detected[i]) continue;
     if (static_cast<double>(covered) >=

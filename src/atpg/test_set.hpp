@@ -35,14 +35,11 @@ struct TestGenOptions {
   /// deterministic phase stops when either the coverage target or this
   /// pattern budget is reached, whichever comes first.
   std::size_t max_patterns = 96;
-  /// Deterministic-phase fault ordering. TestabilityFirst (default) models
+  /// The deterministic phase targets faults testability-first, modelling
   /// testability-guided production ATPG: faults whose site signal
-  /// probability makes them easy to excite are targeted first, so a coverage/pattern budget is exhausted before
-  /// the rarely-excited faults — the precise gap Algorithm 1 exploits.
-  /// Shuffled is the defender-strength ablation (uniformly random order
-  /// from a fixed seed).
-  enum class FaultOrder { TestabilityFirst, Shuffled } fault_order =
-      FaultOrder::TestabilityFirst;
+  /// probability makes them easy to excite come first, so a coverage/pattern
+  /// budget is exhausted before the rarely-excited faults — the precise gap
+  /// Algorithm 1 exploits.
   // ---- suite composition (the defender's q algorithms) ----
   bool with_random_validation = true;   ///< Bespoke random vectors.
   std::size_t validation_patterns = 128;

@@ -33,8 +33,6 @@ std::string testgen_fingerprint(const TestGenOptions& opt) {
   fp += ",cov=";
   append_number(fp, opt.coverage_target);
   fp += ",mp=" + std::to_string(opt.max_patterns);
-  fp += ",ord=";
-  fp += opt.fault_order == TestGenOptions::FaultOrder::Shuffled ? "s" : "t";
   fp += ",rv=" + std::string(opt.with_random_validation ? "1" : "0");
   fp += ",vp=" + std::to_string(opt.validation_patterns);
   fp += ",wk=" + std::string(opt.with_walking ? "1" : "0");

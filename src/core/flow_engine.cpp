@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <exception>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 
@@ -72,17 +71,16 @@ bool SuiteOracle::seed_compatible(const SuiteOracle& seed) const {
 
 void SuiteOracle::clone_from(const SuiteOracle& seed) {
   node_cap_ = seed.node_cap_;
-  cap_ = seed.cap_;
   words_ = seed.words_;
   segs_ = seed.segs_;
   valid_ = seed.valid_;
   rows_ = seed.rows_;
   golden_ = seed.golden_;
   recorded_po_ = seed.recorded_po_;
-  rank_ = seed.rank_;
   // The plan is patched in place by try_tie, so every clone gets
   // its own deep copy; the seed's plan stays pristine for the next job.
   plan_ = std::make_shared<EvalPlan>(*seed.plan_);
+  pass_.bind(*plan_, words_);
 }
 
 void SuiteOracle::build_caches() {
@@ -92,9 +90,7 @@ void SuiteOracle::build_caches() {
   // One plan shared with the seeding simulator, so cached rows are dense
   // slot-major and slot ids double as topological ranks.
   plan_ = std::make_shared<EvalPlan>(nl);
-  cap_ = plan_->num_slots();
-  rank_.resize(cap_);
-  std::iota(rank_.begin(), rank_.end(), 0);
+  const std::size_t slots = plan_->num_slots();
   BitSimulator sim(nl, plan_);
   recorded_po_ = nl.outputs();
 
@@ -112,7 +108,7 @@ void SuiteOracle::build_caches() {
     segs_.push_back(sg);
   }
   valid_.assign(words_, ~std::uint64_t{0});
-  rows_.assign(cap_ * words_, 0);
+  rows_.assign(slots * words_, 0);
   golden_.assign(recorded_po_.size() * words_, 0);
   std::size_t seg = 0;
   for (const DefenderTestSet& ts : suite.algorithms) {
@@ -122,7 +118,7 @@ void SuiteOracle::build_caches() {
     const NodeValues vals = sim.run(ts.patterns);
     // copy_slot_row gathers across stripes when a wide suite made the run
     // come out stripe-major (the fused cache itself stays row-contiguous).
-    for (std::size_t s = 0; s < cap_; ++s) {
+    for (std::size_t s = 0; s < slots; ++s) {
       vals.copy_slot_row(s, rows_.data() + s * words_ + sg.offset);
     }
     for (std::size_t o = 0; o < recorded_po_.size(); ++o) {
@@ -130,6 +126,7 @@ void SuiteOracle::build_caches() {
       std::copy(g.begin(), g.end(), golden_.data() + o * words_ + sg.offset);
     }
   }
+  pass_.bind(*plan_, words_);
 }
 
 void SuiteOracle::grow() {
@@ -144,67 +141,30 @@ void SuiteOracle::grow() {
     if (!nl_->is_alive(id)) continue;
     const SlotId s = plan_->append_source(id);
     rows_.resize((static_cast<std::size_t>(s) + 1) * words_, 0);
-    rank_.push_back(s);
     if (nl_->node(id).type == GateType::Const1) {
       std::fill_n(rows_.data() + static_cast<std::size_t>(s) * words_, words_,
                   ~std::uint64_t{0});
     }
   }
-  cap_ = plan_->num_slots();
   node_cap_ = n;
-}
-
-void SuiteOracle::ensure_scratch() {
-  if (scratch_.size() < cap_ * words_) scratch_.resize(cap_ * words_, 0);
-  if (touched_.size() < cap_) touched_.resize(cap_, 0);
-  worklist_.resize(cap_);
-}
-
-void SuiteOracle::schedule_readers(SlotId s) {
-  for (SlotId r : plan_->fanout(s)) {
-    if (plan_->op(r) != EvalOp::Dead) worklist_.push(r);
-  }
+  pass_.bind(*plan_, words_);
 }
 
 bool SuiteOracle::propagate() {
-  const auto get = [&](SlotId f) -> const std::uint64_t* {
-    return touched_[f] ? scratch_row(f) : cached_row(f);
-  };
-  // The worklist pops in topological order, so every touched fanin is final
-  // by the time a gate evaluates; a gate whose row matches the cache on all
-  // valid lanes (of every set at once) generates no further events.
-  while (!worklist_.empty()) {
-    const SlotId id = worklist_.pop();
-    std::uint64_t* out = scratch_row(id);
-    eval_plan_slot(*plan_, id, words_, get, out);
-    const std::uint64_t* cr = cached_row(id);
-    std::uint64_t changed = 0;
-    for (std::size_t w = 0; w < words_; ++w) {
-      changed |= (out[w] ^ cr[w]) & valid_[w];
-    }
-    if (!changed) continue;
-    touched_[id] = 1;
-    visited_.push_back(id);
-    schedule_readers(id);
-  }
-
+  // A gate whose row matches the cache on all valid lanes (of every set at
+  // once) generates no further events.
+  pass_.run(rows_.data(), valid_.data());
   for (std::size_t o = 0; o < recorded_po_.size(); ++o) {
     const NodeId cur = nl_->outputs()[o];
     const SlotId cix = plan_->slot_of(cur);
-    if (!touched_[cix] && cur == recorded_po_[o]) continue;
-    const std::uint64_t* got =
-        touched_[cix] ? scratch_row(cix) : cached_row(cix);
+    if (!pass_.touched(cix) && cur == recorded_po_[o]) continue;
+    const std::uint64_t* got = pass_.value(cix);
     const std::uint64_t* want = golden_.data() + o * words_;
     for (std::size_t w = 0; w < words_; ++w) {
       if ((got[w] ^ want[w]) & valid_[w]) return true;
     }
   }
   return false;
-}
-
-void SuiteOracle::clear_marks() {
-  for (SlotId s : visited_) touched_[s] = 0;
-  visited_.clear();
 }
 
 bool SuiteOracle::seed_tie(NodeId target, bool value) {
@@ -218,20 +178,16 @@ bool SuiteOracle::seed_tie(NodeId target, bool value) {
   if (!diff) return false;
   // Force the constant at the target and re-evaluate its readers: exactly
   // the function the netlist computes once the tie is applied.
-  std::fill_n(scratch_row(tix), words_, cval);
-  touched_[tix] = 1;
-  visited_.push_back(tix);
-  schedule_readers(tix);
+  std::fill_n(pass_.force(tix), words_, cval);
   return true;
 }
 
 bool SuiteOracle::tie_visible(NodeId target, bool value) {
   grow();
-  ensure_scratch();
   if (words_ == 0) return false;
   if (!seed_tie(target, value)) return false;
   const bool any = propagate();
-  clear_marks();
+  pass_.clear();
   return any;
 }
 
@@ -243,18 +199,17 @@ std::optional<TieResult> SuiteOracle::try_tie(Netlist& work, NodeId target,
         "bound to");
   }
   grow();
-  ensure_scratch();
   if (words_ != 0 && seed_tie(target, value)) {
     const bool visible = propagate();
     if (!visible) {
       // Invisible: fold the deviating rows into the cache so later
       // candidates are judged against the updated netlist.
-      for (SlotId id : visited_) {
-        std::copy(scratch_row(id), scratch_row(id) + words_,
-                  rows_.data() + static_cast<std::size_t>(id) * words_);
+      for (SlotId id : pass_.visited()) {
+        std::copy_n(pass_.value(id), words_,
+                    rows_.data() + static_cast<std::size_t>(id) * words_);
       }
     }
-    clear_marks();
+    pass_.clear();
     if (visible) return std::nullopt;
   }
   const TieResult tie = tie_to_constant(work, target, value);
@@ -334,21 +289,17 @@ bool SuiteOracle::ht_visible(std::span<const NodeId> trigger_nets,
         "SuiteOracle::ht_visible: counter_bits must be in [0,63]");
   }
   grow();
-  ensure_scratch();
   if (words_ == 0) return false;
   // Dormant throughout every pattern stream: undetectable.
   if (!payload_fires(trigger_nets, counter_bits)) return false;
   // The payload MUX rewires the victim's readers to v XOR fire; propagate
   // the masked deviation through the victim's fanout cone.
   const SlotId vix = plan_->slot_of(victim);
-  std::uint64_t* fr = scratch_row(vix);
+  std::uint64_t* fr = pass_.force(vix);
   const std::uint64_t* vr = cached_row(vix);
   for (std::size_t w = 0; w < words_; ++w) fr[w] = vr[w] ^ fire_[w];
-  touched_[vix] = 1;
-  visited_.push_back(vix);
-  schedule_readers(vix);
   const bool any = propagate();
-  clear_marks();
+  pass_.clear();
   return any;
 }
 

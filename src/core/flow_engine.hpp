@@ -8,11 +8,12 @@
 //    every defender test set in one fused slot-major layout (all sets
 //    concatenated per row, invalid tail lanes masked), and re-simulates only
 //    the structural fanout cone of an edit in a single multi-set pass
-//    (event-driven over a topological-rank worklist, through the compiled
-//    plan's kernels), comparing just the cone-reachable outputs
-//    against the cached golden responses. A tie candidate costs O(cone); an
-//    HT candidate is judged *before* it is materialised by replaying its
-//    trigger/counter against the cached rows of the rare nets it would tap.
+//    (sim/cone_pass.hpp, the event-driven pass the event fault-simulation
+//    engine runs too: a tie to v is the stem stuck-at-v fault), comparing
+//    just the cone-reachable outputs against the cached golden responses. A
+//    tie candidate costs O(cone); an HT candidate is judged *before* it is
+//    materialised by replaying its trigger/counter against the cached rows
+//    of the rare nets it would tap.
 //
 //    Both algorithms are greedy in-order walks: every accepted tie or HT
 //    changes the netlist the next candidate is judged on, so each runs one
@@ -50,7 +51,7 @@
 #include "netlist/netlist.hpp"
 #include "netlist/rewrite.hpp"
 #include "sim/eval_plan.hpp"
-#include "sim/rank_worklist.hpp"
+#include "sim/cone_pass.hpp"
 #include "tech/power_model.hpp"
 #include "tech/power_tracker.hpp"
 
@@ -63,12 +64,12 @@ namespace tz {
 /// a test set whose width does not match its inputs/outputs. The only DFFs
 /// in the flow are the inserted HT's counter, which ht_visible replays.
 ///
-/// The oracle indexes sim/eval_plan.hpp slots: cached rows are slot-major,
-/// slot ids double as topological ranks and the fused cone pass evaluates
-/// through the plan's arity-specialized kernels. try_tie() patches the
-/// plan incrementally for each committed tie (append the tie cell as a
-/// source slot, rewrite the readers' fanin CSR in place, tombstone the swept
-/// cone), so per-candidate judging never recompiles the plan.
+/// The oracle indexes sim/eval_plan.hpp slots: cached rows are slot-major
+/// and the fused ConePass evaluates through the plan's arity-specialized
+/// kernels. try_tie() patches the plan incrementally for each committed tie
+/// (append the tie cell as a source slot, rewrite the readers' fanin CSR in
+/// place, tombstone the swept cone), so per-candidate judging never
+/// recompiles the plan.
 ///
 /// An oracle is private to one job and not thread-safe; a shared seed is
 /// only read, through the const seeded constructor.
@@ -89,8 +90,7 @@ class SuiteOracle {
   SuiteOracle(const Netlist& nl, const DefenderSuite& suite,
               const SuiteOracle* seed);
 
-  // The scratch worklist references this instance's rank vector; a copy or
-  // move would leave it pointing into the source object.
+  // The cone pass is neither copyable nor movable.
   SuiteOracle(const SuiteOracle&) = delete;
   SuiteOracle& operator=(const SuiteOracle&) = delete;
 
@@ -142,23 +142,17 @@ class SuiteOracle {
     std::size_t patterns = 0;  ///< Patterns (bits) in this set.
   };
 
+  /// Append every node added since the last call as a source slot and
+  /// grow the rows and the cone pass with the plan.
   void grow();
-  /// Size the scratch arrays to the current slot capacity.
-  void ensure_scratch();
-  /// Every internal row/mark array is keyed by plan slot.
+  /// Cached rows are keyed by plan slot.
   const std::uint64_t* cached_row(SlotId s) const {
     return rows_.data() + static_cast<std::size_t>(s) * words_;
   }
-  std::uint64_t* scratch_row(SlotId s) {
-    return scratch_.data() + static_cast<std::size_t>(s) * words_;
-  }
-  /// Schedule the live combinational readers of slot `s` (plan fanout CSR).
-  void schedule_readers(SlotId s);
-  /// Event-driven fused-cone evaluation from the pre-seeded worklist/forced
-  /// rows; returns true when a primary-output row deviates from golden on
-  /// any valid lane. Leaves the touched/visited marks set for the caller.
+  /// Run the cone pass from the forced rows against the cached rows; returns
+  /// true when a primary-output row deviates from golden on any valid lane.
+  /// Leaves the pass's marks set for the caller.
   bool propagate();
-  void clear_marks();
   /// Seed a forced-constant row at `target`. Returns false when the cached
   /// row already equals the constant on every valid lane (nothing to do).
   bool seed_tie(NodeId target, bool value);
@@ -170,7 +164,6 @@ class SuiteOracle {
   const Netlist* nl_;
   const DefenderSuite* suite_;
   std::shared_ptr<EvalPlan> plan_;
-  std::size_t cap_ = 0;       ///< slot capacity of rows/scratch
   std::size_t node_cap_ = 0;  ///< raw node ids covered by grow()
   std::size_t words_ = 0;     ///< fused row width: sum of set widths
   std::vector<SetSegment> segs_;
@@ -178,14 +171,10 @@ class SuiteOracle {
   std::vector<std::uint64_t> rows_;    ///< row-index-major fused cache
   std::vector<std::uint64_t> golden_;  ///< output-major fused expected rows
   std::vector<NodeId> recorded_po_;    ///< outputs() as of the cached state
-  std::vector<std::uint32_t> rank_;    ///< identity over slots
 
-  // Per-call scratch of the judging API: the rank worklist, forced and
-  // re-evaluated rows, touched marks and the trigger/fire replay rows.
-  RankWorklist worklist_{rank_};
-  std::vector<std::uint64_t> scratch_;
-  std::vector<char> touched_;
-  std::vector<SlotId> visited_;
+  // Per-call scratch of the judging API: the cone pass over the cached rows
+  // and the trigger/fire replay rows.
+  ConePass pass_;
   std::vector<std::uint64_t> trig_, fire_;
 };
 

@@ -66,7 +66,7 @@ Gaussian2 fit(const std::vector<Feature>& xs) {
 
 DetectionResult detect_statistical_learning(
     const Netlist& golden_nl, const Netlist& dut_nl, const PowerModel& pm,
-    const LearningDetectOptions& opt) {
+    const PowerDetectOptions& opt) {
   return detect_statistical_learning(golden_nl, dut_nl,
                                      pm.analyze(golden_nl),
                                      pm.analyze(dut_nl), opt);
@@ -75,22 +75,22 @@ DetectionResult detect_statistical_learning(
 DetectionResult detect_statistical_learning(
     const Netlist& golden_nl, const Netlist& dut_nl,
     const PowerBreakdown& golden_nom, const PowerBreakdown& dut_nom,
-    const LearningDetectOptions& opt) {
+    const PowerDetectOptions& opt) {
   // Degenerate populations used to flow NaN into the result: golden_dies < 2
   // breaks the covariance fit, dut_dies == 0 divides the per-die averages by
   // zero. Fail loudly instead.
-  if (opt.base.golden_dies < 2) {
+  if (opt.golden_dies < 2) {
     throw std::invalid_argument(
         "detect_statistical_learning: golden_dies must be >= 2 to train");
   }
-  if (opt.base.dut_dies == 0) {
+  if (opt.dut_dies == 0) {
     throw std::invalid_argument(
         "detect_statistical_learning: dut_dies must be >= 1");
   }
-  VariationModel vm(opt.base.variation, opt.base.seed);
+  VariationModel vm(opt.variation, opt.seed);
 
   std::vector<Feature> train;
-  for (std::size_t i = 0; i < opt.base.golden_dies; ++i) {
+  for (std::size_t i = 0; i < opt.golden_dies; ++i) {
     train.push_back(measure_die(golden_nl, golden_nom, vm));
   }
   const Gaussian2 g = fit(train);
@@ -111,31 +111,31 @@ DetectionResult detect_statistical_learning(
   std::size_t outside = 0;
   double mean_overhead = 0.0;
   double mean_dist = 0.0;
-  for (std::size_t i = 0; i < opt.base.dut_dies; ++i) {
+  for (std::size_t i = 0; i < opt.dut_dies; ++i) {
     const Feature f = measure_die(dut_nl, dut_nom, vm);
     const double d2 = g.mahalanobis2(f);
-    mean_dist += d2 / opt.base.dut_dies;
+    mean_dist += d2 / opt.dut_dies;
     if (d2 > boundary) ++outside;
     mean_overhead += 100.0 * ((f[0] + f[1]) - golden_power) /
-                     (golden_power * opt.base.dut_dies);
+                     (golden_power * opt.dut_dies);
   }
   DetectionResult r;
   r.threshold = boundary;
   r.statistic = mean_dist;
-  r.detected = outside * 2 > opt.base.dut_dies;  // majority vote
+  r.detected = outside * 2 > opt.dut_dies;  // majority vote
   r.overhead_percent = mean_overhead;
   return r;
 }
 
 double min_detectable_area_overhead(const Netlist& golden_nl,
                                     const PowerModel& pm,
-                                    const LearningDetectOptions& opt) {
+                                    const PowerDetectOptions& opt) {
   return min_detectable_overhead(
       golden_nl, pm, GateType::Xor, &PowerReport::area_ge,
       [&](const Netlist& dut, const PowerBreakdown& golden_nom,
           const PowerBreakdown& dut_nom, std::uint64_t step) {
-        LearningDetectOptions o = opt;
-        o.base.seed = opt.base.seed + step;
+        PowerDetectOptions o = opt;
+        o.seed = opt.seed + step;
         return detect_statistical_learning(golden_nl, dut, golden_nom,
                                            dut_nom, o);
       });

@@ -14,15 +14,11 @@ namespace tz {
 /// distance.
 inline constexpr double kLearningMargin = 1.25;
 
-struct LearningDetectOptions {
-  PowerDetectOptions base;
-};
-
 /// Train on golden dies, classify the DUT population; detected when the
 /// majority of DUT dies fall outside the learned boundary.
 DetectionResult detect_statistical_learning(
     const Netlist& golden_nl, const Netlist& dut_nl, const PowerModel& pm,
-    const LearningDetectOptions& opt = {});
+    const PowerDetectOptions& opt = {});
 
 /// Overload on precomputed nominal breakdowns (see detect_dynamic_power):
 /// skips the per-call analyze -> SignalProb when the caller maintains the
@@ -30,12 +26,12 @@ DetectionResult detect_statistical_learning(
 DetectionResult detect_statistical_learning(
     const Netlist& golden_nl, const Netlist& dut_nl,
     const PowerBreakdown& golden_nom, const PowerBreakdown& dut_nom,
-    const LearningDetectOptions& opt = {});
+    const PowerDetectOptions& opt = {});
 
 /// Fig. 3 support: smallest additive-HT *area* overhead (%) whose power
 /// signature this classifier reliably flags.
 double min_detectable_area_overhead(const Netlist& golden_nl,
                                     const PowerModel& pm,
-                                    const LearningDetectOptions& opt = {});
+                                    const PowerDetectOptions& opt = {});
 
 }  // namespace tz

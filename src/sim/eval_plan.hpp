@@ -10,10 +10,11 @@
 // sized so the streaming working set stays inside the fast cache levels.
 //
 // The slot order IS the topological order, so slot ids double as topological
-// ranks for the event-driven engines (fault simulation, the suite oracle):
-// their rank worklists pop plan slots and evaluate through eval_plan_slot
-// instead of walking Node objects. sim/gate_eval.hpp stays as the reference
-// kernel; the parity tests check the plan against it bit for bit.
+// ranks for sim/cone_pass.hpp, the event-driven pass behind fault simulation
+// and the suite oracle: its rank worklist pops plan slots and evaluates
+// through eval_plan_slot instead of walking Node objects. sim/gate_eval.hpp
+// stays as the reference kernel; the parity tests check the plan against it
+// bit for bit.
 //
 // Plans support incremental patching (SuiteOracle::try_tie): an
 // accepted tie appends the tie cell as a source slot, rewrites the readers'
@@ -170,13 +171,16 @@ class EvalPlan {
   friend struct PlanTestPeer;
 };
 
-/// Evaluate one plan slot over a row of `words` packed words — the
-/// event-driven engines' kernel. `get` maps SlotId -> const row pointer;
+/// Evaluate one plan slot over a row of `words` packed words — the cone
+/// pass's kernel. `get` maps SlotId -> const row pointer;
 /// `out` must not alias any fanin row. Bit-identical to eval_gate_row on the
-/// corresponding Node (the parity tests enforce this).
+/// corresponding Node (the parity tests enforce this). Always inlined: the
+/// cone pass calls it once per popped slot, and an out-of-line call per gate
+/// made one-word event fault simulation ~10% slower (BM_FaultSimulation).
 template <typename GetRow>
-inline void eval_plan_slot(const EvalPlan& p, SlotId s, std::size_t words,
-                           GetRow&& get, std::uint64_t* __restrict out) {
+[[gnu::always_inline]] inline void eval_plan_slot(
+    const EvalPlan& p, SlotId s, std::size_t words, GetRow&& get,
+    std::uint64_t* __restrict out) {
   const EvalOp op = p.op(s);
   const std::uint32_t* offs = p.fanin_offsets_data();
   const SlotId* f = p.fanin_slots_data() + offs[s];

@@ -1,6 +1,6 @@
 // Min-heap worklist over topological ranks, shared by the event-driven
-// engines (fault simulation, the suite oracle, the power tracker, PODEM
-// implication). Pops the lowest-rank node first so a DAG cone is evaluated
+// engines (the cone pass behind fault simulation and the suite oracle, the
+// power tracker, PODEM implication). Pops the lowest-rank node first so a DAG cone is evaluated
 // fanin-before-reader; the queued flag makes push idempotent between pops.
 //
 // The rank vector is owned by the caller (it may grow as nodes are added);

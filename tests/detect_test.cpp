@@ -133,15 +133,15 @@ TEST(Learning, DegenerateOptionsThrow) {
   // covariance); dut_dies == 0 divides the per-die averages by zero.
   const Netlist nl = make_benchmark("c17");
   const PowerModel pm = model();
-  LearningDetectOptions opt;
-  opt.base.golden_dies = 1;
+  PowerDetectOptions opt;
+  opt.golden_dies = 1;
   EXPECT_THROW(detect_statistical_learning(nl, nl, pm, opt),
                std::invalid_argument);
-  opt.base.golden_dies = 0;
+  opt.golden_dies = 0;
   EXPECT_THROW(detect_statistical_learning(nl, nl, pm, opt),
                std::invalid_argument);
-  opt.base.golden_dies = 8;
-  opt.base.dut_dies = 0;
+  opt.golden_dies = 8;
+  opt.dut_dies = 0;
   EXPECT_THROW(detect_statistical_learning(nl, nl, pm, opt),
                std::invalid_argument);
 }
@@ -151,8 +151,8 @@ TEST(Learning, ZeroVariationHasNoNanStatistics) {
   // keeps the distances finite and a clean population inside the boundary.
   const Netlist nl = make_benchmark("c432");
   const PowerModel pm = model();
-  LearningDetectOptions opt;
-  opt.base.variation = zero_variation();
+  PowerDetectOptions opt;
+  opt.variation = zero_variation();
   const DetectionResult clean = detect_statistical_learning(nl, nl, pm, opt);
   EXPECT_FALSE(clean.detected);
   EXPECT_FALSE(std::isnan(clean.statistic));
@@ -315,15 +315,15 @@ TEST(CachedAnalysis, TrackerSweepMatchesFreshAnalysisSweepLeakageAndArea) {
     EXPECT_EQ(min_detectable_leakage_overhead(golden, pm, opt), reference);
   }
   {
-    const LearningDetectOptions opt;
+    const PowerDetectOptions opt;
     Netlist dut = golden;
     const double base = pm.analyze(golden).totals.area_ge;
     double reference = 100.0;
     for (int gates = 1; gates <= 256; ++gates) {
       const NodeId pi = dut.inputs()[gates % dut.inputs().size()];
       add_dummy_gate(dut, pi, GateType::Xor, "add_ht");
-      LearningDetectOptions o = opt;
-      o.base.seed = opt.base.seed + static_cast<std::uint64_t>(gates);
+      PowerDetectOptions o = opt;
+      o.seed = opt.seed + static_cast<std::uint64_t>(gates);
       if (detect_statistical_learning(golden, dut, pm, o).detected) {
         const double now = pm.analyze(dut).totals.area_ge;
         reference = 100.0 * (now - base) / base;

@@ -1,6 +1,6 @@
 // Tests for the incremental FlowEngine layer: SuiteOracle equivalence with
-// a full functional test on the reference evaluator and its
-// combinational-host contract, PowerTracker parity with from-scratch
+// a full functional test on the reference evaluator and with stuck-at fault
+// simulation, its combinational-host contract, PowerTracker parity with from-scratch
 // analysis, and the dummy-balancing loop's cap discipline.
 #include <gtest/gtest.h>
 
@@ -50,6 +50,60 @@ TEST(SuiteOracle, TieVerdictMatchesFullFunctionalTest) {
           !test::reference_functional_test(reference, suite);
       EXPECT_EQ(oracle.tie_visible(c.node, c.tie_value), expect_visible)
           << name << " candidate " << work.node(c.node).name;
+    }
+  }
+}
+
+TEST(SuiteOracle, TieVerdictEqualsStuckAtDetection) {
+  // Tying a gate to v is the stem stuck-at-v fault at that gate, so the
+  // oracle's verdict must equal "drop_sim detects Fault{g, v} on some suite
+  // set". The oracle and the event engine share only the cone pass; the
+  // packed engine shares none, so it also catches a fault in the pass
+  // itself. rand2k is sampled 1 gate in 7.
+  for (const char* name : {"c432", "c880", "c1908", "rand2k"}) {
+    const Netlist original = make_benchmark(name);
+    const DefenderSuite suite = make_defender_suite(original, TestGenOptions{});
+    ASSERT_EQ(suite.algorithms.size(), 2u) << name;  // atpg + random
+    const Netlist work = original.compact();
+    const std::size_t stride = std::string(name) == "rand2k" ? 7 : 1;
+    std::vector<Fault> faults;
+    std::size_t gate = 0;
+    for (NodeId g : work.live_nodes()) {
+      if (!is_combinational(work.node(g).type) || gate++ % stride != 0) {
+        continue;
+      }
+      faults.push_back({g, StuckAt::Zero});
+      faults.push_back({g, StuckAt::One});
+    }
+    ASSERT_FALSE(faults.empty()) << name;
+    std::vector<bool> verdicts;
+    for (const Fault& f : faults) {
+      verdicts.push_back(SuiteOracle(work, suite).tie_visible(
+          f.node, f.value == StuckAt::One));
+    }
+    // Both verdicts occur, so neither side can pass by answering one way.
+    const auto visible = std::count(verdicts.begin(), verdicts.end(), true);
+    EXPECT_GT(visible, 0) << name;
+    EXPECT_LT(visible, static_cast<std::ptrdiff_t>(verdicts.size())) << name;
+    for (const FaultSimMode mode :
+         {FaultSimMode::Event, FaultSimMode::Packed}) {
+      const auto backend = make_fault_sim_backend(work, mode);
+      std::vector<bool> detected(faults.size(), false);
+      for (const DefenderTestSet& ts : suite.algorithms) {
+        backend->set_patterns(ts.patterns);
+        backend->drop_sim(faults, detected);
+      }
+      std::size_t mismatches = 0;
+      for (std::size_t i = 0; i < faults.size(); ++i) {
+        if (verdicts[i] == detected[i]) continue;
+        ++mismatches;
+        ADD_FAILURE() << name << " " << to_string(mode) << " "
+                      << work.node(faults[i].node).name << " stuck-at-"
+                      << (faults[i].value == StuckAt::One ? 1 : 0)
+                      << ": oracle " << verdicts[i] << ", drop_sim "
+                      << detected[i];
+        if (mismatches == 8) break;
+      }
     }
   }
 }
