@@ -1,8 +1,8 @@
 // Large-circuit CI smoke: generate a 100k-gate netlist, simulate a pattern
 // sample through the compiled plan, and fail on any response that differs
 // from the Node-walking reference_simulate; then diff the event-driven and
-// word-packed fault-simulation backends' detection matrices on a fault
-// sample. Bounded to a few seconds — this is a correctness gate for the
+// word-packed fault-simulation backends' detect flags and first detecting
+// patterns on a fault sample. Bounded to a few seconds — this is a correctness gate for the
 // stripe-major + SIMD path and the packed fault sweep at the scale the
 // microbenchmarks measure, not a performance run.
 #include <algorithm>
@@ -59,10 +59,11 @@ int main() {
   std::printf("OK: plan bit-identical to the reference on %zu patterns\n",
               ps.num_patterns());
 
-  // Packed-vs-event fault-simulation parity at the same scale: detection
-  // matrices over a fault sample must be word-identical between the two
-  // backends. CI runs this binary under TZ_SIMD=1 and TZ_SIMD=0, so the
-  // parity also covers both kernel families the packed sweep dispatches to.
+  // Packed-vs-event fault-simulation parity at the same scale: detect flags
+  // and first detecting patterns over a fault sample must be identical
+  // between the two backends. CI runs this binary under TZ_SIMD=1 and
+  // TZ_SIMD=0, so the parity also covers both kernel families the packed
+  // sweep dispatches to.
   const auto universe = fault_universe(nl);
   std::vector<Fault> faults;
   const std::size_t stride = std::max<std::size_t>(1, universe.size() / 256);
@@ -70,22 +71,27 @@ int main() {
     faults.push_back(universe[i]);
   }
   const PatternSet fps = random_patterns(nl.inputs().size(), 128, 23);
-  std::vector<std::vector<std::uint64_t>> matrices[2];
+  std::vector<bool> flags[2];
+  std::vector<std::size_t> first[2];
   const FaultSimMode modes[] = {FaultSimMode::Event, FaultSimMode::Packed};
   for (int m = 0; m < 2; ++m) {
     t0 = std::chrono::steady_clock::now();
     const auto backend = make_fault_sim_backend(nl, modes[m]);
     backend->set_patterns(fps);
-    matrices[m] = backend->detection_matrix(faults);
-    std::printf("%-6s fault-sim:      %5lld ms (%zu faults)\n",
+    flags[m].assign(faults.size(), false);
+    first[m].assign(faults.size(), fps.num_patterns());
+    const std::size_t newly = backend->drop_sim(faults, flags[m], first[m]);
+    std::printf("%-6s fault-sim:      %5lld ms (%zu faults, %zu detected)\n",
                 std::string(backend->name()).c_str(), ms_since(t0),
-                faults.size());
+                faults.size(), newly);
   }
-  if (matrices[0] != matrices[1]) {
+  if (flags[0] != flags[1] || first[0] != first[1]) {
     std::fprintf(stderr,
-                 "FAIL: packed detection matrices diverge from event\n");
+                 "FAIL: packed detect flags or first detections diverge "
+                 "from event\n");
     return 1;
   }
-  std::printf("OK: packed and event detection matrices bit-identical\n");
+  std::printf(
+      "OK: packed and event detect flags and first detections identical\n");
   return 0;
 }

@@ -143,12 +143,18 @@ std::size_t FaultSimContext::eval_slot_count() {
   return eval_slots_;
 }
 
-void FaultSimBackend::check_drop_flags(std::span<const Fault> faults,
-                                       const std::vector<bool>& detected) {
+void FaultSimBackend::check_drop_flags(
+    std::span<const Fault> faults, const std::vector<bool>& detected,
+    std::span<const std::size_t> first_detect) {
   if (detected.size() != faults.size()) {
     throw std::invalid_argument(
         "drop_sim: detected has " + std::to_string(detected.size()) +
         " flags for " + std::to_string(faults.size()) + " faults");
+  }
+  if (!first_detect.empty() && first_detect.size() != faults.size()) {
+    throw std::invalid_argument(
+        "drop_sim: first_detect has " + std::to_string(first_detect.size()) +
+        " entries for " + std::to_string(faults.size()) + " faults");
   }
 }
 
@@ -160,9 +166,9 @@ namespace {
 ///   event  ~ F * mean_cone * ceil(P/64)      words through the scalar cone
 ///                                            walk (worklist + change check)
 ///   packed ~ ceil(F/64) * eval_slots * P     words through the SIMD stripe
-///                                            sweep, flag-mode runs usually
-///                                            early-exiting after the first
-///                                            64-pattern block
+///                                            sweep, usually early-exiting
+///                                            after the first 64-pattern
+///                                            block
 ///
 /// A packed word is much cheaper than an event word (straight-line SIMD vs
 /// worklist scheduling and per-gate dispatch), and the static cone size
@@ -181,19 +187,15 @@ class AutoFaultSimBackend final : public FaultSimBackend {
   std::string_view name() const override { return "auto"; }
 
   std::size_t drop_sim(std::span<const Fault> faults,
-                       std::vector<bool>& detected) override {
-    check_drop_flags(faults, detected);
+                       std::vector<bool>& detected,
+                       std::span<std::size_t> first_detect) override {
+    check_drop_flags(faults, detected, first_detect);
     // Cost tracks the faults still alive, not the span size.
     std::size_t live = 0;
     for (std::size_t i = 0; i < faults.size(); ++i) {
       if (!detected[i]) ++live;
     }
-    return pick(live, /*matrix=*/false).drop_sim(faults, detected);
-  }
-
-  std::vector<std::vector<std::uint64_t>> detection_matrix(
-      std::span<const Fault> faults) override {
-    return pick(faults.size(), /*matrix=*/true).detection_matrix(faults);
+    return pick(live).drop_sim(faults, detected, first_detect);
   }
 
  private:
@@ -206,7 +208,7 @@ class AutoFaultSimBackend final : public FaultSimBackend {
     return *packed_;
   }
 
-  FaultSimBackend& pick(std::size_t num_faults, bool matrix) {
+  FaultSimBackend& pick(std::size_t num_faults) {
     // Below one full word of lanes the packed sweep wastes most of its work.
     constexpr std::size_t kMinPackedFaults = 64;
     constexpr double kPackedWordCost = 0.125;
@@ -216,9 +218,9 @@ class AutoFaultSimBackend final : public FaultSimBackend {
     const double words = static_cast<double>(ctx_->words());
     const double batches =
         static_cast<double>((num_faults + 63) / 64);
-    // Flag-mode packed runs early-exit once every live lane has detected —
-    // almost always within the first couple of 64-pattern blocks.
-    const double packed_blocks = matrix ? words : std::min(words, 2.0);
+    // Packed batches early-exit once every live lane has detected — almost
+    // always within the first couple of 64-pattern blocks.
+    const double packed_blocks = std::min(words, 2.0);
     const double event_cost = static_cast<double>(num_faults) * cone * words;
     const double packed_cost =
         batches * slots * 64.0 * packed_blocks * kPackedWordCost;

@@ -15,8 +15,9 @@
 //    cone statistics), the fault screen both engines apply and the
 //    good-machine rows, computed once per netlist (the rows once per pattern
 //    set) and cached across backend calls;
-//  - FaultSimBackend: the abstract contract (drop_sim / detection_matrix,
-//    the two calls ATPG makes) every consumer is wired through;
+//  - FaultSimBackend: the abstract contract every consumer is wired
+//    through, one call: drop_sim, which sets detect flags and can report
+//    each newly detected fault's first detecting pattern;
 //  - make_fault_sim_backend: the factory, returning the concrete engine for
 //    Event/Packed or a measured auto-selector for Auto.
 #pragma once
@@ -72,7 +73,7 @@ class FaultSimContext {
   }
 
   /// The screens both engines apply before simulating a fault, so both
-  /// report the same all-zero rows: true when the site is dead, has no
+  /// leave the same faults undetected: true when the site is dead, has no
   /// combinational path to a primary output, or no pattern excites it (the
   /// good value already equals the stuck value on every pattern lane).
   bool screened_out(const Fault& f) const;
@@ -121,15 +122,14 @@ class FaultSimBackend {
   virtual std::string_view name() const = 0;
 
   /// Fault dropping: simulate only faults with `!detected[i]`, setting their
-  /// flag once detected. Returns the number of newly detected faults.
-  /// Throws std::invalid_argument unless `detected` is parallel to `faults`.
+  /// flag once detected. Returns the number of newly detected faults. When
+  /// `first_detect` is non-empty, entry i of each newly detected fault is
+  /// set to the index of the first pattern that detects it; other entries
+  /// are left alone. Throws std::invalid_argument unless `detected` (and a
+  /// non-empty `first_detect`) is parallel to `faults`.
   virtual std::size_t drop_sim(std::span<const Fault> faults,
-                               std::vector<bool>& detected) = 0;
-
-  /// Per-fault detection bitmaps: word w bit b of row f is set iff pattern
-  /// 64w+b detects fault f. Rows of undetectable faults are all-zero.
-  virtual std::vector<std::vector<std::uint64_t>> detection_matrix(
-      std::span<const Fault> faults) = 0;
+                               std::vector<bool>& detected,
+                               std::span<std::size_t> first_detect = {}) = 0;
 
   FaultSimContext& context() { return *ctx_; }
   const FaultSimContext& context() const { return *ctx_; }
@@ -141,7 +141,8 @@ class FaultSimBackend {
 
   /// drop_sim's precondition, checked before any flag is read.
   static void check_drop_flags(std::span<const Fault> faults,
-                               const std::vector<bool>& detected);
+                               const std::vector<bool>& detected,
+                               std::span<const std::size_t> first_detect);
 
   std::shared_ptr<FaultSimContext> ctx_;
 };

@@ -1,6 +1,7 @@
 #include "atpg/fault_sim_engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 
 namespace tz {
@@ -16,15 +17,13 @@ void FaultSimEngine::sync_scratch() {
     valid_.assign(words_, ~std::uint64_t{0});
     if (words_ != 0) valid_.back() = ctx_->tail_mask();
     pass_.bind(ctx_->plan(), words_);
-    bits_.assign(words_, 0);
     synced_patterns_ = ctx_->pattern_epoch();
   }
 }
 
-bool FaultSimEngine::simulate_fault(const Fault& f, bool want_bits) {
+std::size_t FaultSimEngine::simulate_fault(const Fault& f) {
   sync_scratch();
-  if (want_bits) std::fill(bits_.begin(), bits_.end(), 0);
-  if (ctx_->screened_out(f)) return false;
+  if (ctx_->screened_out(f)) return kUndetected;
 
   // Inject the stuck value at the site and blend the padding lanes of the
   // last word with the good row, so the cascade sees no phantom difference
@@ -40,46 +39,44 @@ bool FaultSimEngine::simulate_fault(const Fault& f, bool want_bits) {
   }
   pass_.run(ctx_->good_row(0), valid_.data());
 
-  bool any = false;
+  // Each PO's diff is scanned only up to the earliest detecting word found
+  // so far; the lowest detecting lane in that word is the first pattern.
+  // Pattern 0 cannot be beaten, so it ends the scan (a one-pattern set
+  // stops at its first detecting PO).
+  std::size_t first = kUndetected;
+  std::size_t end = words_;
   for (const SlotId po : plan.output_slots()) {
+    if (first == 0) break;
     if (!pass_.touched(po)) continue;
     const std::uint64_t* gp = ctx_->good_row(po);
     const std::uint64_t* fp = pass_.value(po);
-    for (std::size_t w = 0; w < words_; ++w) {
+    for (std::size_t w = 0; w < end; ++w) {
       const std::uint64_t diff = (gp[w] ^ fp[w]) & valid_[w];
       if (!diff) continue;
-      any = true;
-      if (!want_bits) goto done;
-      bits_[w] |= diff;
+      first = std::min(
+          first, 64 * w + static_cast<std::size_t>(std::countr_zero(diff)));
+      end = w + 1;
+      break;
     }
   }
-done:
   pass_.clear();
-  return any;
+  return first;
 }
 
 std::size_t FaultSimEngine::drop_sim(std::span<const Fault> faults,
-                                     std::vector<bool>& detected) {
-  check_drop_flags(faults, detected);
+                                     std::vector<bool>& detected,
+                                     std::span<std::size_t> first_detect) {
+  check_drop_flags(faults, detected, first_detect);
   std::size_t newly = 0;
   for (std::size_t i = 0; i < faults.size(); ++i) {
     if (detected[i]) continue;
-    if (simulate_fault(faults[i], /*want_bits=*/false)) {
-      detected[i] = true;
-      ++newly;
-    }
+    const std::size_t first = simulate_fault(faults[i]);
+    if (first == kUndetected) continue;
+    detected[i] = true;
+    if (!first_detect.empty()) first_detect[i] = first;
+    ++newly;
   }
   return newly;
-}
-
-std::vector<std::vector<std::uint64_t>> FaultSimEngine::detection_matrix(
-    std::span<const Fault> faults) {
-  std::vector<std::vector<std::uint64_t>> matrix(faults.size());
-  for (std::size_t i = 0; i < faults.size(); ++i) {
-    simulate_fault(faults[i], /*want_bits=*/true);
-    matrix[i] = bits_;
-  }
-  return matrix;
 }
 
 }  // namespace tz

@@ -8,8 +8,9 @@
 // analyses (fanout-cone -> PO reachability, the fault screen) and the shared
 // good-machine simulation live in FaultSimContext (fault_sim_backend.hpp)
 // and are cached across calls, pattern swaps and sibling backends. The
-// engine itself keeps the injection, the primary-output diff and the
-// detection bitmap. First-class fault dropping (`drop_sim`) lets callers
+// engine itself keeps the injection and the primary-output diff, which
+// stops at the first pattern word holding a detection and reports its
+// lowest detecting pattern. Fault dropping (`drop_sim`) lets callers
 // re-simulate only still-undetected faults as patterns accumulate.
 //
 // This engine wins when fanout cones are sparse relative to the netlist; its
@@ -38,19 +39,17 @@ class FaultSimEngine final : public FaultSimBackend {
 
   std::string_view name() const override { return "event"; }
 
-  /// Fault dropping: simulate only faults with `!detected[i]`, setting their
-  /// flag once detected. Returns the number of newly detected faults.
-  /// `detected` must be parallel to `faults`.
   std::size_t drop_sim(std::span<const Fault> faults,
-                       std::vector<bool>& detected) override;
-
-  std::vector<std::vector<std::uint64_t>> detection_matrix(
-      std::span<const Fault> faults) override;
+                       std::vector<bool>& detected,
+                       std::span<std::size_t> first_detect) override;
 
  private:
-  /// Event-driven faulty-machine evaluation; leaves the detection bitmap in
-  /// `bits_` when `want_bits`, else exits early on the first detecting word.
-  bool simulate_fault(const Fault& f, bool want_bits);
+  /// Returned by simulate_fault for a fault no pattern detects.
+  static constexpr std::size_t kUndetected = ~std::size_t{0};
+
+  /// Event-driven faulty-machine evaluation: the index of the first pattern
+  /// that detects `f`, or kUndetected.
+  std::size_t simulate_fault(const Fault& f);
 
   /// Lazily resize the per-fault scratch after the context's pattern epoch
   /// moved (shared contexts advance underneath the engine).
@@ -61,8 +60,7 @@ class FaultSimEngine final : public FaultSimBackend {
   std::uint64_t synced_patterns_ = 0;
   /// Per word: the pattern lanes (all ones but the last word's tail mask).
   std::vector<std::uint64_t> valid_;
-  ConePass pass_;                    ///< faulty rows, cleared per fault
-  std::vector<std::uint64_t> bits_;  ///< detection bitmap of the last fault
+  ConePass pass_;  ///< faulty rows, cleared per fault
 };
 
 }  // namespace tz

@@ -43,8 +43,7 @@ void PackedFaultSimEngine::sync_scratch() {
 
 std::uint64_t PackedFaultSimEngine::run_batch(
     std::span<const Fault> faults, std::span<const std::size_t> idx,
-    std::vector<std::vector<std::uint64_t>>* rows,
-    std::span<const char> dropped) {
+    std::span<std::size_t> first_detect, std::span<const char> dropped) {
   const std::size_t lanes = idx.size();
   const std::uint64_t lanes_mask =
       lanes >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << lanes) - 1;
@@ -123,45 +122,37 @@ std::uint64_t PackedFaultSimEngine::run_batch(
       }
     }
     kern(*plan_, m, kBlock, prev, n);
-    // Detection: diff every PO row against the broadcast good bit.
-    if (rows) {
-      std::fill(acc_.begin(), acc_.end(), 0);
-      for (std::size_t o = 0; o < output_slots_.size(); ++o) {
-        const std::uint64_t g = output_good_[o][wp];
-        const std::uint64_t* row = m + std::size_t{output_slots_[o]} * kBlock;
-        for (std::size_t j = 0; j < nvalid; ++j) {
-          acc_[j] |= (row[j] ^ (std::uint64_t{0} - ((g >> j) & 1)));
-        }
-      }
+    // Detection: diff every PO row against the broadcast good bit, one
+    // accumulator word per pattern, then turn lanes on in pattern order.
+    std::fill(acc_.begin(), acc_.end(), 0);
+    for (std::size_t o = 0; o < output_slots_.size(); ++o) {
+      const std::uint64_t g = output_good_[o][wp];
+      const std::uint64_t* row = m + std::size_t{output_slots_[o]} * kBlock;
       for (std::size_t j = 0; j < nvalid; ++j) {
-        std::uint64_t a = acc_[j] & lanes_mask;
-        detected |= a;
-        while (a) {
-          const int lane = std::countr_zero(a);
-          a &= a - 1;
-          (*rows)[lane_fault_[lane]][wp] |= std::uint64_t{1} << j;
-        }
+        acc_[j] |= (row[j] ^ (std::uint64_t{0} - ((g >> j) & 1)));
       }
-    } else {
-      for (std::size_t o = 0; o < output_slots_.size(); ++o) {
-        const std::uint64_t g = output_good_[o][wp];
-        const std::uint64_t* row = m + std::size_t{output_slots_[o]} * kBlock;
-        for (std::size_t j = 0; j < nvalid; ++j) {
-          detected |= (row[j] ^ (std::uint64_t{0} - ((g >> j) & 1)));
-        }
-      }
-      detected &= lanes_mask;
-      // Early exit: every live lane has already detected — the remaining
-      // pattern blocks cannot change any flag.
-      if (detected == lanes_mask) break;
     }
+    for (std::size_t j = 0; j < nvalid; ++j) {
+      std::uint64_t fresh = acc_[j] & lanes_mask & ~detected;
+      detected |= fresh;
+      if (first_detect.empty()) continue;
+      while (fresh) {
+        const int lane = std::countr_zero(fresh);
+        fresh &= fresh - 1;
+        first_detect[lane_fault_[lane]] = kBlock * wp + j;
+      }
+    }
+    // Early exit: every live lane has already detected — the remaining
+    // pattern blocks cannot change any flag.
+    if (detected == lanes_mask) break;
   }
-  return detected & lanes_mask;
+  return detected;
 }
 
-std::size_t PackedFaultSimEngine::run_all(
+std::size_t PackedFaultSimEngine::drop_sim(
     std::span<const Fault> faults, std::vector<bool>& detected,
-    std::vector<std::vector<std::uint64_t>>* rows) {
+    std::span<std::size_t> first_detect) {
+  check_drop_flags(faults, detected, first_detect);
   sync_scratch();
   if (words_ == 0) return 0;
   std::vector<std::size_t> cand;
@@ -170,15 +161,15 @@ std::size_t PackedFaultSimEngine::run_all(
     if (!detected[i] && !ctx_->screened_out(faults[i])) cand.push_back(i);
   }
   std::span<const char> dsnap;
-  if (rows == nullptr && check_enabled()) {
+  if (check_enabled()) {
     dropped_scratch_.assign(detected.begin(), detected.end());
     dsnap = dropped_scratch_;
   }
   std::size_t newly = 0;
   for (std::size_t b = 0; b < cand.size(); b += kBlock) {
     const std::size_t k = std::min(kBlock, cand.size() - b);
-    const std::uint64_t det =
-        run_batch(faults, std::span(cand).subspan(b, k), rows, dsnap);
+    const std::uint64_t det = run_batch(
+        faults, std::span(cand).subspan(b, k), first_detect, dsnap);
     for (std::size_t i = 0; i < k; ++i) {
       if ((det >> i) & 1) {
         detected[cand[b + i]] = true;
@@ -187,22 +178,6 @@ std::size_t PackedFaultSimEngine::run_all(
     }
   }
   return newly;
-}
-
-std::size_t PackedFaultSimEngine::drop_sim(std::span<const Fault> faults,
-                                           std::vector<bool>& detected) {
-  check_drop_flags(faults, detected);
-  return run_all(faults, detected, nullptr);
-}
-
-std::vector<std::vector<std::uint64_t>> PackedFaultSimEngine::detection_matrix(
-    std::span<const Fault> faults) {
-  sync_scratch();
-  std::vector<std::vector<std::uint64_t>> m(
-      faults.size(), std::vector<std::uint64_t>(words_, 0));
-  std::vector<bool> detected(faults.size(), false);
-  run_all(faults, detected, &m);
-  return m;
 }
 
 }  // namespace tz

@@ -14,14 +14,16 @@
 //  - stuck values are forced by splitting the ranged stripe-kernel sweep at
 //    the fault-site slots (ascending slot order == topological order) and
 //    blending per-site lane masks in between: out = (out & ~mask) | ones;
-//  - detection diffs each primary-output row against the broadcast good bit;
-//    detect-flag runs early-exit a batch once every live lane has detected
-//    (the decisive advantage over the event engine on dense cones, which
-//    must evaluate the whole cone over all pattern words per fault).
+//  - detection diffs each primary-output row against the broadcast good bit,
+//    pattern by pattern, so each lane's first detecting pattern is the one
+//    at which its bit first turns on; a batch early-exits once every live
+//    lane has detected (the decisive advantage over the event engine on
+//    dense cones, which must evaluate the whole cone over all pattern words
+//    per fault).
 //
 // The mask bookkeeping of every batch is validated by
 // verify::FaultPackChecker under TZ_CHECK. Results are bit-identical to the
-// event engine: the same FaultSimContext::screened_out zeroes the same rows,
+// event engine: the same FaultSimContext::screened_out drops the same faults,
 // and the per-pattern detection predicate is the same XOR against the same
 // good machine.
 #pragma once
@@ -49,9 +51,8 @@ class PackedFaultSimEngine final : public FaultSimBackend {
   std::string_view name() const override { return "packed"; }
 
   std::size_t drop_sim(std::span<const Fault> faults,
-                       std::vector<bool>& detected) override;
-  std::vector<std::vector<std::uint64_t>> detection_matrix(
-      std::span<const Fault> faults) override;
+                       std::vector<bool>& detected,
+                       std::span<std::size_t> first_detect) override;
 
  private:
   /// 64 patterns per block: each slot row is 64 words, one word of fault
@@ -62,24 +63,16 @@ class PackedFaultSimEngine final : public FaultSimBackend {
   /// pattern epoch moved.
   void sync_scratch();
 
-  /// Pack the faults at `idx` (lane i = faults[idx[i]]) and simulate all
-  /// pattern blocks. Returns the detected-lane word. When `rows` is non-null
-  /// every block is processed (no early exit) and per-pattern detection bits
-  /// are written to (*rows)[idx[i]]. `dropped` is the caller's drop-flag
-  /// snapshot for the TZ_CHECK bijection invariant (empty = not dropping).
+  /// Pack the faults at `idx` (lane i = faults[idx[i]]) and simulate the
+  /// pattern blocks until every lane has detected. Returns the
+  /// detected-lane word; a non-empty `first_detect` (parallel to `faults`)
+  /// receives each detected lane's first detecting pattern. `dropped` is
+  /// the caller's drop-flag snapshot for the TZ_CHECK bijection invariant
+  /// (empty when the check is off).
   std::uint64_t run_batch(std::span<const Fault> faults,
                           std::span<const std::size_t> idx,
-                          std::vector<std::vector<std::uint64_t>>* rows,
+                          std::span<std::size_t> first_detect,
                           std::span<const char> dropped);
-
-  /// Shared screen + batch loop behind drop_sim/detection_matrix: simulates
-  /// every fault with `!detected[i]`, setting flags (and matrix rows when
-  /// `rows`). Without `rows` the call is drop_sim, whose flags feed the
-  /// TZ_CHECK bijection invariant. Returns the number of newly detected
-  /// faults.
-  std::size_t run_all(std::span<const Fault> faults,
-                      std::vector<bool>& detected,
-                      std::vector<std::vector<std::uint64_t>>* rows);
 
   const EvalPlan* plan_;  ///< the packed evaluation plan
   std::uint64_t synced_patterns_ = 0;

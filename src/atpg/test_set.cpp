@@ -19,33 +19,31 @@ DefenderTestSet generate_atpg_tests(const Netlist& nl,
 
   // One fault-simulation backend serves both phases: the static netlist
   // analyses and the compiled plan are computed once and carried from the
-  // bootstrap detection matrix through deterministic-phase dropping. The
-  // engine is the process-wide set_fault_sim_mode choice (Auto by default).
+  // bootstrap through deterministic-phase dropping. The engine is the
+  // process-wide set_fault_sim_mode choice (Auto by default).
   const auto backend = make_fault_sim_backend(nl);
 
   // Phase 1: random bootstrap with static compaction — only patterns that
-  // contribute a first detection are kept in the shipped TP set, as a
+  // are some fault's first detection are kept in the shipped TP set, as a
   // production pattern-compaction flow would do.
   const PatternSet bootstrap =
       random_patterns(nl.inputs().size(), opt.random_patterns, opt.seed);
   backend->set_patterns(bootstrap);
-  const auto matrix = backend->detection_matrix(faults);
-  const std::vector<std::size_t> kept =
-      compact_patterns(matrix, bootstrap.num_patterns());
+  std::vector<bool> detected(faults.size(), false);
+  std::vector<std::size_t> first_detect(faults.size());
+  std::size_t covered = backend->drop_sim(faults, detected, first_detect);
+  std::vector<std::size_t> kept;
+  for (std::size_t f = 0; f < faults.size(); ++f) {
+    if (detected[f]) kept.push_back(first_detect[f]);
+  }
+  std::sort(kept.begin(), kept.end());
+  kept.erase(std::unique(kept.begin(), kept.end()), kept.end());
   PatternSet patterns(nl.inputs().size(), kept.size());
   for (std::size_t k = 0; k < kept.size(); ++k) {
     for (std::size_t s = 0; s < nl.inputs().size(); ++s) {
       patterns.set(k, s, bootstrap.get(kept[k], s));
     }
   }
-  std::vector<bool> detected(faults.size(), false);
-  for (std::size_t f = 0; f < faults.size(); ++f) {
-    for (const std::uint64_t w : matrix[f]) {
-      if (w) { detected[f] = true; break; }
-    }
-  }
-  std::size_t covered = 0;
-  for (const auto d : detected) covered += d ? 1 : 0;
 
   // Phase 2: PODEM on survivors, dropping newly covered faults as we go and
   // stopping at the defender's coverage target. The shared backend carries

@@ -4,7 +4,9 @@
 // patterns (TPs) and golden responses, generated on the verified HT-free
 // circuit. ATPG patterns come from random-pattern bootstrap plus PODEM for
 // the remaining faults, with bit-parallel fault-simulation dropping —
-// the standard TetraMAX-style flow.
+// the standard TetraMAX-style flow. The bootstrap is compacted statically:
+// one drop_sim reports each fault's first detecting pattern, and only those
+// patterns are kept.
 #pragma once
 
 #include <cstdint>

@@ -1,4 +1,5 @@
 // Tests for the stuck-at fault model, PODEM and fault simulation.
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -112,6 +113,59 @@ TEST(PodemEngine, ReusedEngineMatchesOneShotPodem) {
   }
 }
 
+// FNV-1a over the eight little-endian bytes of `v`.
+std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
+  for (int b = 0; b < 8; ++b) {
+    h ^= (v >> (8 * b)) & 0xFF;
+    h *= 0x100000001B3ull;
+  }
+  return h;
+}
+
+TEST(PodemEngine, PinnedVerdictDigests) {
+  // Every PODEM verdict (status, backtrack count, pattern and don't-care
+  // mask) of one reused engine over a fault sample, folded into a digest
+  // pinned at the full-scan D-frontier search: a faster search must leave
+  // all of it byte-identical. Each run must also equal a fresh podem().
+  struct Case {
+    const char* circuit;
+    std::size_t stride;  ///< every stride-th collapsed fault
+    std::size_t detected, untestable, aborted;
+    std::uint64_t digest;
+  };
+  for (const Case& c : {Case{"c880", 1, 768, 0, 14, 0x250A09F4F607E27Cull},
+                        Case{"c1908", 4, 208, 0, 52, 0xC51772820282E62Aull},
+                        Case{"rand2k", 16, 256, 10, 10,
+                             0xC57BFC9BCC4921EBull}}) {
+    const Netlist nl = make_benchmark(c.circuit);
+    const auto faults = collapse_faults(nl, fault_universe(nl));
+    PodemEngine engine(nl);
+    std::uint64_t h = 0xCBF29CE484222325ull;
+    std::size_t counts[3] = {0, 0, 0};
+    for (std::size_t i = 0; i < faults.size(); i += c.stride) {
+      const PodemResult r = engine.run(faults[i]);
+      const PodemResult fresh = podem(nl, faults[i]);
+      ASSERT_EQ(r.status, fresh.status) << c.circuit << " fault " << i;
+      ASSERT_EQ(r.backtracks, fresh.backtracks) << c.circuit << " fault " << i;
+      ASSERT_EQ(r.pattern, fresh.pattern) << c.circuit << " fault " << i;
+      ASSERT_EQ(r.assigned, fresh.assigned) << c.circuit << " fault " << i;
+      ++counts[static_cast<int>(r.status)];
+      h = fnv1a(h, static_cast<std::uint64_t>(r.status));
+      h = fnv1a(h, static_cast<std::uint64_t>(r.backtracks));
+      for (std::size_t s = 0; s < r.pattern.size(); ++s) {
+        h = fnv1a(h, (r.pattern[s] ? 1u : 0u) | (r.assigned[s] ? 2u : 0u));
+      }
+    }
+    EXPECT_EQ(counts[static_cast<int>(PodemStatus::Detected)], c.detected)
+        << c.circuit;
+    EXPECT_EQ(counts[static_cast<int>(PodemStatus::Untestable)], c.untestable)
+        << c.circuit;
+    EXPECT_EQ(counts[static_cast<int>(PodemStatus::Aborted)], c.aborted)
+        << c.circuit;
+    EXPECT_EQ(h, c.digest) << c.circuit;
+  }
+}
+
 TEST(FaultSim, AgreesWithPodemOnDetection) {
   const Netlist nl = make_benchmark("c17");
   const auto faults = fault_universe(nl);
@@ -125,34 +179,68 @@ TEST(FaultSim, AgreesWithPodemOnDetection) {
   }
 }
 
-TEST(FaultSim, DetectionMatrixMatchesDropSimFlags) {
+TEST(FaultSim, FirstDetectsMatchDropSimFlags) {
+  // Every backend reports the same first detecting pattern for each fault,
+  // equal to the reference evaluator's, and sets exactly the flags of the
+  // faults it reports.
   const Netlist nl = gen_c17();
   const auto faults = fault_universe(nl);
   const PatternSet ps = random_patterns(nl.inputs().size(), 20, 5);
-  const auto matrix = detection_matrix(nl, faults, ps);
+  const auto by_mode = test::first_detects_by_mode(nl, faults, ps);
   const auto det = test::detect_flags(nl, faults, ps);
   for (std::size_t f = 0; f < faults.size(); ++f) {
-    bool any = false;
-    for (auto w : matrix[f]) any |= w != 0;
-    EXPECT_EQ(any, det[f]);
+    const std::size_t want = test::reference_first_detect(nl, ps, faults[f]);
+    for (const auto& first : by_mode) {
+      EXPECT_EQ(first[f], want) << to_string(nl, faults[f]);
+    }
+    EXPECT_EQ(det[f], want != test::kUndetected) << to_string(nl, faults[f]);
   }
 }
 
-TEST(FaultSim, CompactionPreservesCoverage) {
+TEST(TestGen, BootstrapKeepsFirstDetects) {
+  // With no deterministic phase (coverage target 0) the shipped set is the
+  // compacted bootstrap: the sorted distinct first detecting patterns of
+  // the collapsed faults, here rebuilt from reference fault injection. It
+  // must be smaller than the bootstrap and cover as much. 200 patterns span
+  // four words, so some first detections fall past word 0.
   const Netlist nl = make_benchmark("c432");
   const auto faults = collapse_faults(nl, fault_universe(nl));
-  const PatternSet ps = random_patterns(nl.inputs().size(), 128, 21);
-  const auto matrix = detection_matrix(nl, faults, ps);
-  const auto kept = compact_patterns(matrix, ps.num_patterns());
-  EXPECT_LT(kept.size(), ps.num_patterns());  // compaction bites
-  PatternSet compacted(nl.inputs().size(), kept.size());
-  for (std::size_t k = 0; k < kept.size(); ++k) {
-    for (std::size_t s = 0; s < nl.inputs().size(); ++s) {
-      compacted.set(k, s, ps.get(kept[k], s));
+  for (const std::size_t width : {64u, 128u, 200u}) {
+    TestGenOptions opt;
+    opt.random_patterns = width;
+    opt.coverage_target = 0.0;
+    const PatternSet bootstrap =
+        random_patterns(nl.inputs().size(), width, opt.seed);
+    std::vector<std::size_t> kept;
+    for (const Fault& f : faults) {
+      const std::size_t first = test::reference_first_detect(nl, bootstrap, f);
+      if (first != test::kUndetected) kept.push_back(first);
+    }
+    const std::size_t covered = kept.size();
+    std::sort(kept.begin(), kept.end());
+    kept.erase(std::unique(kept.begin(), kept.end()), kept.end());
+    if (width == 200) {
+      EXPECT_GE(kept.back(), 64u);
+    }
+    EXPECT_LT(kept.size(), width);  // compaction bites
+    PatternSet want(nl.inputs().size(), kept.size());
+    for (std::size_t k = 0; k < kept.size(); ++k) {
+      for (std::size_t s = 0; s < nl.inputs().size(); ++s) {
+        want.set(k, s, bootstrap.get(kept[k], s));
+      }
+    }
+    EXPECT_EQ(grade_patterns(nl, faults, want).detected, covered);
+    for (const FaultSimMode mode :
+         {FaultSimMode::Event, FaultSimMode::Packed, FaultSimMode::Auto}) {
+      const test::FaultModeGuard guard(static_cast<int>(mode));
+      const std::string label = "width=" + std::to_string(width) +
+                                " mode=" + std::string(to_string(mode));
+      const DefenderTestSet ts = generate_atpg_tests(nl, opt);
+      EXPECT_EQ(ts.patterns.num_patterns(), kept.size()) << label;
+      EXPECT_TRUE(BitSimulator::responses_equal(ts.patterns, want)) << label;
+      EXPECT_EQ(ts.coverage.detected, covered) << label;
     }
   }
-  EXPECT_EQ(grade_patterns(nl, faults, compacted).detected,
-            grade_patterns(nl, faults, ps).detected);
 }
 
 TEST(TestGen, CoverageAndGoldenResponses) {
@@ -263,9 +351,9 @@ TEST_P(PodemComplete, UntestableMeansUndetectable) {
 INSTANTIATE_TEST_SUITE_P(Seeds, PodemComplete,
                          ::testing::Values(31, 37, 41, 43, 47));
 
-/// Property: on random circuits the engine's per-fault detect bitmaps match
-/// the reference evaluator's fault injection bit for bit, across a pattern
-/// count that crosses the 64-pattern word boundary.
+/// Property: on random circuits every backend's per-fault first detecting
+/// pattern matches the reference evaluator's fault injection, across a
+/// pattern count that crosses the 64-pattern word boundary.
 class FaultSimEquiv : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(FaultSimEquiv, EngineMatchesSerialReference) {
@@ -275,16 +363,12 @@ TEST_P(FaultSimEquiv, EngineMatchesSerialReference) {
   const Netlist nl = random_circuit(spec);
   const auto faults = fault_universe(nl);
   const PatternSet ps = random_patterns(nl.inputs().size(), 70, GetParam());
-  const auto engine = make_fault_sim_backend(nl, FaultSimMode::Event);
-  engine->set_patterns(ps);
-  const std::vector<bool> det = test::detect_flags(*engine, faults);
-  const auto matrix = engine->detection_matrix(faults);
+  const auto by_mode = test::first_detects_by_mode(nl, faults, ps);
   for (std::size_t i = 0; i < faults.size(); ++i) {
-    const auto ref = test::reference_detection_bits(nl, ps, faults[i]);
-    EXPECT_EQ(matrix[i], ref) << to_string(nl, faults[i]);
-    bool ref_any = false;
-    for (const std::uint64_t w : ref) ref_any |= w != 0;
-    EXPECT_EQ(det[i], ref_any) << to_string(nl, faults[i]);
+    const std::size_t want = test::reference_first_detect(nl, ps, faults[i]);
+    for (const auto& first : by_mode) {
+      EXPECT_EQ(first[i], want) << to_string(nl, faults[i]);
+    }
   }
 }
 
@@ -365,28 +449,26 @@ TEST(FaultBackend, ModeSelectionAndFactoryNames) {
 }
 
 TEST(FaultBackend, PackedMatchesEventAndReference) {
-  // The packed engine must be bit-identical to the event engine on every
-  // query of the backend contract, and the shared detection matrix must
-  // equal reference fault injection on a sample of faults.
+  // The packed engine must be bit-identical to the event engine on the
+  // backend contract, flags and first detections, and both must equal
+  // reference fault injection on a sample of faults.
   for (const char* name : {"c432", "c880"}) {
     const Netlist nl = make_benchmark(name);
     const auto faults = collapse_faults(nl, fault_universe(nl));
     const PatternSet ps = random_patterns(nl.inputs().size(), 150, 9);
     const std::string label = name;
+    const auto by_mode = test::first_detects_by_mode(nl, faults, ps);
+    EXPECT_EQ(by_mode[1], by_mode[0]) << label;
+    EXPECT_EQ(by_mode[2], by_mode[0]) << label;
     const auto event = make_fault_sim_backend(nl, FaultSimMode::Event);
     const auto packed = make_fault_sim_backend(nl, FaultSimMode::Packed);
     event->set_patterns(ps);
     packed->set_patterns(ps);
-
-    const std::vector<bool> eflags = test::detect_flags(*event, faults);
-    EXPECT_EQ(test::detect_flags(*packed, faults), eflags) << label;
-    const auto matrix = event->detection_matrix(faults);
-    EXPECT_EQ(packed->detection_matrix(faults), matrix) << label;
     for (std::size_t i = 0; i < faults.size(); i += 17) {
       EXPECT_EQ(test::detected(*packed, faults[i]),
                 test::detected(*event, faults[i]))
           << label << " fault " << to_string(nl, faults[i]);
-      EXPECT_EQ(matrix[i], test::reference_detection_bits(nl, ps, faults[i]))
+      EXPECT_EQ(by_mode[0][i], test::reference_first_detect(nl, ps, faults[i]))
           << label << " fault " << to_string(nl, faults[i]);
     }
     std::vector<bool> edrop(faults.size(), false);
@@ -397,7 +479,7 @@ TEST(FaultBackend, PackedMatchesEventAndReference) {
   }
 }
 
-TEST(FaultBackend, DetectionMatrixWordBoundaries) {
+TEST(FaultBackend, FirstDetectWordBoundaries) {
   // The packed engine packs 64 faults per word and 64 patterns per block;
   // the event engine packs 64 patterns per word. Exercise every off-by-one
   // around both boundaries: fault counts and pattern counts one below, at,
@@ -412,31 +494,70 @@ TEST(FaultBackend, DetectionMatrixWordBoundaries) {
           random_patterns(nl.inputs().size(), np, 31 * nf + np);
       const std::string label =
           "faults=" + std::to_string(nf) + " patterns=" + std::to_string(np);
-      const auto event = make_fault_sim_backend(nl, FaultSimMode::Event);
-      const auto packed = make_fault_sim_backend(nl, FaultSimMode::Packed);
-      event->set_patterns(ps);
-      packed->set_patterns(ps);
-      const auto ematrix = event->detection_matrix(faults);
-      const auto pmatrix = packed->detection_matrix(faults);
-      EXPECT_EQ(pmatrix, ematrix) << label;
-      // No detection bit may land beyond the pattern tail.
-      const std::uint64_t tail = ps.tail_mask();
-      for (const auto& row : pmatrix) {
-        ASSERT_EQ(row.size(), ps.num_words()) << label;
-        EXPECT_EQ(row.back() & ~tail, 0u) << label;
+      const auto by_mode = test::first_detects_by_mode(nl, faults, ps);
+      for (std::size_t i = 0; i < nf; ++i) {
+        const std::size_t want =
+            test::reference_first_detect(nl, ps, faults[i]);
+        for (const auto& first : by_mode) {
+          EXPECT_EQ(first[i], want) << label << " fault " << i;
+        }
       }
-      EXPECT_EQ(test::detect_flags(*packed, faults),
-                test::detect_flags(*event, faults))
-          << label;
     }
+  }
+}
+
+TEST(FaultBackend, FirstDetectsPastWordZero) {
+  // g = AND(a0..a7) and n = NOR(a0..a7) over 200 hand-made patterns (four
+  // words): every pattern drives only a0 high, except pattern 130 (all
+  // ones) and pattern 190 (all zeros). g sa0 and a1..a7 sa0 first detect at
+  // 130, n sa0 and a0..a7 sa1 at 190, all in word 2. The faults detected on
+  // pattern 0 fill a packed batch of their own that early-exits after the
+  // first block.
+  Netlist nl;
+  const std::vector<NodeId> a = test::add_inputs(nl, 8, "a");
+  const NodeId g = nl.add_gate(GateType::And, "g", a);
+  const NodeId n = nl.add_gate(GateType::Nor, "n", a);
+  nl.mark_output(g);
+  nl.mark_output(n);
+  PatternSet ps(a.size(), 200);
+  for (std::size_t p = 0; p < ps.num_patterns(); ++p) {
+    for (std::size_t s = 0; s < a.size(); ++s) {
+      ps.set(p, s, p == 130 || (p != 190 && s == 0));
+    }
+  }
+  const std::vector<Fault> early = {{g, StuckAt::One}, {n, StuckAt::One},
+                                    {a[0], StuckAt::Zero}};
+  const std::vector<Fault> late = {{g, StuckAt::Zero}, {n, StuckAt::Zero},
+                                   {a[1], StuckAt::Zero}, {a[1], StuckAt::One},
+                                   {a[0], StuckAt::One}};
+  const std::vector<std::size_t> want_early = {0, 0, 0};
+  const std::vector<std::size_t> want_late = {130, 190, 130, 190, 190};
+  for (const auto& [faults, want] :
+       {std::pair{early, want_early}, std::pair{late, want_late}}) {
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      ASSERT_EQ(test::reference_first_detect(nl, ps, faults[i]), want[i])
+          << to_string(nl, faults[i]);
+    }
+    for (const auto& first : test::first_detects_by_mode(nl, faults, ps)) {
+      EXPECT_EQ(first, want);
+    }
+  }
+  // Both lists in one call: the packed batch mixes early and late lanes.
+  std::vector<Fault> all = early;
+  all.insert(all.end(), late.begin(), late.end());
+  std::vector<std::size_t> want_all = want_early;
+  want_all.insert(want_all.end(), want_late.begin(), want_late.end());
+  for (const auto& first : test::first_detects_by_mode(nl, all, ps)) {
+    EXPECT_EQ(first, want_all);
   }
 }
 
 TEST(FaultBackend, ZeroDetectRowsAndAllDroppedBatches) {
   // g = AND(a, b) under all-zero patterns: g stuck-at-0 is never excited
-  // (zero detection row), g stuck-at-1 flips every pattern (full row up to
-  // the tail). Both backends must agree on both extremes, and a drop_sim
-  // where every fault is already dropped must touch nothing.
+  // (never detected), g stuck-at-1 flips every pattern (first detected by
+  // pattern 0). Every backend must agree on both extremes, and a drop_sim
+  // where every fault is already dropped must touch no flag and no
+  // first-detect entry.
   Netlist nl;
   const NodeId a = nl.add_input("a");
   const NodeId b = nl.add_input("b");
@@ -446,23 +567,23 @@ TEST(FaultBackend, ZeroDetectRowsAndAllDroppedBatches) {
   const PatternSet zeros(nl.inputs().size(), 70);  // all-zero, 2 words
   const std::vector<Fault> faults = {{g, StuckAt::Zero}, {g, StuckAt::One},
                                      {a, StuckAt::One}, {b, StuckAt::One}};
-  for (const FaultSimMode mode : {FaultSimMode::Event, FaultSimMode::Packed}) {
+  // a/b sa1 are excited but masked by the other AND input staying 0.
+  const std::vector<std::size_t> want = {test::kUndetected, 0,
+                                         test::kUndetected, test::kUndetected};
+  for (const auto& first : test::first_detects_by_mode(nl, faults, zeros)) {
+    EXPECT_EQ(first, want);
+  }
+  for (const FaultSimMode mode :
+       {FaultSimMode::Event, FaultSimMode::Packed, FaultSimMode::Auto}) {
     const auto backend = make_fault_sim_backend(nl, mode);
     backend->set_patterns(zeros);
-    const auto matrix = backend->detection_matrix(faults);
-    ASSERT_EQ(matrix.size(), faults.size());
-    const std::vector<std::uint64_t> zero_row(zeros.num_words(), 0);
-    const std::vector<std::uint64_t> full_row = {~std::uint64_t{0},
-                                                 zeros.tail_mask()};
-    EXPECT_EQ(matrix[0], zero_row) << backend->name();   // g sa0: unexcited
-    EXPECT_EQ(matrix[1], full_row) << backend->name();   // g sa1: every TP
-    // a/b sa1 are excited but masked by the other AND input staying 0.
-    EXPECT_EQ(matrix[2], zero_row) << backend->name();
-    EXPECT_EQ(matrix[3], zero_row) << backend->name();
-
     std::vector<bool> all_dropped(faults.size(), true);
-    EXPECT_EQ(backend->drop_sim(faults, all_dropped), 0u) << backend->name();
+    std::vector<std::size_t> first(faults.size(), 7);
+    EXPECT_EQ(backend->drop_sim(faults, all_dropped, first), 0u)
+        << backend->name();
     EXPECT_EQ(all_dropped, std::vector<bool>(faults.size(), true))
+        << backend->name();
+    EXPECT_EQ(first, std::vector<std::size_t>(faults.size(), 7))
         << backend->name();
   }
 }
@@ -492,7 +613,8 @@ TEST(FaultBackend, PatternSwapKeepsStaticAnalyses) {
 
 TEST(FaultBackend, DropSimRejectsMismatchedFlags) {
   // drop_sim reads and sets detected[i] for every fault: a flag vector of
-  // another length is refused, naming both sizes, before any flag is read.
+  // another length, or a non-empty first-detect vector of another length,
+  // is refused, naming both sizes, before any flag is read.
   const Netlist nl = gen_c17();
   const std::vector<Fault> faults = fault_universe(nl);
   for (const FaultSimMode mode :
@@ -515,14 +637,29 @@ TEST(FaultBackend, DropSimRejectsMismatchedFlags) {
             << msg;
       }
       EXPECT_EQ(flags, std::vector<bool>(n, false)) << backend->name();
+
+      std::vector<bool> good_flags(faults.size(), false);
+      std::vector<std::size_t> first(n, 0);
+      try {
+        backend->drop_sim(faults, good_flags, first);
+        ADD_FAILURE() << backend->name() << ": no throw for " << n
+                      << " first-detect entries";
+      } catch (const std::invalid_argument& e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("has " + std::to_string(n) + " entries"),
+                  std::string::npos)
+            << msg;
+      }
+      EXPECT_EQ(good_flags, std::vector<bool>(faults.size(), false))
+          << backend->name();
     }
   }
 }
 
 TEST(FaultBackend, WidePatternSetMatchesReference) {
   // A pattern set wider than one stripe: the good machine comes out of a
-  // stripe-major run and is gathered into slot rows. Both engines' detection
-  // matrices must still equal independent reference fault injection.
+  // stripe-major run and is gathered into slot rows. Both engines' first
+  // detections must still equal independent reference fault injection.
   const Netlist nl = test::random_full_alphabet(29, 2000);
   const EvalPlan plan(nl);
   const std::size_t words = plan.block_words(1u << 20) * 2 + 3;
@@ -534,32 +671,27 @@ TEST(FaultBackend, WidePatternSetMatchesReference) {
   for (std::size_t i = 0; i < universe.size(); i += universe.size() / 16) {
     faults.push_back(universe[i]);
   }
-  std::vector<std::vector<std::uint64_t>> want;
-  std::size_t detected = 0;
+  std::vector<std::size_t> want;
   for (const Fault& f : faults) {
-    want.push_back(test::reference_detection_bits(nl, ps, f));
-    for (const std::uint64_t w : want.back()) {
-      if (w) { ++detected; break; }
-    }
+    want.push_back(test::reference_first_detect(nl, ps, f));
   }
-  EXPECT_GT(detected, 0u);
+  EXPECT_NE(std::count(want.begin(), want.end(), test::kUndetected),
+            static_cast<std::ptrdiff_t>(want.size()));
   const auto ctx = std::make_shared<FaultSimContext>(nl);
   ctx->set_patterns(ps);
-  for (const FaultSimMode mode : {FaultSimMode::Event, FaultSimMode::Packed}) {
+  for (const FaultSimMode mode :
+       {FaultSimMode::Event, FaultSimMode::Packed, FaultSimMode::Auto}) {
     const auto backend = make_fault_sim_backend(ctx, mode);
-    const auto matrix = backend->detection_matrix(faults);
-    ASSERT_EQ(matrix.size(), faults.size());
-    for (std::size_t i = 0; i < faults.size(); ++i) {
-      EXPECT_EQ(matrix[i], want[i]) << backend->name() << " fault " << i;
-    }
+    EXPECT_EQ(test::first_detects(*backend, faults), want) << backend->name();
   }
 }
 
 TEST(TestGen, AtpgBitIdenticalAcrossBackends) {
-  // The full ATPG flow (bootstrap grading, compaction, PODEM dropping) must
-  // produce the same pattern set, golden responses and coverage counters no
-  // matter which fault-simulation backend set_fault_sim_mode selects, and
-  // its golden responses must be what the reference evaluator computes.
+  // The full ATPG flow (bootstrap first detections, compaction, PODEM
+  // dropping) must produce the same pattern set, golden responses and
+  // coverage counters no matter which fault-simulation backend
+  // set_fault_sim_mode selects, and its golden responses must be what the
+  // reference evaluator computes.
   const Netlist nl = make_benchmark("c880");
   TestGenOptions opt;
   opt.random_patterns = 64;

@@ -117,26 +117,20 @@ TEST(EvalPlan, DffStateRowsMatchReference) {
 }
 
 TEST(EvalPlan, FaultSimEngineMatchesReference) {
-  // The event engine's cone walk over plan slots against reference fault
-  // injection: every collapsed fault's detection bitmap (and so its flag)
-  // must equal the reference evaluator's response diff.
+  // The engines' walks over plan slots against reference fault injection:
+  // every collapsed fault's first detecting pattern (and so its flag) must
+  // equal the lowest set bit of the reference evaluator's response diff.
   const Netlist nl = make_benchmark("c880");
   const auto faults = collapse_faults(nl, fault_universe(nl));
   for (std::size_t patterns : {63u, 64u, 65u, 128u}) {
     const PatternSet ps = random_patterns(nl.inputs().size(), patterns, 5);
-    const auto engine = make_fault_sim_backend(nl, FaultSimMode::Event);
-    engine->set_patterns(ps);
-    const std::vector<bool> det = test::detect_flags(*engine, faults);
-    const auto matrix = engine->detection_matrix(faults);
+    const auto by_mode = test::first_detects_by_mode(nl, faults, ps);
     for (std::size_t i = 0; i < faults.size(); ++i) {
-      const std::vector<std::uint64_t> ref =
-          test::reference_detection_bits(nl, ps, faults[i]);
-      const bool ref_det =
-          std::any_of(ref.begin(), ref.end(), [](auto w) { return w != 0; });
-      ASSERT_EQ(det[i], ref_det)
-          << patterns << " patterns, " << to_string(nl, faults[i]);
-      ASSERT_EQ(matrix[i], ref)
-          << patterns << " patterns, " << to_string(nl, faults[i]);
+      const std::size_t want = test::reference_first_detect(nl, ps, faults[i]);
+      for (const auto& first : by_mode) {
+        ASSERT_EQ(first[i], want)
+            << patterns << " patterns, " << to_string(nl, faults[i]);
+      }
     }
   }
 }

@@ -3,6 +3,7 @@
 // across suite files.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <iterator>
 #include <random>
@@ -94,6 +95,53 @@ inline std::vector<std::uint64_t> reference_detection_bits(
     }
   }
   return bits;
+}
+
+// First-detect index of an undetected fault in the helpers below.
+inline constexpr std::size_t kUndetected = ~std::size_t{0};
+
+// Index of the first pattern that detects `f` on the reference evaluator:
+// the lowest set bit of reference_detection_bits, or kUndetected.
+inline std::size_t reference_first_detect(const Netlist& nl,
+                                          const PatternSet& in,
+                                          const Fault& f) {
+  const std::vector<std::uint64_t> bits = reference_detection_bits(nl, in, f);
+  for (std::size_t w = 0; w < bits.size(); ++w) {
+    if (bits[w]) {
+      return 64 * w + static_cast<std::size_t>(std::countr_zero(bits[w]));
+    }
+  }
+  return kUndetected;
+}
+
+// First-detect indices of `faults` on the backend's current patterns: one
+// drop_sim pass from all-false flags, kUndetected where no pattern detects.
+// An entry disagreeing with its flag (set without a flag, or a flag left
+// without an entry) reads as kUndetected - 1, which no reference produces.
+inline std::vector<std::size_t> first_detects(FaultSimBackend& backend,
+                                              std::span<const Fault> faults) {
+  std::vector<bool> flags(faults.size(), false);
+  std::vector<std::size_t> first(faults.size(), kUndetected);
+  backend.drop_sim(faults, flags, first);
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    if (flags[i] != (first[i] != kUndetected)) first[i] = kUndetected - 1;
+  }
+  return first;
+}
+
+// First-detect indices from the Event, Packed and Auto backends, in that
+// order, each over its own context on `patterns`.
+inline std::vector<std::vector<std::size_t>> first_detects_by_mode(
+    const Netlist& nl, std::span<const Fault> faults,
+    const PatternSet& patterns) {
+  std::vector<std::vector<std::size_t>> out;
+  for (const FaultSimMode mode :
+       {FaultSimMode::Event, FaultSimMode::Packed, FaultSimMode::Auto}) {
+    const auto backend = make_fault_sim_backend(nl, mode);
+    backend->set_patterns(patterns);
+    out.push_back(first_detects(*backend, faults));
+  }
+  return out;
 }
 
 // Detect flags of `faults` on the backend's current patterns: one drop_sim
