@@ -1,11 +1,12 @@
 // Large-circuit CI smoke: generate a 100k-gate netlist, simulate a pattern
 // sample through the compiled plan, and fail on any response that differs
-// from the Node-walking reference_simulate; then diff the event-driven and
-// word-packed fault-simulation backends' detect flags and first detecting
-// patterns on a fault sample. Bounded to a few seconds — this is a correctness gate for the
-// stripe-major + SIMD path and the packed fault sweep at the scale the
-// microbenchmarks measure, not a performance run.
+// from the Node-walking reference_simulate; then hold the fault-simulation
+// engine's detect flags and first detecting patterns on a fault sample to
+// reference fault injection. Bounded to seconds — this is a correctness
+// gate for the stripe-major + SIMD path and the event-driven cone pass at
+// the scale the microbenchmarks measure, not a performance run.
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <cstdint>
@@ -13,7 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "atpg/fault_sim_backend.hpp"
+#include "atpg/fault_sim.hpp"
 #include "gen/iscas.hpp"
 #include "sim/simulator.hpp"
 
@@ -59,11 +60,13 @@ int main() {
   std::printf("OK: plan bit-identical to the reference on %zu patterns\n",
               ps.num_patterns());
 
-  // Packed-vs-event fault-simulation parity at the same scale: detect flags
-  // and first detecting patterns over a fault sample must be identical
-  // between the two backends. CI runs this binary under TZ_SIMD=1 and
-  // TZ_SIMD=0, so the parity also covers both kernel families the packed
-  // sweep dispatches to.
+  // Engine-vs-reference fault-simulation parity at the same scale: each
+  // sampled fault's first detecting pattern (and so its flag) must equal the
+  // one reference fault injection finds — the fault site's readers and
+  // output markings moved onto a tie cell in a netlist copy, evaluated by
+  // reference_simulate. The good machine comes from the engine's plan run,
+  // so CI runs this binary under TZ_SIMD=1 and TZ_SIMD=0 to cover both
+  // stripe-kernel families.
   const auto universe = fault_universe(nl);
   std::vector<Fault> faults;
   const std::size_t stride = std::max<std::size_t>(1, universe.size() / 256);
@@ -71,27 +74,46 @@ int main() {
     faults.push_back(universe[i]);
   }
   const PatternSet fps = random_patterns(nl.inputs().size(), 128, 23);
-  std::vector<bool> flags[2];
-  std::vector<std::size_t> first[2];
-  const FaultSimMode modes[] = {FaultSimMode::Event, FaultSimMode::Packed};
-  for (int m = 0; m < 2; ++m) {
-    t0 = std::chrono::steady_clock::now();
-    const auto backend = make_fault_sim_backend(nl, modes[m]);
-    backend->set_patterns(fps);
-    flags[m].assign(faults.size(), false);
-    first[m].assign(faults.size(), fps.num_patterns());
-    const std::size_t newly = backend->drop_sim(faults, flags[m], first[m]);
-    std::printf("%-6s fault-sim:      %5lld ms (%zu faults, %zu detected)\n",
-                std::string(backend->name()).c_str(), ms_since(t0),
-                faults.size(), newly);
+  constexpr std::size_t kUndetected = ~std::size_t{0};
+  t0 = std::chrono::steady_clock::now();
+  FaultSimEngine engine(nl);
+  engine.set_patterns(fps);
+  std::vector<bool> flags(faults.size(), false);
+  std::vector<std::size_t> first(faults.size(), kUndetected);
+  const std::size_t newly = engine.drop_sim(faults, flags, first);
+  std::printf("engine fault-sim:      %5lld ms (%zu faults, %zu detected)\n",
+              ms_since(t0), faults.size(), newly);
+
+  t0 = std::chrono::steady_clock::now();
+  const PatternSet good = reference_outputs(nl, fps);
+  std::vector<std::size_t> want(faults.size(), kUndetected);
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    Netlist faulty = nl;
+    const NodeId tie = faulty.const_node(faults[i].value == StuckAt::One);
+    if (tie != faults[i].node) faulty.replace_uses(faults[i].node, tie);
+    const PatternSet bad = reference_outputs(faulty, fps);
+    for (std::size_t w = 0; w < fps.num_words() && want[i] == kUndetected;
+         ++w) {
+      std::uint64_t diff = 0;
+      for (std::size_t o = 0; o < good.num_signals(); ++o) {
+        diff |= good.words(o)[w] ^ bad.words(o)[w];
+      }
+      if (diff) {
+        want[i] = 64 * w + static_cast<std::size_t>(std::countr_zero(diff));
+      }
+    }
   }
-  if (flags[0] != flags[1] || first[0] != first[1]) {
-    std::fprintf(stderr,
-                 "FAIL: packed detect flags or first detections diverge "
-                 "from event\n");
-    return 1;
+  std::printf("reference injection:   %5lld ms\n", ms_since(t0));
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    if (flags[i] != (want[i] != kUndetected) || first[i] != want[i]) {
+      std::fprintf(stderr,
+                   "FAIL: %s: engine first detect %zu, reference %zu\n",
+                   to_string(nl, faults[i]).c_str(), first[i], want[i]);
+      return 1;
+    }
   }
   std::printf(
-      "OK: packed and event detect flags and first detections identical\n");
+      "OK: engine detect flags and first detections equal reference fault "
+      "injection\n");
   return 0;
 }

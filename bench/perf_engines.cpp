@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "atpg/fault_sim.hpp"
-#include "atpg/fault_sim_backend.hpp"
 #include "atpg/test_set.hpp"
 #include "campaign/driver.hpp"
 #include "core/flow_engine.hpp"
@@ -163,59 +162,20 @@ BENCHMARK(BM_FaultSimulation);
 
 // Engine reuse: good machine and static analyses amortised over iterations,
 // the steady-state cost of grading inside a salvage/ATPG loop (one drop_sim
-// from all-false flags per iteration on the event engine).
+// from all-false flags per iteration).
 void BM_FaultSimEngineReuse(benchmark::State& state) {
   const tz::Netlist& nl = circuit("c880");
   const auto faults = tz::collapse_faults(nl, tz::fault_universe(nl));
   const tz::PatternSet ps = tz::random_patterns(nl.inputs().size(), 64, 3);
-  const auto engine = tz::make_fault_sim_backend(nl, tz::FaultSimMode::Event);
-  engine->set_patterns(ps);
+  tz::FaultSimEngine engine(nl);
+  engine.set_patterns(ps);
   for (auto _ : state) {
     std::vector<bool> detected(faults.size(), false);
-    benchmark::DoNotOptimize(engine->drop_sim(faults, detected));
+    benchmark::DoNotOptimize(engine.drop_sim(faults, detected));
   }
   state.SetItemsProcessed(state.iterations() * faults.size());
 }
 BENCHMARK(BM_FaultSimEngineReuse);
-
-// Word-packed fault simulation at 100k-gate scale: a same-run A/B between
-// the event-driven and packed backends on the mult96 array multiplier
-// (108,960 gates), whose fault cones are dense — the regime where walking
-// each fault's fanout cone event-by-event loses to one SoA sweep carrying 64
-// fault machines per word. The sample is the 2,048 topologically earliest
-// faults — input, partial-product and early carry-chain sites whose fanout
-// cones span most of the array, the regime the Auto selector routes to the
-// packed engine — over 1,024 grading patterns in flag mode (the random
-// fault-grading shape): the event walk pays the whole cone per fault, while
-// the packed sweep pays one slot sweep per 64 faults and retires a batch as
-// soon as every lane has detected, typically within the first 64-pattern
-// block. The selector row shows Auto's measured cone/slot cost model
-// picking the packed engine here; see BENCH_perf_engines.json for the
-// checked-in same-run ratio.
-void BM_FaultSimPacked100k(benchmark::State& state, tz::FaultSimMode mode) {
-  const tz::Netlist& nl = circuit("mult96");
-  static const std::vector<tz::Fault> faults = [&nl] {
-    auto universe = tz::fault_universe(nl);
-    universe.resize(std::min<std::size_t>(universe.size(), 2048));
-    return universe;
-  }();
-  const tz::PatternSet ps =
-      tz::random_patterns(nl.inputs().size(), 1024, 3);
-  const auto backend = tz::make_fault_sim_backend(nl, mode);
-  backend->set_patterns(ps);
-  for (auto _ : state) {
-    std::vector<bool> detected(faults.size(), false);
-    benchmark::DoNotOptimize(backend->drop_sim(faults, detected));
-  }
-  state.SetItemsProcessed(state.iterations() * faults.size());
-  state.SetLabel(std::string(backend->name()));
-}
-BENCHMARK_CAPTURE(BM_FaultSimPacked100k, event, tz::FaultSimMode::Event)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_FaultSimPacked100k, packed, tz::FaultSimMode::Packed)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_FaultSimPacked100k, selector, tz::FaultSimMode::Auto)
-    ->Unit(benchmark::kMillisecond);
 
 // Incremental drop-sim: stream single patterns through one engine, dropping
 // detected faults — the ATPG phase-2 access pattern.
@@ -223,12 +183,12 @@ void BM_FaultSimDropSim(benchmark::State& state) {
   const tz::Netlist& nl = circuit("c880");
   const auto faults = tz::collapse_faults(nl, tz::fault_universe(nl));
   const tz::PatternSet ps = tz::random_patterns(nl.inputs().size(), 64, 3);
-  const auto engine = tz::make_fault_sim_backend(nl, tz::FaultSimMode::Event);
+  tz::FaultSimEngine engine(nl);
   for (auto _ : state) {
     std::vector<bool> detected(faults.size(), false);
     for (std::size_t p = 0; p < ps.num_patterns(); ++p) {
-      engine->set_patterns(ps.slice(p, 1));
-      benchmark::DoNotOptimize(engine->drop_sim(faults, detected));
+      engine.set_patterns(ps.slice(p, 1));
+      benchmark::DoNotOptimize(engine.drop_sim(faults, detected));
     }
   }
   state.SetItemsProcessed(state.iterations() * faults.size());

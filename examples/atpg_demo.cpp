@@ -3,7 +3,7 @@
 #include <iomanip>
 #include <iostream>
 
-#include "atpg/fault_sim_backend.hpp"
+#include "atpg/fault_sim.hpp"
 #include "atpg/test_set.hpp"
 #include "gen/iscas.hpp"
 #include "verify/verify.hpp"
@@ -22,17 +22,15 @@ int run(int argc, char** argv) {
   std::cout << "fault universe: " << universe.size() << " -> "
             << faults.size() << " after collapsing\n";
 
-  // Random grading through a backend (Auto picks between the event-driven
-  // and word-packed engines by a cost model of the workload): the good
-  // machine is simulated once and shared by every fault, and one drop_sim
-  // from all-false flags marks each fault the patterns detect — the same
-  // call ATPG makes per PODEM pattern.
+  // Random grading through the event-driven fault-simulation engine: the
+  // good machine is simulated once and shared by every fault, and one
+  // drop_sim from all-false flags marks each fault the patterns detect — the
+  // same call ATPG makes per PODEM pattern.
   const PatternSet rnd = random_patterns(nl.inputs().size(), 64, 1);
-  const auto engine = make_fault_sim_backend(nl);
-  engine->set_patterns(rnd);
-  std::cout << "fault-sim backend: " << engine->name() << "\n";
+  FaultSimEngine engine(nl);
+  engine.set_patterns(rnd);
   std::vector<bool> rnd_det(faults.size(), false);
-  const std::size_t rnd_covered = engine->drop_sim(faults, rnd_det);
+  const std::size_t rnd_covered = engine.drop_sim(faults, rnd_det);
   std::cout << "64 random patterns cover "
             << 100.0 * static_cast<double>(rnd_covered) /
                    static_cast<double>(faults.size())

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <random>
 
-#include "atpg/fault_sim_backend.hpp"
 #include "prob/signal_prob.hpp"
 #include "sim/simulator.hpp"
 
@@ -17,21 +16,20 @@ DefenderTestSet generate_atpg_tests(const Netlist& nl,
   const std::vector<Fault> faults = collapse_faults(nl, fault_universe(nl));
   ts.coverage.total_faults = faults.size();
 
-  // One fault-simulation backend serves both phases: the static netlist
+  // One fault-simulation engine serves both phases: the static netlist
   // analyses and the compiled plan are computed once and carried from the
-  // bootstrap through deterministic-phase dropping. The engine is the
-  // process-wide set_fault_sim_mode choice (Auto by default).
-  const auto backend = make_fault_sim_backend(nl);
+  // bootstrap through deterministic-phase dropping.
+  FaultSimEngine engine(nl);
 
   // Phase 1: random bootstrap with static compaction — only patterns that
   // are some fault's first detection are kept in the shipped TP set, as a
   // production pattern-compaction flow would do.
   const PatternSet bootstrap =
       random_patterns(nl.inputs().size(), opt.random_patterns, opt.seed);
-  backend->set_patterns(bootstrap);
+  engine.set_patterns(bootstrap);
   std::vector<bool> detected(faults.size(), false);
   std::vector<std::size_t> first_detect(faults.size());
-  std::size_t covered = backend->drop_sim(faults, detected, first_detect);
+  std::size_t covered = engine.drop_sim(faults, detected, first_detect);
   std::vector<std::size_t> kept;
   for (std::size_t f = 0; f < faults.size(); ++f) {
     if (detected[f]) kept.push_back(first_detect[f]);
@@ -46,7 +44,7 @@ DefenderTestSet generate_atpg_tests(const Netlist& nl,
   }
 
   // Phase 2: PODEM on survivors, dropping newly covered faults as we go and
-  // stopping at the defender's coverage target. The shared backend carries
+  // stopping at the defender's coverage target. The shared engine carries
   // the static netlist analyses across candidate patterns (drop_sim only
   // re-simulates still-undetected faults), and one PODEM engine reuses the
   // topological order and implication scratch across target faults —
@@ -93,8 +91,8 @@ DefenderTestSet generate_atpg_tests(const Netlist& nl,
       one.set(0, s, bit);
     }
     // Drop every remaining fault this new pattern detects.
-    backend->set_patterns(one);
-    const std::size_t newly = backend->drop_sim(faults, detected);
+    engine.set_patterns(one);
+    const std::size_t newly = engine.drop_sim(faults, detected);
     covered += newly;
     if (newly > 0) patterns.append_all(one);
   }

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "atpg/fault_sim.hpp"
-#include "atpg/fault_sim_backend.hpp"
 #include "atpg/podem.hpp"
 #include "sim/patterns.hpp"
 

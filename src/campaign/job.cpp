@@ -4,7 +4,7 @@
 #include <chrono>
 #include <iostream>
 
-#include "atpg/fault_sim_backend.hpp"
+#include "atpg/fault_sim.hpp"
 #include "core/flow_engine.hpp"
 #include "core/ht_library.hpp"
 #include "core/trigger_prob.hpp"

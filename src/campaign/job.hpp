@@ -4,10 +4,9 @@
 // circuit, the HT shape, the defender configuration, the RNG seed and the
 // salvage order. run_flow_job(spec, artifacts) is the pure function the
 // scheduler layer (campaign/driver.hpp) fans out: same spec + same artifact
-// content => bit-identical FlowResult, at every thread count, shard count
-// and fault-simulation backend, which the engine stack already guarantees
-// bit-identity for. run_trojanzero_flow is the same path on artifacts it
-// builds for itself.
+// content => bit-identical FlowResult, at every thread count and shard
+// count, which the engine stack already guarantees bit-identity for.
+// run_trojanzero_flow is the same path on artifacts it builds for itself.
 //
 // A job reads N, the suite and N' from its shared artifacts in place; its
 // FlowResult carries their statistics and N'' but no copy of them.

@@ -54,7 +54,9 @@ struct FlowMeta {
   /// Always true since the compiled plan became the only evaluator; kept so
   /// the wire format does not change.
   bool eval_plan = true;
-  std::string fault_mode;       ///< Resolved FaultSimMode ("auto"/...).
+  /// Always "auto" since one fault-simulation engine is left; kept so the
+  /// wire format does not change.
+  std::string fault_mode;
   /// resolve_threads(FlowOptions::threads). Nothing runs on it; kept so the
   /// wire format does not change.
   std::size_t threads = 0;

@@ -2,8 +2,8 @@
 //
 // Forcing a row at one slot and re-evaluating only the readers whose rows
 // actually change is the concurrent-simulation idea (Ulrich & Baker, DAC
-// 1974). Two consumers judge the same kind of event with it: the event
-// fault-simulation engine (atpg/fault_sim_engine.hpp) forces a stuck value
+// 1974). Two consumers judge the same kind of event with it: the
+// fault-simulation engine (atpg/fault_sim.hpp) forces a stuck value
 // against the good machine, and the suite oracle (core/flow_engine.hpp)
 // forces a tie constant or an HT payload against its cached suite rows. A
 // tie to v is the stem stuck-at-v fault at the node, so both walk the

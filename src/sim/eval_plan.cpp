@@ -21,6 +21,22 @@ bool env_disabled(const char* name) {
   return false;
 }
 
+detail::StripeKernelFn pick_stripe_kernel() {
+  // TZ_SIMD=0 forces the portable kernel (the SIMD-vs-scalar A/B switch and
+  // the escape hatch if an ISA-specific miscompile ever needs ruling out).
+  if (env_disabled("TZ_SIMD")) return detail::eval_plan_stripe_generic;
+#if defined(TZ_AVX2_KERNELS) && defined(__x86_64__)
+  if (__builtin_cpu_supports("avx2")) return detail::eval_plan_stripe_avx2;
+#endif
+  return detail::eval_plan_stripe_generic;
+}
+
+/// The kernel for this process (CPUID probe + TZ_SIMD override, cached).
+detail::StripeKernelFn stripe_kernel() {
+  static const detail::StripeKernelFn fn = pick_stripe_kernel();
+  return fn;
+}
+
 }  // namespace
 
 EvalPlan::EvalPlan(const Netlist& nl) { compile(nl, nl.topo_order()); }
@@ -133,34 +149,11 @@ void EvalPlan::evaluate(std::uint64_t* values, std::size_t words) const {
     return;
   }
   const std::size_t bw = block_words(words);
-  const detail::StripeKernelFn kern = detail::stripe_kernel();
-  const auto n = static_cast<std::uint32_t>(num_slots());
+  const detail::StripeKernelFn kern = stripe_kernel();
   for (std::size_t w0 = 0; w0 < words; w0 += bw) {
-    kern(*this, values + num_slots() * w0, std::min(bw, words - w0), 0, n);
+    kern(*this, values + num_slots() * w0, std::min(bw, words - w0));
   }
 }
-
-namespace detail {
-namespace {
-
-StripeKernelFn pick_stripe_kernel() {
-  // TZ_SIMD=0 forces the portable kernel (the SIMD-vs-scalar A/B switch and
-  // the escape hatch if an ISA-specific miscompile ever needs ruling out).
-  if (env_disabled("TZ_SIMD")) return eval_plan_stripe_generic;
-#if defined(TZ_AVX2_KERNELS) && defined(__x86_64__)
-  if (__builtin_cpu_supports("avx2")) return eval_plan_stripe_avx2;
-#endif
-  return eval_plan_stripe_generic;
-}
-
-}  // namespace
-
-StripeKernelFn stripe_kernel() {
-  static const StripeKernelFn fn = pick_stripe_kernel();
-  return fn;
-}
-
-}  // namespace detail
 
 void EvalPlan::evaluate_scalar(std::uint64_t* values) const {
   // One word per row: the row index IS the value index, and eval_plan_slot's

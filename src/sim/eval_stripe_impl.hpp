@@ -124,15 +124,16 @@ inline void map3(std::uint64_t* __restrict out, const std::uint64_t* a,
 
 }  // namespace
 
-void TZ_STRIPE_FN(const EvalPlan& plan, std::uint64_t* stripe, std::size_t bw,
-                  std::uint32_t begin, std::uint32_t end) {
+void TZ_STRIPE_FN(const EvalPlan& plan, std::uint64_t* stripe,
+                  std::size_t bw) {
   const EvalOp* ops = plan.ops_data();
   const std::uint32_t* offs = plan.fanin_offsets_data();
   const SlotId* fslots = plan.fanin_slots_data();
   const auto f_and = [](auto a, auto b) { return vand(a, b); };
   const auto f_or = [](auto a, auto b) { return vor(a, b); };
   const auto f_xor = [](auto a, auto b) { return vxor(a, b); };
-  for (SlotId s = begin; s < end; ++s) {
+  const auto n = static_cast<SlotId>(plan.num_slots());
+  for (SlotId s = 0; s < n; ++s) {
     const EvalOp op = ops[s];
     if (op == EvalOp::Source || op == EvalOp::Dead) continue;
     const SlotId* f = fslots + offs[s];

@@ -8,9 +8,9 @@
 //   eval_stripe_avx2.cpp     __m256i intrinsics, built with -mavx2 (present
 //                            only when the toolchain supports the flag; see
 //                            CMakeLists TZ_AVX2_KERNELS)
-// stripe_kernel() picks once per process: AVX2 when the CPU reports it and
-// TZ_SIMD is not "0"/"false"/"off", the generic kernel otherwise. Both are
-// bit-identical to eval_plan_slot (the parity tests pin all three down).
+// EvalPlan::evaluate picks one once per process: AVX2 when the CPU reports it
+// and TZ_SIMD is not "0"/"false"/"off", the generic kernel otherwise. Both
+// are bit-identical to eval_plan_slot (the parity tests pin all three down).
 #pragma once
 
 #include <cstddef>
@@ -22,26 +22,17 @@ class EvalPlan;
 
 namespace detail {
 
-/// Evaluate the non-source slots in [begin, end) of one stripe-major block:
-/// row of slot s is `stripe + s * bw` (bw = the stripe's word count). The
-/// full-plan sweep passes [0, num_slots); the packed fault-simulation engine
-/// splits the sweep at fault-site slots so it can force the stuck values
-/// between ranges before any reader slot evaluates.
+/// Evaluate every non-source slot of one stripe-major block: row of slot s
+/// is `stripe + s * bw` (bw = the stripe's word count).
 using StripeKernelFn = void (*)(const EvalPlan& plan, std::uint64_t* stripe,
-                                std::size_t bw, std::uint32_t begin,
-                                std::uint32_t end);
+                                std::size_t bw);
 
 void eval_plan_stripe_generic(const EvalPlan& plan, std::uint64_t* stripe,
-                              std::size_t bw, std::uint32_t begin,
-                              std::uint32_t end);
+                              std::size_t bw);
 #ifdef TZ_AVX2_KERNELS
 void eval_plan_stripe_avx2(const EvalPlan& plan, std::uint64_t* stripe,
-                           std::size_t bw, std::uint32_t begin,
-                           std::uint32_t end);
+                           std::size_t bw);
 #endif
-
-/// The kernel for this process (CPUID probe + TZ_SIMD override, cached).
-StripeKernelFn stripe_kernel();
 
 }  // namespace detail
 }  // namespace tz

@@ -29,9 +29,6 @@ std::string_view to_string(CheckId id) {
     case CheckId::PlanIoLists: return "plan-io-lists";
     case CheckId::PlanBlockLayout: return "plan-block-layout";
     case CheckId::PlanEquivalence: return "plan-equivalence";
-    case CheckId::PackSiteSlot: return "pack-site-slot";
-    case CheckId::PackLaneBleed: return "pack-lane-bleed";
-    case CheckId::PackLaneBijection: return "pack-lane-bijection";
     case CheckId::CampPartition: return "camp-partition";
     case CheckId::CampShardRows: return "camp-shard-rows";
     case CheckId::CampMergeDuplicate: return "camp-merge-duplicate";

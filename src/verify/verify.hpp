@@ -69,10 +69,6 @@ enum class CheckId : std::uint8_t {
   PlanIoLists,        ///< input/dff/output slot lists out of sync.
   PlanBlockLayout,    ///< block_words()/stripe bookkeeping contract broken.
   PlanEquivalence,    ///< Patched plan not isomorphic to a fresh recompile.
-  // FaultPackChecker
-  PackSiteSlot,       ///< Injection site/mask disagrees with the fault lane.
-  PackLaneBleed,      ///< Forcing masks overlap or touch non-live lanes.
-  PackLaneBijection,  ///< Live lanes <-> undropped faults not a bijection.
   // CampaignChecker
   CampPartition,      ///< Job->shard assignment is not a partition.
   CampShardRows,      ///< A shard checkpoint file is not append-consistent.
@@ -148,45 +144,13 @@ class PlanChecker {
                           const PlanCheckOptions& opt = {});
 };
 
-/// A snapshot of one packed fault-simulation batch
-/// (atpg/fault_sim_packed.hpp): up to 64 fault machines share one word, lane
-/// i of the batch simulating the i-th live (undropped) fault. The packed
-/// engine builds this view right before sweeping a batch; FaultPackChecker
-/// validates it under TZ_CHECK. Spans alias the engine's batch scratch and
-/// are only valid while the batch is in flight.
-struct FaultPackBatch {
-  const EvalPlan* plan = nullptr;
-  std::uint64_t lanes_mask = 0;  ///< live lanes (dense low bits)
-  std::uint64_t sa1_lanes = 0;   ///< lanes whose fault is stuck-at-1
-  std::span<const NodeId> lane_node;        ///< per lane: fault site node
-  std::span<const std::size_t> lane_fault;  ///< per lane: caller fault index
-  std::span<const SlotId> site_slot;        ///< ascending unique site slots
-  std::span<const std::uint64_t> site_mask;      ///< per site: forced lanes
-  std::span<const std::uint64_t> site_force_one; ///< per site: stuck-at-1 lanes
-  /// Caller detection flags at batch-build time (empty when the caller does
-  /// not drop faults); indexed by lane_fault entries.
-  std::span<const char> dropped;
-};
-
-/// Validates a packed fault-simulation batch against its plan: every lane's
-/// site slot and stuck value is represented by exactly one mask bit at the
-/// right slot (PackSiteSlot), forcing masks are pairwise disjoint and
-/// confined to live lanes so fault machines cannot bleed into each other or
-/// into the good-machine padding lanes (PackLaneBleed), and the live lanes
-/// are a bijection with the undropped faults handed in by the caller
-/// (PackLaneBijection).
-class FaultPackChecker {
- public:
-  static VerifyReport run(const FaultPackBatch& batch);
-};
-
 /// A structural snapshot of one campaign's scheduling state
 /// (campaign/driver.hpp): the canonical job expansion, the deterministic
 /// job->shard assignment, what each shard's JSONL checkpoint file actually
 /// contains, and (optionally) the merged artifact's row ids. Plain strings
-/// and indices only — the checker stays independent of the campaign types,
-/// mirroring FaultPackBatch. Spans alias the driver's buffers and are valid
-/// only for the duration of the run() call.
+/// and indices only — the checker stays independent of the campaign types.
+/// Spans alias the driver's buffers and are valid only for the duration of
+/// the run() call.
 struct CampaignView {
   std::size_t num_shards = 0;
   /// Canonical job ids, grid-expansion order (the merge order).

@@ -1,14 +1,13 @@
 // Tests for the stuck-at fault model, PODEM and fault simulation.
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
 #include <gtest/gtest.h>
 
-#include "atpg/fault_sim_backend.hpp"
+#include "atpg/fault_sim.hpp"
 #include "atpg/test_set.hpp"
 #include "gen/iscas.hpp"
 #include "gen/random_circuit.hpp"
@@ -180,19 +179,17 @@ TEST(FaultSim, AgreesWithPodemOnDetection) {
 }
 
 TEST(FaultSim, FirstDetectsMatchDropSimFlags) {
-  // Every backend reports the same first detecting pattern for each fault,
-  // equal to the reference evaluator's, and sets exactly the flags of the
-  // faults it reports.
+  // The engine reports each fault's first detecting pattern equal to the
+  // reference evaluator's, and sets exactly the flags of the faults it
+  // reports.
   const Netlist nl = gen_c17();
   const auto faults = fault_universe(nl);
   const PatternSet ps = random_patterns(nl.inputs().size(), 20, 5);
-  const auto by_mode = test::first_detects_by_mode(nl, faults, ps);
+  const auto first = test::first_detects(nl, faults, ps);
   const auto det = test::detect_flags(nl, faults, ps);
   for (std::size_t f = 0; f < faults.size(); ++f) {
     const std::size_t want = test::reference_first_detect(nl, ps, faults[f]);
-    for (const auto& first : by_mode) {
-      EXPECT_EQ(first[f], want) << to_string(nl, faults[f]);
-    }
+    EXPECT_EQ(first[f], want) << to_string(nl, faults[f]);
     EXPECT_EQ(det[f], want != test::kUndetected) << to_string(nl, faults[f]);
   }
 }
@@ -230,16 +227,11 @@ TEST(TestGen, BootstrapKeepsFirstDetects) {
       }
     }
     EXPECT_EQ(grade_patterns(nl, faults, want).detected, covered);
-    for (const FaultSimMode mode :
-         {FaultSimMode::Event, FaultSimMode::Packed, FaultSimMode::Auto}) {
-      const test::FaultModeGuard guard(static_cast<int>(mode));
-      const std::string label = "width=" + std::to_string(width) +
-                                " mode=" + std::string(to_string(mode));
-      const DefenderTestSet ts = generate_atpg_tests(nl, opt);
-      EXPECT_EQ(ts.patterns.num_patterns(), kept.size()) << label;
-      EXPECT_TRUE(BitSimulator::responses_equal(ts.patterns, want)) << label;
-      EXPECT_EQ(ts.coverage.detected, covered) << label;
-    }
+    const std::string label = "width=" + std::to_string(width);
+    const DefenderTestSet ts = generate_atpg_tests(nl, opt);
+    EXPECT_EQ(ts.patterns.num_patterns(), kept.size()) << label;
+    EXPECT_TRUE(BitSimulator::responses_equal(ts.patterns, want)) << label;
+    EXPECT_EQ(ts.coverage.detected, covered) << label;
   }
 }
 
@@ -351,7 +343,7 @@ TEST_P(PodemComplete, UntestableMeansUndetectable) {
 INSTANTIATE_TEST_SUITE_P(Seeds, PodemComplete,
                          ::testing::Values(31, 37, 41, 43, 47));
 
-/// Property: on random circuits every backend's per-fault first detecting
+/// Property: on random circuits the engine's per-fault first detecting
 /// pattern matches the reference evaluator's fault injection, across a
 /// pattern count that crosses the 64-pattern word boundary.
 class FaultSimEquiv : public ::testing::TestWithParam<std::uint64_t> {};
@@ -363,12 +355,10 @@ TEST_P(FaultSimEquiv, EngineMatchesSerialReference) {
   const Netlist nl = random_circuit(spec);
   const auto faults = fault_universe(nl);
   const PatternSet ps = random_patterns(nl.inputs().size(), 70, GetParam());
-  const auto by_mode = test::first_detects_by_mode(nl, faults, ps);
+  const auto first = test::first_detects(nl, faults, ps);
   for (std::size_t i = 0; i < faults.size(); ++i) {
-    const std::size_t want = test::reference_first_detect(nl, ps, faults[i]);
-    for (const auto& first : by_mode) {
-      EXPECT_EQ(first[i], want) << to_string(nl, faults[i]);
-    }
+    EXPECT_EQ(first[i], test::reference_first_detect(nl, ps, faults[i]))
+        << to_string(nl, faults[i]);
   }
 }
 
@@ -382,12 +372,12 @@ TEST_P(FaultSimEquiv, DropSimOverSplitsMatchesFullSim) {
   // Split the set in two and drop-simulate incrementally with one engine.
   const PatternSet first = ps.slice(0, 37);
   const PatternSet second = ps.slice(37, 33);
-  const auto engine = make_fault_sim_backend(nl, FaultSimMode::Event);
+  FaultSimEngine engine(nl);
   std::vector<bool> dropped(faults.size(), false);
-  engine->set_patterns(first);
-  std::size_t covered = engine->drop_sim(faults, dropped);
-  engine->set_patterns(second);
-  covered += engine->drop_sim(faults, dropped);
+  engine.set_patterns(first);
+  std::size_t covered = engine.drop_sim(faults, dropped);
+  engine.set_patterns(second);
+  covered += engine.drop_sim(faults, dropped);
   const std::vector<bool> full = test::detect_flags(nl, faults, ps);
   EXPECT_EQ(dropped, full);
   std::size_t full_covered = 0;
@@ -404,86 +394,48 @@ TEST(FaultSimEngine, UnreachableSiteSkippedStatically) {
   const NodeId dead = nl.add_gate(GateType::Not, "dead", {a});
   const NodeId live = nl.add_gate(GateType::Buf, "live", {a});
   nl.mark_output(live);
-  const auto engine = make_fault_sim_backend(nl, FaultSimMode::Event);
-  engine->set_patterns(exhaustive_patterns(1));
-  EXPECT_FALSE(engine->context().po_reachable(dead));
-  EXPECT_TRUE(engine->context().po_reachable(a));
-  EXPECT_FALSE(test::detected(*engine, Fault{dead, StuckAt::One}));
-  EXPECT_TRUE(test::detected(*engine, Fault{a, StuckAt::One}));
+  FaultSimEngine engine(nl);
+  engine.set_patterns(exhaustive_patterns(1));
+  EXPECT_FALSE(engine.po_reachable(dead));
+  EXPECT_TRUE(engine.po_reachable(a));
+  EXPECT_FALSE(test::detected(engine, Fault{dead, StuckAt::One}));
+  EXPECT_TRUE(test::detected(engine, Fault{a, StuckAt::One}));
 }
 
-// ---- pluggable backend layer -----------------------------------------------
-
-TEST(FaultBackend, ModeSelectionAndFactoryNames) {
-  EXPECT_EQ(to_string(FaultSimMode::Auto), "auto");
-  EXPECT_EQ(to_string(FaultSimMode::Event), "event");
-  EXPECT_EQ(to_string(FaultSimMode::Packed), "packed");
-
-  const Netlist nl = gen_c17();
-  EXPECT_EQ(make_fault_sim_backend(nl, FaultSimMode::Event)->name(), "event");
-  EXPECT_EQ(make_fault_sim_backend(nl, FaultSimMode::Packed)->name(),
-            "packed");
-  EXPECT_EQ(make_fault_sim_backend(nl, FaultSimMode::Auto)->name(), "auto");
-
-  // The process-wide override: 0/1/2 force a mode (out-of-range clamps), -1
-  // restores the Auto default.
-  {
-    const test::FaultModeGuard packed(2);
-    EXPECT_EQ(fault_sim_mode(), FaultSimMode::Packed);
-    EXPECT_EQ(make_fault_sim_backend(nl)->name(), "packed");
-    set_fault_sim_mode(1);
-    EXPECT_EQ(fault_sim_mode(), FaultSimMode::Event);
-    set_fault_sim_mode(0);
-    EXPECT_EQ(fault_sim_mode(), FaultSimMode::Auto);
-    set_fault_sim_mode(99);
-    EXPECT_EQ(fault_sim_mode(), FaultSimMode::Packed);
-  }
-  EXPECT_EQ(fault_sim_mode(), FaultSimMode::Auto);
-
-  // Both engines bind to one shared context: the static analyses and the
-  // good machine are computed once no matter how many backends consume them.
-  const auto ctx = std::make_shared<FaultSimContext>(nl);
-  const auto event = make_fault_sim_backend(ctx, FaultSimMode::Event);
-  const auto packed = make_fault_sim_backend(ctx, FaultSimMode::Packed);
-  EXPECT_EQ(&event->context(), &packed->context());
-}
-
-TEST(FaultBackend, PackedMatchesEventAndReference) {
-  // The packed engine must be bit-identical to the event engine on the
-  // backend contract, flags and first detections, and both must equal
-  // reference fault injection on a sample of faults.
+TEST(FaultSimEngine, MatchesReferenceOnBenchmarks) {
+  // On two ISCAS netlists the engine's flags and first detections must equal
+  // reference fault injection on a sample of faults, and one drop_sim must
+  // count exactly the faults it flags.
   for (const char* name : {"c432", "c880"}) {
     const Netlist nl = make_benchmark(name);
     const auto faults = collapse_faults(nl, fault_universe(nl));
     const PatternSet ps = random_patterns(nl.inputs().size(), 150, 9);
     const std::string label = name;
-    const auto by_mode = test::first_detects_by_mode(nl, faults, ps);
-    EXPECT_EQ(by_mode[1], by_mode[0]) << label;
-    EXPECT_EQ(by_mode[2], by_mode[0]) << label;
-    const auto event = make_fault_sim_backend(nl, FaultSimMode::Event);
-    const auto packed = make_fault_sim_backend(nl, FaultSimMode::Packed);
-    event->set_patterns(ps);
-    packed->set_patterns(ps);
+    FaultSimEngine engine(nl);
+    engine.set_patterns(ps);
+    const auto first = test::first_detects(engine, faults);
     for (std::size_t i = 0; i < faults.size(); i += 17) {
-      EXPECT_EQ(test::detected(*packed, faults[i]),
-                test::detected(*event, faults[i]))
-          << label << " fault " << to_string(nl, faults[i]);
-      EXPECT_EQ(by_mode[0][i], test::reference_first_detect(nl, ps, faults[i]))
+      const std::size_t want = test::reference_first_detect(nl, ps, faults[i]);
+      EXPECT_EQ(first[i], want) << label << " fault " << to_string(nl, faults[i]);
+      EXPECT_EQ(test::detected(engine, faults[i]), want != test::kUndetected)
           << label << " fault " << to_string(nl, faults[i]);
     }
-    std::vector<bool> edrop(faults.size(), false);
-    std::vector<bool> pdrop(faults.size(), false);
-    EXPECT_EQ(packed->drop_sim(faults, pdrop), event->drop_sim(faults, edrop))
+    std::vector<bool> dropped(faults.size(), false);
+    const std::size_t newly = engine.drop_sim(faults, dropped);
+    EXPECT_EQ(newly, static_cast<std::size_t>(
+                         std::count(dropped.begin(), dropped.end(), true)))
         << label;
-    EXPECT_EQ(pdrop, edrop) << label;
+    EXPECT_EQ(newly, faults.size() - static_cast<std::size_t>(std::count(
+                                         first.begin(), first.end(),
+                                         test::kUndetected)))
+        << label;
   }
 }
 
-TEST(FaultBackend, FirstDetectWordBoundaries) {
-  // The packed engine packs 64 faults per word and 64 patterns per block;
-  // the event engine packs 64 patterns per word. Exercise every off-by-one
-  // around both boundaries: fault counts and pattern counts one below, at,
-  // and one above a full word.
+TEST(FaultSimEngine, FirstDetectWordBoundaries) {
+  // The engine packs 64 patterns per word. Exercise every off-by-one around
+  // the boundary: fault counts and pattern counts one below, at, and one
+  // above a full word.
   const Netlist nl = make_benchmark("c432");
   const auto universe = fault_universe(nl);
   ASSERT_GE(universe.size(), 65u);
@@ -494,25 +446,21 @@ TEST(FaultBackend, FirstDetectWordBoundaries) {
           random_patterns(nl.inputs().size(), np, 31 * nf + np);
       const std::string label =
           "faults=" + std::to_string(nf) + " patterns=" + std::to_string(np);
-      const auto by_mode = test::first_detects_by_mode(nl, faults, ps);
+      const auto first = test::first_detects(nl, faults, ps);
       for (std::size_t i = 0; i < nf; ++i) {
-        const std::size_t want =
-            test::reference_first_detect(nl, ps, faults[i]);
-        for (const auto& first : by_mode) {
-          EXPECT_EQ(first[i], want) << label << " fault " << i;
-        }
+        EXPECT_EQ(first[i], test::reference_first_detect(nl, ps, faults[i]))
+            << label << " fault " << i;
       }
     }
   }
 }
 
-TEST(FaultBackend, FirstDetectsPastWordZero) {
+TEST(FaultSimEngine, FirstDetectsPastWordZero) {
   // g = AND(a0..a7) and n = NOR(a0..a7) over 200 hand-made patterns (four
   // words): every pattern drives only a0 high, except pattern 130 (all
   // ones) and pattern 190 (all zeros). g sa0 and a1..a7 sa0 first detect at
   // 130, n sa0 and a0..a7 sa1 at 190, all in word 2. The faults detected on
-  // pattern 0 fill a packed batch of their own that early-exits after the
-  // first block.
+  // pattern 0 end their PO scan at once.
   Netlist nl;
   const std::vector<NodeId> a = test::add_inputs(nl, 8, "a");
   const NodeId g = nl.add_gate(GateType::And, "g", a);
@@ -534,30 +482,23 @@ TEST(FaultBackend, FirstDetectsPastWordZero) {
   const std::vector<std::size_t> want_late = {130, 190, 130, 190, 190};
   for (const auto& [faults, want] :
        {std::pair{early, want_early}, std::pair{late, want_late}}) {
-    for (std::size_t i = 0; i < faults.size(); ++i) {
-      ASSERT_EQ(test::reference_first_detect(nl, ps, faults[i]), want[i])
-          << to_string(nl, faults[i]);
-    }
-    for (const auto& first : test::first_detects_by_mode(nl, faults, ps)) {
-      EXPECT_EQ(first, want);
-    }
+    EXPECT_EQ(test::reference_first_detects(nl, ps, faults), want);
+    EXPECT_EQ(test::first_detects(nl, faults, ps), want);
   }
-  // Both lists in one call: the packed batch mixes early and late lanes.
+  // Both lists in one call: early and late faults share one engine pass.
   std::vector<Fault> all = early;
   all.insert(all.end(), late.begin(), late.end());
   std::vector<std::size_t> want_all = want_early;
   want_all.insert(want_all.end(), want_late.begin(), want_late.end());
-  for (const auto& first : test::first_detects_by_mode(nl, all, ps)) {
-    EXPECT_EQ(first, want_all);
-  }
+  EXPECT_EQ(test::first_detects(nl, all, ps), want_all);
 }
 
-TEST(FaultBackend, ZeroDetectRowsAndAllDroppedBatches) {
+TEST(FaultSimEngine, ZeroDetectRowsAndAllDroppedCalls) {
   // g = AND(a, b) under all-zero patterns: g stuck-at-0 is never excited
   // (never detected), g stuck-at-1 flips every pattern (first detected by
-  // pattern 0). Every backend must agree on both extremes, and a drop_sim
-  // where every fault is already dropped must touch no flag and no
-  // first-detect entry.
+  // pattern 0). The engine must match the reference on both extremes, and
+  // a drop_sim where every fault is already dropped must touch no flag and
+  // no first-detect entry.
   Netlist nl;
   const NodeId a = nl.add_input("a");
   const NodeId b = nl.add_input("b");
@@ -570,95 +511,79 @@ TEST(FaultBackend, ZeroDetectRowsAndAllDroppedBatches) {
   // a/b sa1 are excited but masked by the other AND input staying 0.
   const std::vector<std::size_t> want = {test::kUndetected, 0,
                                          test::kUndetected, test::kUndetected};
-  for (const auto& first : test::first_detects_by_mode(nl, faults, zeros)) {
-    EXPECT_EQ(first, want);
-  }
-  for (const FaultSimMode mode :
-       {FaultSimMode::Event, FaultSimMode::Packed, FaultSimMode::Auto}) {
-    const auto backend = make_fault_sim_backend(nl, mode);
-    backend->set_patterns(zeros);
-    std::vector<bool> all_dropped(faults.size(), true);
-    std::vector<std::size_t> first(faults.size(), 7);
-    EXPECT_EQ(backend->drop_sim(faults, all_dropped, first), 0u)
-        << backend->name();
-    EXPECT_EQ(all_dropped, std::vector<bool>(faults.size(), true))
-        << backend->name();
-    EXPECT_EQ(first, std::vector<std::size_t>(faults.size(), 7))
-        << backend->name();
-  }
+  EXPECT_EQ(test::reference_first_detects(nl, zeros, faults), want);
+  FaultSimEngine engine(nl);
+  engine.set_patterns(zeros);
+  EXPECT_EQ(test::first_detects(engine, faults), want);
+  std::vector<bool> all_dropped(faults.size(), true);
+  std::vector<std::size_t> first(faults.size(), 7);
+  EXPECT_EQ(engine.drop_sim(faults, all_dropped, first), 0u);
+  EXPECT_EQ(all_dropped, std::vector<bool>(faults.size(), true));
+  EXPECT_EQ(first, std::vector<std::size_t>(faults.size(), 7));
 }
 
-TEST(FaultBackend, PatternSwapKeepsStaticAnalyses) {
-  // PO reachability is computed once and cached across pattern swaps; each
-  // swap advances the pattern epoch and re-runs the good machine.
+TEST(FaultSimEngine, PatternSwapKeepsStaticAnalyses) {
+  // PO reachability is computed once and kept across pattern swaps; each
+  // swap re-runs the good machine.
   Netlist nl;
   const NodeId a = nl.add_input("a");
   const NodeId g = nl.add_gate(GateType::Not, "g", {a});
   const NodeId o = nl.add_gate(GateType::Buf, "o", {a});
   nl.mark_output(o);
-  for (const FaultSimMode mode : {FaultSimMode::Event, FaultSimMode::Packed}) {
-    const auto backend = make_fault_sim_backend(nl, mode);
-    backend->set_patterns(exhaustive_patterns(1));
-    EXPECT_FALSE(backend->context().po_reachable(g)) << backend->name();
-    EXPECT_FALSE(test::detected(*backend, Fault{g, StuckAt::Zero}))
-        << backend->name();
+  FaultSimEngine engine(nl);
+  engine.set_patterns(exhaustive_patterns(1));
+  EXPECT_FALSE(engine.po_reachable(g));
+  EXPECT_FALSE(test::detected(engine, Fault{g, StuckAt::Zero}));
 
-    backend->set_patterns(exhaustive_patterns(1));
-    EXPECT_GT(backend->context().pattern_epoch(), 1u) << backend->name();
-    EXPECT_FALSE(backend->context().po_reachable(g)) << backend->name();
-    EXPECT_TRUE(test::detected(*backend, Fault{o, StuckAt::Zero}))
-        << backend->name();
-  }
+  PatternSet zero(1, 1);  // the single pattern a = 0
+  engine.set_patterns(zero);
+  EXPECT_FALSE(engine.po_reachable(g));
+  EXPECT_FALSE(test::detected(engine, Fault{o, StuckAt::Zero}));
+  EXPECT_TRUE(test::detected(engine, Fault{o, StuckAt::One}));
 }
 
-TEST(FaultBackend, DropSimRejectsMismatchedFlags) {
+TEST(FaultSimEngine, DropSimRejectsMismatchedFlags) {
   // drop_sim reads and sets detected[i] for every fault: a flag vector of
   // another length, or a non-empty first-detect vector of another length,
   // is refused, naming both sizes, before any flag is read.
   const Netlist nl = gen_c17();
   const std::vector<Fault> faults = fault_universe(nl);
-  for (const FaultSimMode mode :
-       {FaultSimMode::Event, FaultSimMode::Packed, FaultSimMode::Auto}) {
-    const auto backend = make_fault_sim_backend(nl, mode);
-    backend->set_patterns(exhaustive_patterns(nl.inputs().size()));
-    for (const std::size_t n : {faults.size() / 2, faults.size() + 1}) {
-      std::vector<bool> flags(n, false);
-      try {
-        backend->drop_sim(faults, flags);
-        ADD_FAILURE() << backend->name() << ": no throw for " << n
-                      << " flags";
-      } catch (const std::invalid_argument& e) {
-        const std::string msg = e.what();
-        EXPECT_NE(msg.find("has " + std::to_string(n) + " flags"),
-                  std::string::npos)
-            << msg;
-        EXPECT_NE(msg.find("for " + std::to_string(faults.size()) + " faults"),
-                  std::string::npos)
-            << msg;
-      }
-      EXPECT_EQ(flags, std::vector<bool>(n, false)) << backend->name();
-
-      std::vector<bool> good_flags(faults.size(), false);
-      std::vector<std::size_t> first(n, 0);
-      try {
-        backend->drop_sim(faults, good_flags, first);
-        ADD_FAILURE() << backend->name() << ": no throw for " << n
-                      << " first-detect entries";
-      } catch (const std::invalid_argument& e) {
-        const std::string msg = e.what();
-        EXPECT_NE(msg.find("has " + std::to_string(n) + " entries"),
-                  std::string::npos)
-            << msg;
-      }
-      EXPECT_EQ(good_flags, std::vector<bool>(faults.size(), false))
-          << backend->name();
+  FaultSimEngine engine(nl);
+  engine.set_patterns(exhaustive_patterns(nl.inputs().size()));
+  for (const std::size_t n : {faults.size() / 2, faults.size() + 1}) {
+    std::vector<bool> flags(n, false);
+    try {
+      engine.drop_sim(faults, flags);
+      ADD_FAILURE() << "no throw for " << n << " flags";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("has " + std::to_string(n) + " flags"),
+                std::string::npos)
+          << msg;
+      EXPECT_NE(msg.find("for " + std::to_string(faults.size()) + " faults"),
+                std::string::npos)
+          << msg;
     }
+    EXPECT_EQ(flags, std::vector<bool>(n, false));
+
+    std::vector<bool> good_flags(faults.size(), false);
+    std::vector<std::size_t> first(n, 0);
+    try {
+      engine.drop_sim(faults, good_flags, first);
+      ADD_FAILURE() << "no throw for " << n << " first-detect entries";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("has " + std::to_string(n) + " entries"),
+                std::string::npos)
+          << msg;
+    }
+    EXPECT_EQ(good_flags, std::vector<bool>(faults.size(), false));
   }
 }
 
-TEST(FaultBackend, WidePatternSetMatchesReference) {
+TEST(FaultSimEngine, WidePatternSetMatchesReference) {
   // A pattern set wider than one stripe: the good machine comes out of a
-  // stripe-major run and is gathered into slot rows. Both engines' first
+  // stripe-major run and is gathered into slot rows. The engine's first
   // detections must still equal independent reference fault injection.
   const Netlist nl = test::random_full_alphabet(29, 2000);
   const EvalPlan plan(nl);
@@ -671,52 +596,31 @@ TEST(FaultBackend, WidePatternSetMatchesReference) {
   for (std::size_t i = 0; i < universe.size(); i += universe.size() / 16) {
     faults.push_back(universe[i]);
   }
-  std::vector<std::size_t> want;
-  for (const Fault& f : faults) {
-    want.push_back(test::reference_first_detect(nl, ps, f));
-  }
+  const std::vector<std::size_t> want =
+      test::reference_first_detects(nl, ps, faults);
   EXPECT_NE(std::count(want.begin(), want.end(), test::kUndetected),
             static_cast<std::ptrdiff_t>(want.size()));
-  const auto ctx = std::make_shared<FaultSimContext>(nl);
-  ctx->set_patterns(ps);
-  for (const FaultSimMode mode :
-       {FaultSimMode::Event, FaultSimMode::Packed, FaultSimMode::Auto}) {
-    const auto backend = make_fault_sim_backend(ctx, mode);
-    EXPECT_EQ(test::first_detects(*backend, faults), want) << backend->name();
-  }
+  EXPECT_EQ(test::first_detects(nl, faults, ps), want);
 }
 
-TEST(TestGen, AtpgBitIdenticalAcrossBackends) {
+TEST(TestGen, AtpgMatchesReference) {
   // The full ATPG flow (bootstrap first detections, compaction, PODEM
-  // dropping) must produce the same pattern set, golden responses and
-  // coverage counters no matter which fault-simulation backend
-  // set_fault_sim_mode selects, and its golden responses must be what the
-  // reference evaluator computes.
+  // dropping) against the reference evaluator: the golden responses are
+  // what reference_simulate computes, and the coverage counter is the
+  // number of collapsed faults reference fault injection detects with the
+  // shipped patterns.
   const Netlist nl = make_benchmark("c880");
   TestGenOptions opt;
   opt.random_patterns = 64;
   opt.max_patterns = 64;
-
-  const DefenderTestSet base = [&] {
-    const test::FaultModeGuard event(static_cast<int>(FaultSimMode::Event));
-    return generate_atpg_tests(nl, opt);
-  }();
+  const DefenderTestSet ts = generate_atpg_tests(nl, opt);
   EXPECT_TRUE(BitSimulator::responses_equal(
-      base.golden, reference_outputs(nl, base.patterns)));
-  for (const FaultSimMode mode : {FaultSimMode::Packed, FaultSimMode::Auto}) {
-    const test::FaultModeGuard guard(static_cast<int>(mode));
-    const DefenderTestSet ts = generate_atpg_tests(nl, opt);
-    const std::string label = "mode=" + std::string(to_string(mode));
-    EXPECT_EQ(ts.patterns.num_patterns(), base.patterns.num_patterns())
-        << label;
-    EXPECT_TRUE(BitSimulator::responses_equal(ts.patterns, base.patterns))
-        << label;
-    EXPECT_TRUE(BitSimulator::responses_equal(ts.golden, base.golden))
-        << label;
-    EXPECT_EQ(ts.coverage.detected, base.coverage.detected) << label;
-    EXPECT_EQ(ts.untestable, base.untestable) << label;
-    EXPECT_EQ(ts.aborted, base.aborted) << label;
-  }
+      ts.golden, reference_outputs(nl, ts.patterns)));
+  const auto faults = collapse_faults(nl, fault_universe(nl));
+  const auto first = test::reference_first_detects(nl, ts.patterns, faults);
+  EXPECT_EQ(ts.coverage.detected,
+            faults.size() - static_cast<std::size_t>(std::count(
+                                first.begin(), first.end(), test::kUndetected)));
 }
 
 TEST(FaultSimEngine, DffBlocksPropagationLikeBitSimulator) {
@@ -728,10 +632,10 @@ TEST(FaultSimEngine, DffBlocksPropagationLikeBitSimulator) {
   const NodeId q = nl.add_gate(GateType::Dff, "q", {g});
   const NodeId o = nl.add_gate(GateType::Buf, "o", {q});
   nl.mark_output(o);
-  const auto engine = make_fault_sim_backend(nl, FaultSimMode::Event);
-  engine->set_patterns(exhaustive_patterns(1));
-  EXPECT_FALSE(engine->context().po_reachable(g));
-  EXPECT_FALSE(test::detected(*engine, Fault{g, StuckAt::Zero}));
+  FaultSimEngine engine(nl);
+  engine.set_patterns(exhaustive_patterns(1));
+  EXPECT_FALSE(engine.po_reachable(g));
+  EXPECT_FALSE(test::detected(engine, Fault{g, StuckAt::Zero}));
 }
 
 }  // namespace

@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "atpg/fault.hpp"
-#include "atpg/fault_sim_backend.hpp"
+#include "atpg/fault_sim.hpp"
 #include "atpg/test_set.hpp"
 #include "core/flow_engine.hpp"
 #include "core/ht_library.hpp"
@@ -117,20 +117,17 @@ TEST(EvalPlan, DffStateRowsMatchReference) {
 }
 
 TEST(EvalPlan, FaultSimEngineMatchesReference) {
-  // The engines' walks over plan slots against reference fault injection:
+  // The engine's walk over plan slots against reference fault injection:
   // every collapsed fault's first detecting pattern (and so its flag) must
   // equal the lowest set bit of the reference evaluator's response diff.
   const Netlist nl = make_benchmark("c880");
   const auto faults = collapse_faults(nl, fault_universe(nl));
   for (std::size_t patterns : {63u, 64u, 65u, 128u}) {
     const PatternSet ps = random_patterns(nl.inputs().size(), patterns, 5);
-    const auto by_mode = test::first_detects_by_mode(nl, faults, ps);
+    const auto first = test::first_detects(nl, faults, ps);
     for (std::size_t i = 0; i < faults.size(); ++i) {
-      const std::size_t want = test::reference_first_detect(nl, ps, faults[i]);
-      for (const auto& first : by_mode) {
-        ASSERT_EQ(first[i], want)
-            << patterns << " patterns, " << to_string(nl, faults[i]);
-      }
+      ASSERT_EQ(first[i], test::reference_first_detect(nl, ps, faults[i]))
+          << patterns << " patterns, " << to_string(nl, faults[i]);
     }
   }
 }
@@ -262,8 +259,7 @@ TEST(StripeLayout, GenericKernelMatchesDispatched) {
   const std::size_t bw = plan.block_words(words);
   for (std::size_t w0 = 0; w0 < words; w0 += bw) {
     detail::eval_plan_stripe_generic(
-        plan, vals.data() + plan.num_slots() * w0, std::min(bw, words - w0), 0,
-        static_cast<std::uint32_t>(plan.num_slots()));
+        plan, vals.data() + plan.num_slots() * w0, std::min(bw, words - w0));
   }
   for (std::size_t i = 0; i < total; ++i) {
     ASSERT_EQ(vals.data()[i], dispatched[i]) << "flat index " << i;

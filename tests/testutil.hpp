@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "atpg/fault.hpp"
-#include "atpg/fault_sim_backend.hpp"
+#include "atpg/fault_sim.hpp"
 #include "atpg/test_set.hpp"
 #include "netlist/netlist.hpp"
 #include "prob/signal_prob.hpp"
@@ -23,17 +23,6 @@ namespace tz::test {
 
 // Canonical seed for tests that need an arbitrary-but-fixed RNG stream.
 inline constexpr std::uint64_t kTestSeed = 0xC0FFEE;
-
-// Forces the fault-simulation backend (0 = Auto, 1 = Event, 2 = Packed) for
-// the guarded scope and restores the Auto default afterwards — RAII so a
-// throw or fatal assertion cannot leak a forced mode into later tests of the
-// aggregated runner.
-struct FaultModeGuard {
-  explicit FaultModeGuard(int mode) { set_fault_sim_mode(mode); }
-  ~FaultModeGuard() { set_fault_sim_mode(-1); }
-  FaultModeGuard(const FaultModeGuard&) = delete;
-  FaultModeGuard& operator=(const FaultModeGuard&) = delete;
-};
 
 // ---- reference evaluation -------------------------------------------------
 //
@@ -114,58 +103,60 @@ inline std::size_t reference_first_detect(const Netlist& nl,
   return kUndetected;
 }
 
-// First-detect indices of `faults` on the backend's current patterns: one
+// reference_first_detect of every fault in `faults`, in order.
+inline std::vector<std::size_t> reference_first_detects(
+    const Netlist& nl, const PatternSet& in, std::span<const Fault> faults) {
+  std::vector<std::size_t> out;
+  out.reserve(faults.size());
+  for (const Fault& f : faults) out.push_back(reference_first_detect(nl, in, f));
+  return out;
+}
+
+// First-detect indices of `faults` on the engine's current patterns: one
 // drop_sim pass from all-false flags, kUndetected where no pattern detects.
 // An entry disagreeing with its flag (set without a flag, or a flag left
 // without an entry) reads as kUndetected - 1, which no reference produces.
-inline std::vector<std::size_t> first_detects(FaultSimBackend& backend,
+inline std::vector<std::size_t> first_detects(FaultSimEngine& engine,
                                               std::span<const Fault> faults) {
   std::vector<bool> flags(faults.size(), false);
   std::vector<std::size_t> first(faults.size(), kUndetected);
-  backend.drop_sim(faults, flags, first);
+  engine.drop_sim(faults, flags, first);
   for (std::size_t i = 0; i < faults.size(); ++i) {
     if (flags[i] != (first[i] != kUndetected)) first[i] = kUndetected - 1;
   }
   return first;
 }
 
-// First-detect indices from the Event, Packed and Auto backends, in that
-// order, each over its own context on `patterns`.
-inline std::vector<std::vector<std::size_t>> first_detects_by_mode(
-    const Netlist& nl, std::span<const Fault> faults,
-    const PatternSet& patterns) {
-  std::vector<std::vector<std::size_t>> out;
-  for (const FaultSimMode mode :
-       {FaultSimMode::Event, FaultSimMode::Packed, FaultSimMode::Auto}) {
-    const auto backend = make_fault_sim_backend(nl, mode);
-    backend->set_patterns(patterns);
-    out.push_back(first_detects(*backend, faults));
-  }
-  return out;
+// The same on a fresh engine over `nl` and `patterns`.
+inline std::vector<std::size_t> first_detects(const Netlist& nl,
+                                              std::span<const Fault> faults,
+                                              const PatternSet& patterns) {
+  FaultSimEngine engine(nl);
+  engine.set_patterns(patterns);
+  return first_detects(engine, faults);
 }
 
-// Detect flags of `faults` on the backend's current patterns: one drop_sim
+// Detect flags of `faults` on the engine's current patterns: one drop_sim
 // pass from all-false flags.
-inline std::vector<bool> detect_flags(FaultSimBackend& backend,
+inline std::vector<bool> detect_flags(FaultSimEngine& engine,
                                       std::span<const Fault> faults) {
   std::vector<bool> flags(faults.size(), false);
-  backend.drop_sim(faults, flags);
+  engine.drop_sim(faults, flags);
   return flags;
 }
 
-// The same on a fresh backend over `nl` and `patterns` (the process-wide
-// mode).
+// The same on a fresh engine over `nl` and `patterns`.
 inline std::vector<bool> detect_flags(const Netlist& nl,
                                       std::span<const Fault> faults,
                                       const PatternSet& patterns) {
-  const auto backend = make_fault_sim_backend(nl);
-  backend->set_patterns(patterns);
-  return detect_flags(*backend, faults);
+  FaultSimEngine engine(nl);
+  engine.set_patterns(patterns);
+  return detect_flags(engine, faults);
 }
 
 // True iff some pattern detects `f`: a one-fault drop_sim.
-inline bool detected(FaultSimBackend& backend, const Fault& f) {
-  return detect_flags(backend, std::span(&f, 1))[0];
+inline bool detected(FaultSimEngine& engine, const Fault& f) {
+  return detect_flags(engine, std::span(&f, 1))[0];
 }
 
 inline bool detected(const Netlist& nl, const Fault& f,

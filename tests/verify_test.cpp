@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "atpg/fault_sim_backend.hpp"
 #include "core/flow_engine.hpp"
 #include "core/report.hpp"
 #include "gen/iscas.hpp"
@@ -371,138 +370,6 @@ TEST(PlanCheckerCorrupt, Equivalence) {
   EXPECT_FALSE(local.has(CheckId::PlanEquivalence));
 }
 
-// ---- FaultPackChecker corruption tests (one per check id) ------------------
-
-// A healthy two-lane packed batch over the two_gate plan: lane 0 = g
-// stuck-at-0, lane 1 = h stuck-at-1. The vectors own the storage the
-// FaultPackBatch spans alias, so each test corrupts one field and re-runs
-// the checker on the same fixture.
-struct PackBatchFixture {
-  Netlist nl = two_gate();
-  EvalPlan plan{nl};
-  std::uint64_t lanes_mask = 0b11;
-  std::uint64_t sa1_lanes = 0b10;
-  std::vector<NodeId> lane_node;
-  std::vector<std::size_t> lane_fault{0, 1};
-  std::vector<SlotId> site_slot;
-  std::vector<std::uint64_t> site_mask{0b01, 0b10};
-  std::vector<std::uint64_t> site_force_one{0b00, 0b10};
-  std::vector<char> dropped;
-
-  PackBatchFixture() {
-    const NodeId g = nl.find("g");
-    const NodeId h = nl.find("h");
-    lane_node = {g, h};
-    site_slot = {plan.slot_of(g), plan.slot_of(h)};
-  }
-
-  FaultPackBatch batch() const {
-    return {.plan = &plan,
-            .lanes_mask = lanes_mask,
-            .sa1_lanes = sa1_lanes,
-            .lane_node = lane_node,
-            .lane_fault = lane_fault,
-            .site_slot = site_slot,
-            .site_mask = site_mask,
-            .site_force_one = site_force_one,
-            .dropped = dropped};
-  }
-};
-
-TEST(FaultPackCorrupt, HealthyBatchPasses) {
-  const PackBatchFixture f;
-  const VerifyReport r = FaultPackChecker::run(f.batch());
-  EXPECT_TRUE(r.ok()) << r.format();
-}
-
-TEST(FaultPackCorrupt, SiteSlot) {
-  // Move lane 0's forcing mask to the slot of input `a`: still a valid,
-  // ascending site list, but the lane is now forced somewhere that is not
-  // its fault site (and never at its own site).
-  PackBatchFixture f;
-  f.site_slot[0] = f.plan.slot_of(f.nl.find("a"));
-  const VerifyReport r = FaultPackChecker::run(f.batch());
-  ASSERT_FALSE(r.ok());
-  EXPECT_TRUE(r.has(CheckId::PackSiteSlot)) << r.format();
-
-  // Polarity flavor: forcing a one on a stuck-at-0 lane.
-  PackBatchFixture g;
-  g.site_force_one[0] = 0b01;
-  const VerifyReport r2 = FaultPackChecker::run(g.batch());
-  EXPECT_TRUE(r2.has(CheckId::PackSiteSlot)) << r2.format();
-}
-
-TEST(FaultPackCorrupt, LaneBleed) {
-  // Forcing a padding lane would overwrite the good machine that padding
-  // lanes carry.
-  PackBatchFixture f;
-  f.site_mask[1] = 0b110;
-  const VerifyReport r = FaultPackChecker::run(f.batch());
-  ASSERT_FALSE(r.ok());
-  EXPECT_TRUE(r.has(CheckId::PackLaneBleed)) << r.format();
-  EXPECT_FALSE(r.has(CheckId::PackSiteSlot)) << r.format();
-
-  // Overlap flavor: two sites forcing the same lane is cross-fault bleed.
-  PackBatchFixture g;
-  g.site_mask[1] = 0b11;
-  g.site_force_one[1] = 0b10;
-  const VerifyReport r2 = FaultPackChecker::run(g.batch());
-  EXPECT_TRUE(r2.has(CheckId::PackLaneBleed)) << r2.format();
-}
-
-TEST(FaultPackCorrupt, LaneBijection) {
-  // One fault occupying two lanes breaks the drop-list <-> lane bijection.
-  PackBatchFixture f;
-  f.lane_fault = {0, 0};
-  const VerifyReport r = FaultPackChecker::run(f.batch());
-  ASSERT_FALSE(r.ok());
-  EXPECT_TRUE(r.has(CheckId::PackLaneBijection)) << r.format();
-
-  // A lane simulating an already-dropped fault wastes the lane and lets a
-  // stale detection flag alias a live one.
-  PackBatchFixture g;
-  g.dropped = {1, 0};
-  const VerifyReport r2 = FaultPackChecker::run(g.batch());
-  EXPECT_TRUE(r2.has(CheckId::PackLaneBijection)) << r2.format();
-
-  // Non-dense live lanes: the packed sweep assumes low bits.
-  PackBatchFixture h;
-  h.lanes_mask = 0b101;
-  const VerifyReport r3 = FaultPackChecker::run(h.batch());
-  EXPECT_TRUE(r3.has(CheckId::PackLaneBijection)) << r3.format();
-}
-
-TEST(FaultPackChecked, EngineBatchesPassUnderCheck) {
-  // The packed engine builds a FaultPackBatch per 64-fault batch when
-  // TZ_CHECK is armed; on a clean benchmark every batch must satisfy the
-  // checker (no throw) and the checked run must be bit-identical to the
-  // unchecked one — the hook is an observer.
-  const Netlist nl = make_benchmark("c880");
-  const auto faults = collapse_faults(nl, fault_universe(nl));
-  const PatternSet ps = random_patterns(nl.inputs().size(), 96, 5);
-
-  std::vector<bool> plain_flags;
-  std::vector<std::size_t> plain_first;
-  {
-    CheckGuard off(0);
-    const auto backend = make_fault_sim_backend(nl, FaultSimMode::Packed);
-    backend->set_patterns(ps);
-    plain_flags = test::detect_flags(*backend, faults);
-    plain_first = test::first_detects(*backend, faults);
-    // The unchecked engines agree with each other before the check is armed.
-    const auto by_mode = test::first_detects_by_mode(nl, faults, ps);
-    EXPECT_EQ(by_mode[0], plain_first);
-    EXPECT_EQ(by_mode[2], plain_first);
-  }
-  CheckGuard on(1);
-  const auto backend = make_fault_sim_backend(nl, FaultSimMode::Packed);
-  backend->set_patterns(ps);
-  EXPECT_EQ(test::first_detects(*backend, faults), plain_first);
-  std::vector<bool> detected(faults.size(), false);
-  EXPECT_GT(backend->drop_sim(faults, detected), 0u);
-  EXPECT_EQ(detected, plain_flags);
-}
-
 // ---- structured JSON report -------------------------------------------------
 
 /// A small solver with one ternary and one binary clause, plus a solved
@@ -603,11 +470,11 @@ TEST(VerifyReportJson, GoldenOutput) {
   // machine-readable contract CI diffs against.
   VerifyReport r;
   EXPECT_EQ(r.to_json(), "{\"ok\": true, \"violations\": []}");
-  r.add(CheckId::PackSiteSlot, "say \"hi\"\n", 3, 7);
+  r.add(CheckId::PlanOpcode, "say \"hi\"\n", 3, 7);
   r.add(CheckId::NetCycle, "loop");
   EXPECT_EQ(r.to_json(),
             "{\"ok\": false, \"violations\": ["
-            "{\"check\": \"pack-site-slot\", \"node\": 3, \"slot\": 7, "
+            "{\"check\": \"plan-opcode\", \"node\": 3, \"slot\": 7, "
             "\"message\": \"say \\\"hi\\\"\\n\"}, "
             "{\"check\": \"net-cycle\", \"node\": null, \"slot\": null, "
             "\"message\": \"loop\"}]}");
